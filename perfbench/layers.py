@@ -60,7 +60,6 @@ def wraps() -> list[tuple[Any, str, str]]:
         # looked up through the importing module's namespace
         (resilient, "disjoint_paths", "disjoint_paths.family"),
         (disjoint_paths, "node_to_set_disjoint_paths", "flows.node_to_set"),
-        (disjoint_paths, "vertex_disjoint_paths", "flows.vertex_disjoint"),
     ]
 
 
@@ -74,6 +73,7 @@ class _View:
         roots: list[int] = []
         for index, span in enumerate(spans):
             roots.append(index if span.parent < 0 else roots[span.parent])
+        self._root_name = [spans[r].name for r in roots]
         self._in_root: dict[tuple[int, str], float] = {}
         for index, span in enumerate(spans):
             key = (roots[index], span.name)
@@ -96,8 +96,14 @@ class _View:
     def durations(self, name: str) -> list[float]:
         return [s.duration for s in self.tracer.named(name)]
 
-    def peak_mib(self, name: str) -> float:
-        return max((s.peak_bytes for s in self.tracer.named(name)), default=0) / MIB
+    def peak_mib(self, name: str, op: str | None = None) -> float:
+        """Largest tracemalloc peak of a ``name`` span (under ``op`` roots only)."""
+        peaks = [
+            s.peak_bytes
+            for s, root in zip(self.tracer.spans, self._root_name, strict=True)
+            if s.name == name and op in (None, root)
+        ]
+        return max(peaks, default=0) / MIB
 
     def count(self, name: str) -> float:
         return self.counters.get(name, 0)
@@ -142,7 +148,7 @@ METRICS: dict[str, tuple[str, str, Callable[[_View], float]]] = {
     "codecs.neighbors_block.ns_per_arc": (
         "ns", "lower",
         lambda v: _ratio(
-            statistics.median(v.durations("codecs.neighbors_block")) * 1e9,
+            _p50_ms(v.durations("codecs.neighbors_block")) * 1e6,
             v.count("codecs.neighbors_block.arcs"),
         ),
     ),
@@ -197,11 +203,16 @@ METRICS: dict[str, tuple[str, str, Callable[[_View], float]]] = {
     ),
     "flows.node_to_set.share": (
         "ratio", "lower",
-        lambda v: _ratio(v.total("flows.node_to_set"), v.total("resilient.route_ex")),
+        lambda v: _ratio(
+            sum(v.per_op("fault_routing.op", "flows.node_to_set")),
+            sum(v.per_op("fault_routing.op", "resilient.route_ex")),
+        ),
     ),
     "disjoint_paths.family.peak_mib": (
-        "MiB", "lower", lambda v: v.peak_mib("disjoint_paths.family"),
+        "MiB", "lower", lambda v: v.peak_mib("disjoint_paths.family", "fault_routing.op"),
     ),
+    "resilient.corner.ms": ("ms", "lower", lambda v: v.total("resilient.corner") * 1e3),
+    "resilient.corner.peak_mib": ("MiB", "lower", lambda v: v.peak_mib("resilient.corner")),
     "disjoint_paths.case3_share": (
         "ratio", "lower",
         lambda v: _ratio(v.count("disjoint_paths.case3"), v.count("resilient.routes")),

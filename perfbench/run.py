@@ -10,7 +10,10 @@ the end-to-end metrics; ``--trace 1`` makes a separate traced run that
 reports the per-layer metrics, self times and the tracing overhead, and
 writes its spans to ``.perfbench_out/``.  The last line of standard
 output is the result object; the line before it holds provenance,
-deterministic counts and timings, kept apart.
+deterministic counts and timings, kept apart.  Untraced timings are
+scaled to a host of fixed speed by a reference loop timed next to each
+operation and set-up (:class:`HostSpeed`); the raw figures are printed
+with the timings.
 """
 
 from __future__ import annotations
@@ -43,36 +46,103 @@ SETUP_BUDGET_S = 2.0
 SETUP_MAX = 25
 #: single-thread pins for the numeric libraries, applied before numpy loads
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+#: seconds the reference work takes on the nominal host; untraced timings
+#: are scaled to that host (see :class:`HostSpeed`)
+REFERENCE_S = 0.010
+
+
+class HostSpeed:
+    """Scales timings to a host of fixed speed.
+
+    A shared host runs the same code up to ~40% faster or slower for
+    tens of seconds to minutes at a time, and moves a fixed reference loop
+    alike.  The reference work (interpreter dict updates and small numpy
+    calls, the mix the workloads' Python-level overhead is made of) runs
+    between timed intervals: :meth:`mark` times it once and returns the
+    seconds it took.  :meth:`scales` then gives each interval a factor of
+    ``REFERENCE_S`` over the median reference time of the marks around
+    it, so a single slow mark does not move an interval.  The work never
+    touches the program, so a change to the program moves the scaled time
+    as it moves the raw one.
+    """
+
+    #: marks on each side of an interval that its factor takes the median of
+    WINDOW = 3
+
+    def __init__(self) -> None:
+        import numpy
+
+        self._block = numpy.arange(4096, dtype=numpy.int64)
+        self._unique = numpy.unique
+        self.marks: list[float] = []
+
+    def mark(self) -> float:
+        """Time the fixed reference work once; returns its seconds."""
+        t0 = time.perf_counter()
+        acc: dict[int, int] = {}
+        for i in range(5000):
+            acc[i & 255] = acc.get(i & 255, 0) + i
+        for _ in range(50):
+            self._unique((self._block * 7) % 977)
+        self.marks.append(time.perf_counter() - t0)
+        return self.marks[-1]
+
+    def scales(self) -> list[float]:
+        """One factor per interval between consecutive marks."""
+        w = self.WINDOW
+        return [
+            REFERENCE_S / statistics.median(self.marks[max(0, i + 1 - w) : i + 1 + w])
+            for i in range(len(self.marks) - 1)
+        ]
+
+
+@dataclass
+class Outcome:
+    """Checked outputs of a run: how many were attempted, how many failed."""
+
+    attempted: int
+    failed: int
 
 
 @dataclass
 class Loop:
     """Outcome of timed passes over a workload's input pool."""
 
-    latencies: list[float] = field(default_factory=list)
+    pool: int  # operations per pass
+    latencies: list[float] = field(default_factory=list)  # scaled, if a HostSpeed is given
+    raw: list[float] = field(default_factory=list)  # as measured, if scaled
     failed: set[int] = field(default_factory=set)
-    pass_times: list[float] = field(default_factory=list)  # op seconds per pass
 
     @property
     def ops(self) -> int:
         return len(self.latencies)
 
+    @property
+    def pass_times(self) -> list[float]:
+        """Operation seconds of each whole pass."""
+        return [sum(self.latencies[k : k + self.pool]) for k in range(0, self.ops, self.pool)]
+
 
 def run_passes(wl: Any, state: Any, *, seconds: float = 0.0, min_ops: int = 0,
-               passes: int | None = None, tracer: Any = None) -> Loop:
+               passes: int | None = None, tracer: Any = None,
+               host: HostSpeed | None = None) -> Loop:
     """Cycle whole passes over ``state.pool`` until ``passes`` are done, or
     else until ``seconds`` have elapsed and ``min_ops`` ops have run.
 
-    Only the operation is timed.  Its output is checked right after; an
-    exception or a failed check marks the op failed and the run goes on.
+    Only the operation is timed.  With a ``host``, the reference work is
+    marked before the first operation and after each one, and the times
+    are scaled once the loop ends (``loop.raw`` keeps them as measured).
+    Each output is checked right after its operation; an exception or a
+    failed check marks the op failed and the run goes on.
     """
     from spans import maybe_span
 
-    loop = Loop()
+    loop = Loop(len(state.pool))
+    if host is not None:
+        host.mark()
     started = time.perf_counter()
     while True:
-        first = loop.ops
-        for i in range(len(state.pool)):
+        for i in range(loop.pool):
             op = loop.ops
             out = None
             with maybe_span(tracer, wl.root):
@@ -82,6 +152,8 @@ def run_passes(wl: Any, state: Any, *, seconds: float = 0.0, min_ops: int = 0,
                 except Exception:  # a failing op is a result, not a crash
                     traceback.print_exc(file=sys.stderr)
                 t1 = time.perf_counter()
+            if host is not None:
+                host.mark()
             loop.latencies.append(t1 - t0)
             try:
                 ok = out is not None and wl.check(state, op, i, out)
@@ -92,12 +164,15 @@ def run_passes(wl: Any, state: Any, *, seconds: float = 0.0, min_ops: int = 0,
                 ok = False
             if not ok:
                 loop.failed.add(op)
-        loop.pass_times.append(sum(loop.latencies[first:]))
         if passes is not None:
-            if len(loop.pass_times) >= passes:
-                return loop
+            if loop.ops >= passes * loop.pool:
+                break
         elif time.perf_counter() - started >= seconds and loop.ops >= min_ops:
-            return loop
+            break
+    if host is not None:
+        loop.raw = loop.latencies
+        loop.latencies = [t * k for t, k in zip(loop.raw, host.scales(), strict=True)]
+    return loop
 
 
 def crosscheck(wl: Any, state: Any, loop: Loop) -> None:
@@ -178,21 +253,26 @@ def provenance(args: argparse.Namespace, cleared: list[str], backends: dict) -> 
     }
 
 
-def untraced(args: argparse.Namespace, spec: Any) -> tuple[dict, dict, Loop, dict]:
+def untraced(args: argparse.Namespace, spec: Any) -> tuple[dict, dict, Outcome, dict]:
     toy = spec.toy(args.seed)
     run_passes(toy, toy.setup(), passes=1)  # warm imports and first-call paths
     wl = spec.build(args.seed)
-    setups: list[float] = []
+    raw_setups: list[float] = []
     state = None
-    while len(setups) < SETUP_MAX and (
-        len(setups) < SETUP_REPEATS or sum(setups) < SETUP_BUDGET_S
+    setup_host = HostSpeed()
+    while len(raw_setups) < SETUP_MAX and (
+        len(raw_setups) < SETUP_REPEATS or sum(raw_setups) < SETUP_BUDGET_S
     ):
         state = None
         gc.collect()
+        setup_host.mark()
         t0 = time.perf_counter()
         state = wl.setup()
-        setups.append(time.perf_counter() - t0)
-    loop = run_passes(wl, state, seconds=args.seconds, min_ops=MIN_OPS)
+        raw_setups.append(time.perf_counter() - t0)
+    setup_host.mark()
+    setups = [t * k for t, k in zip(raw_setups, setup_host.scales(), strict=True)]
+    loop_host = HostSpeed()
+    loop = run_passes(wl, state, seconds=args.seconds, min_ops=MIN_OPS, host=loop_host)
     rss = peak_rss_mib()
     crosscheck(wl, state, loop)
     metrics = {
@@ -205,20 +285,25 @@ def untraced(args: argparse.Namespace, spec: Any) -> tuple[dict, dict, Loop, dic
     }
     counts = {"pool": len(state.pool), "item": spec.item, "items_per_op": wl.items_per_op}
     samples = {"latency": loop.ops, "passes": len(loop.pass_times), "setup": len(setups)}
-    timings = {"setup_s_each": setups, "pass_s_each": loop.pass_times}
-    return metrics, counts, loop, {"samples": samples, "timings": timings,
-                                   "backends": wl.backends(state)}
+    timings = {"setup_s_each": setups, "pass_s_each": loop.pass_times,
+               "reference_s": {"nominal": REFERENCE_S,
+                               "setup_median": statistics.median(setup_host.marks),
+                               "loop_median": statistics.median(loop_host.marks)},
+               "raw": {"setup_s_median": statistics.median(raw_setups),
+                       "latency_ms_p50": quantile(loop.raw, 50) * 1e3,
+                       "latency_ms_p90": quantile(loop.raw, 90) * 1e3,
+                       "op_s_total": sum(loop.raw)}}
+    extra = {"samples": samples, "timings": timings, "backends": wl.backends(state)}
+    return metrics, counts, Outcome(loop.ops, len(loop.failed)), extra
 
 
-def traced(args: argparse.Namespace, spec: Any) -> tuple[dict, dict, Loop, dict]:
+def traced(args: argparse.Namespace, spec: Any) -> tuple[dict, dict, Outcome, dict]:
     import layers
-    import suite
     from spans import Tracer
 
+    toy = spec.toy(args.seed)
+    run_passes(toy, toy.setup(), passes=1)  # warm imports and first-call paths
     wl = spec.build(args.seed)
-    probes = [suite.PROBES[kind](args.seed) for kind in suite.probe_kinds(wl)]
-    for toy in [spec.toy(args.seed), *probes]:
-        run_passes(toy, toy.setup(), passes=1)  # warm imports and first-call paths
     state = wl.setup()
     plain = run_passes(wl, state, passes=1)
     crosscheck(wl, state, plain)
@@ -228,29 +313,19 @@ def traced(args: argparse.Namespace, spec: Any) -> tuple[dict, dict, Loop, dict]
         with tracer.span("setup"):
             traced_state = wl.setup(tracer)
         loop = run_passes(wl, traced_state, passes=1, tracer=tracer)
-        suite.neighbors_block_probe(traced_state.hb, args.seed, tracer)
-        probe_loops = []
-        for probe in probes:
-            with tracer.span("setup"):
-                probe_state = probe.setup(tracer)
-            probe_loops.append((probe, probe_state, run_passes(probe, probe_state, passes=1, tracer=tracer)))
+        probed = wl.probe(traced_state, tracer)
     crosscheck(wl, traced_state, loop)
-    for probe, probe_state, probe_loop in probe_loops:
-        crosscheck(probe, probe_state, probe_loop)
 
     metrics = {name: (m["value"], m["unit"]) for name, m in layers.layer_metrics(tracer).items()}
     traced_tp = throughput(wl, traced_state, loop)
     metrics["trace.throughput"] = (traced_tp, "items/s")
     metrics["trace.overhead_ratio"] = (throughput(wl, state, plain) / traced_tp, "ratio")
 
-    total = Loop(latencies=plain.latencies + loop.latencies,
-                 failed=plain.failed | {plain.ops + op for op in loop.failed})
-    for _, _, probe_loop in probe_loops:
-        total.failed |= {total.ops + op for op in probe_loop.failed}
-        total.latencies += probe_loop.latencies
+    # checked outputs: the untraced pass, the traced pass and the probes
+    total = Outcome(plain.ops + loop.ops + len(probed),
+                    len(plain.failed) + len(loop.failed) + probed.count(False))
     counts = {"pool": len(traced_state.pool), "item": spec.item, "items_per_op": wl.items_per_op,
-              "ops_untraced": plain.ops, "ops_traced": loop.ops,
-              "probe_ops": {p.root: pl.ops for p, _, pl in probe_loops},
+              "ops_untraced": plain.ops, "ops_traced": loop.ops, "probe_outputs": len(probed),
               "spans": len(tracer.spans), "counters": dict(tracer.counters)}
     OUT.mkdir(exist_ok=True)
     trace_path = OUT / f"trace-{args.workload}-seed{args.seed}.json"
@@ -300,14 +375,14 @@ def main(argv: list[str] | None = None) -> int:
               f"(known: {', '.join(suite.WORKLOADS)})", file=sys.stderr)
         return 2
     measure = traced if args.trace else untraced
-    metrics, counts, loop, extra = measure(args, spec)
+    metrics, counts, outcome, extra = measure(args, spec)
     info = {"provenance": provenance(args, cleared, extra.pop("backends")),
             "counts": counts, **extra}
     print(json.dumps(info, sort_keys=True))
     result = {
-        "correct": not loop.failed,
-        "attempted": loop.ops,
-        "failed": len(loop.failed),
+        "correct": outcome.failed == 0,
+        "attempted": outcome.attempted,
+        "failed": outcome.failed,
         "metrics": {name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()},
     }
     print(json.dumps(result))

@@ -6,7 +6,9 @@ answers :meth:`run_op` for a pool index.  The timed loop cycles through
 whole passes of the pool, so every pass has the same composition.
 :meth:`check` tests invariants of one output; :meth:`crosscheck` runs the
 slower independent comparisons after the timed loop; :meth:`account`
-records the deterministic counters of a traced operation.
+records the deterministic counters of a traced operation, and
+:meth:`probe` times the layers a traced run measures apart from the
+operations.
 
 Sizes are constructor arguments so the self-test can run every workload
 on toy instances; :data:`WORKLOADS` holds the measured sizes.
@@ -147,6 +149,9 @@ class TrafficWorkload:
         arrays = (routes.sources, routes.hops, routes.lengths, routes.gen_idx)
         tracer.count("flow.route_bytes", sum(a.nbytes for a in arrays if a is not None))
 
+    def probe(self, state: TrafficState, tracer: Tracer) -> list[bool]:
+        return []
+
     def backends(self, state: TrafficState) -> dict:
         split = state.hb.cayley.oracle.factor_split() is not None
         return {"routes": "cayley oracle, factor split" if split else "cayley oracle"}
@@ -159,6 +164,7 @@ class TrafficWorkload:
 class DiameterState:
     hb: HyperButterfly
     pool: list  # StructureFault per operation
+    fault_free_diameter: int
     checked: list = field(default_factory=list)  # (op, pool index, result)
 
 
@@ -180,14 +186,13 @@ class FaultDiameterWorkload:
     def setup(self, tracer: Tracer | None = None) -> DiameterState:
         hb = HyperButterfly(self.m, self.n)
         get_fastgraph(hb)
-        with maybe_span(tracer, "faults.sample_nodes"):
-            centers = sample_nodes(hb, self.pool, rng=random.Random(self.seed))
+        centers = sample_nodes(hb, self.pool, rng=random.Random(self.seed))
         kinds = structure_kinds(hb)
-        pool = []
-        for i, center in enumerate(centers):
-            with maybe_span(tracer, "structures.build_structure"):
-                pool.append(build_structure(hb, kinds[i % len(kinds)], center, size=1))
-        return DiameterState(hb, pool)
+        pool = [
+            build_structure(hb, kinds[i % len(kinds)], center, size=1)
+            for i, center in enumerate(centers)
+        ]
+        return DiameterState(hb, pool, hb.diameter_formula())
 
     def run_op(self, state: DiameterState, i: int, tracer: Tracer | None = None) -> Any:
         with maybe_span(tracer, "structures.structure_fault_diameter"):
@@ -198,8 +203,14 @@ class FaultDiameterWorkload:
     def check(self, state: DiameterState, op: int, i: int, out: Any) -> bool:
         if op % CSR_EVERY == 0:
             state.checked.append((op, i, out))
+        # One size-1 structure leaves HB connected (tests/faults pins this
+        # exactly on HB(2,3)).  Masking never shortens a path, and the nodes
+        # at the fault-free diameter from the boundary source survive: the
+        # structure lies next to the source and spans fewer hops than that.
         return bool(
-            out.survivors + out.faulted == state.hb.num_nodes
+            out.connected
+            and out.diameter >= state.fault_free_diameter
+            and out.survivors + out.faulted == state.hb.num_nodes
             and out.faulted == len(state.pool[i])
             and out.sources_examined == 1
         )
@@ -229,6 +240,20 @@ class FaultDiameterWorkload:
         tracer.count("implicit.reached", reached)
         tracer.count("implicit.arcs", reached * state.hb.degree_formula)
 
+    def probe(
+        self, state: DiameterState, tracer: Tracer, *, repeats: int = 9, size: int = 65_536
+    ) -> list[bool]:
+        """Time ``neighbors_block`` on a fixed-size block of seeded ranks."""
+        ranks = np.random.default_rng(self.seed).integers(
+            0, state.hb.num_nodes, size=size, dtype=np.int64
+        )
+        codec = codec_for(state.hb)
+        for _ in range(repeats):
+            with tracer.span("codecs.neighbors_block"):
+                arcs = codec.neighbors_block(ranks)
+        tracer.count("codecs.neighbors_block.arcs", int((arcs >= 0).sum()))
+        return []
+
     def backends(self, state: DiameterState) -> dict:
         fast = get_fastgraph(state.hb)
         return {
@@ -253,6 +278,7 @@ def double_corner(hb: HyperButterfly, u: tuple, v: tuple) -> bool:
 class RoutingState:
     hb: HyperButterfly
     pool: list  # (u, v, frozenset of node faults) per operation
+    corner: tuple  # one double-corner (u, v, faults), routed by the traced run
     router: ResilientRouter
 
 
@@ -261,34 +287,31 @@ class FaultRoutingWorkload:
 
     Every pair is fresh to the router (a new router starts each pass).
     Double corners of Theorem 5's case 3 (see :func:`double_corner`) fall
-    back to a global max-flow family, about 40x slower than other pairs.
-    They are drawn as a fixed stratum: exactly the pair at pool index
-    ``corner_at`` is one, and every other pair is redrawn until it is not.
-    Their natural rate is about 1 in 900 pairs on ``HB(4, 7)``; the fixed
-    1-in-``pool`` share puts that tail into every pass alike instead of
-    into a random few runs.
+    back to a global max-flow family, about 40x slower than other pairs
+    and about 1 in 900 pairs on ``HB(4, 7)``.  A single one would take a
+    fifth of a run's time, so the timed pool holds none: every pair is
+    redrawn until it is not one.  Set-up draws one double corner as well,
+    and the traced run routes it in its own span (:meth:`probe`).
     """
 
     root = "fault_routing.op"
     items_per_op = 1
 
-    def __init__(self, seed: int, *, m: int, n: int, pool: int, corner_at: int | None) -> None:
+    def __init__(self, seed: int, *, m: int, n: int, pool: int) -> None:
         self.seed = seed
         self.m, self.n = m, n
         self.pool = pool
-        self.corner_at = corner_at
 
     def setup(self, tracer: Tracer | None = None) -> RoutingState:
         hb = HyperButterfly(self.m, self.n)
         faults = self.m + 3
         group = faults + 3  # u, then candidates for v and the faults
         rng = random.Random(self.seed)
-        with maybe_span(tracer, "faults.sample_nodes"):
-            nodes = sample_nodes(hb, (self.pool + 1) * group, rng=rng)
+        nodes = sample_nodes(hb, (self.pool + 2) * group, rng=rng)
         pool = []
-        for i in range(self.pool + 1):
+        for i in range(self.pool + 2):
             u, *candidates = nodes[i * group : (i + 1) * group]
-            if i == self.corner_at:
+            if i == self.pool:  # the double corner
                 h = rng.choice(hb.hypercube_neighbors(u))[0]
                 b = rng.choice(hb.butterfly_neighbors(u))[1]
                 v = (h, b)
@@ -298,7 +321,8 @@ class FaultRoutingWorkload:
         router = ResilientRouter(hb)
         u, v, blocked = pool.pop()  # warm-up route: builds the factor graphs
         router.route_ex(u, v, node_faults=blocked)
-        return RoutingState(hb, pool, router)
+        corner = pool.pop()
+        return RoutingState(hb, pool, corner, router)
 
     def run_op(self, state: RoutingState, i: int, tracer: Tracer | None = None) -> Any:
         if i == 0:
@@ -308,7 +332,10 @@ class FaultRoutingWorkload:
             return state.router.route_ex(u, v, node_faults=blocked)
 
     def check(self, state: RoutingState, op: int, i: int, out: Any) -> bool:
-        u, v, blocked = state.pool[i]
+        return self._valid(state, state.pool[i], out)
+
+    def _valid(self, state: RoutingState, pair: tuple, out: Any) -> bool:
+        u, v, blocked = pair
         path = out.path
         return bool(
             path[0] == u
@@ -327,6 +354,14 @@ class FaultRoutingWorkload:
         tracer.count("resilient.disjoint", out.strategy == "disjoint")
         tracer.count("disjoint_paths.case3", construction_case(u, v) == 3)
         tracer.count("resilient.stretch_sum", (len(out.path) - 1) / state.hb.distance(u, v))
+
+    def probe(self, state: RoutingState, tracer: Tracer) -> list[bool]:
+        """Route the double corner on a fresh router, as its own root span."""
+        u, v, blocked = state.corner
+        router = ResilientRouter(state.hb)
+        with tracer.span("resilient.corner"):
+            out = router.route_ex(u, v, node_faults=blocked)
+        return [self._valid(state, state.corner, out)]
 
     def backends(self, state: RoutingState) -> dict:
         return {"route": "ResilientRouter: disjoint family, adaptive BFS fallback"}
@@ -361,34 +396,8 @@ WORKLOADS = {
         item="probes",
     ),
     "fault-routing": Spec(
-        build=lambda s: FaultRoutingWorkload(s, m=4, n=7, pool=100, corner_at=20),
-        toy=lambda s: FaultRoutingWorkload(s, m=2, n=3, pool=4, corner_at=1),
+        build=lambda s: FaultRoutingWorkload(s, m=4, n=7, pool=100),
+        toy=lambda s: FaultRoutingWorkload(s, m=2, n=3, pool=4),
         item="routes",
     ),
 }
-
-#: small fixed-size workloads that reach the layers a traced workload does
-#: not, so every traced run reports every per-layer metric
-PROBES = {
-    "traffic": lambda s: TrafficWorkload(s, m=4, n=7, family="uniform", flows=2_000, pool=4),
-    "fault_diameter": lambda s: FaultDiameterWorkload(s, m=4, n=7, pool=4),
-    "fault_routing": lambda s: FaultRoutingWorkload(s, m=4, n=7, pool=8, corner_at=None),
-}
-
-
-def probe_kinds(workload: Any) -> list[str]:
-    """The probe workloads a traced run of ``workload`` adds."""
-    own = workload.root.split(".")[0]
-    return [kind for kind in PROBES if kind != own]
-
-
-def neighbors_block_probe(
-    hb: HyperButterfly, seed: int, tracer: Tracer, *, repeats: int = 9, size: int = 65_536
-) -> None:
-    """Time ``neighbors_block`` on a fixed-size block of seeded ranks."""
-    ranks = np.random.default_rng(seed).integers(0, hb.num_nodes, size=size, dtype=np.int64)
-    codec = codec_for(hb)
-    for _ in range(repeats):
-        with tracer.span("codecs.neighbors_block"):
-            arcs = codec.neighbors_block(ranks)
-    tracer.count("codecs.neighbors_block.arcs", int((arcs >= 0).sum()))

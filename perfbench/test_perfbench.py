@@ -24,12 +24,6 @@ import suite  # noqa: E402
 
 BENCHMARK = json.loads((HERE.parent / "BENCHMARK.json").read_text())
 
-TOYS = {
-    "traffic": suite.WORKLOADS["traffic-uniform"].toy,
-    "fault_diameter": suite.WORKLOADS["fault-diameter"].toy,
-    "fault_routing": suite.WORKLOADS["fault-routing"].toy,
-}
-
 
 def toy_spec(name: str) -> suite.Spec:
     spec = suite.WORKLOADS[name]
@@ -41,9 +35,8 @@ def args(name: str, seed: int = 3) -> argparse.Namespace:
 
 
 @pytest.fixture(autouse=True)
-def toy_probes(monkeypatch: pytest.MonkeyPatch, tmp_path: Path) -> None:
-    """Traced runs use toy probes and write their spans to a temp dir."""
-    monkeypatch.setattr(suite, "PROBES", TOYS)
+def trace_dir(monkeypatch: pytest.MonkeyPatch, tmp_path: Path) -> None:
+    """Traced runs write their spans to a temp dir."""
     monkeypatch.setattr(run, "OUT", tmp_path)
 
 
@@ -58,16 +51,24 @@ def test_benchmark_json_lists_every_workload_and_metric() -> None:
 
 @pytest.mark.parametrize("name", list(suite.WORKLOADS))
 def test_every_metric_is_emitted_with_its_unit(name: str) -> None:
-    metrics, _, loop, extra = run.untraced(args(name), toy_spec(name))
+    metrics, _, outcome, extra = run.untraced(args(name), toy_spec(name))
     end_to_end = {m["name"]: m["unit"] for m in BENCHMARK["end_to_end"]}
     assert {k: unit for k, (_, unit) in metrics.items()} == end_to_end
-    assert metrics["success_ratio"][0] == 1.0 and not loop.failed
+    assert metrics["success_ratio"][0] == 1.0 and not outcome.failed
     assert extra["samples"]["latency"] >= run.MIN_OPS
 
-    metrics, _, loop, _ = run.traced(args(name), toy_spec(name))
+    metrics, _, outcome, _ = run.traced(args(name), toy_spec(name))
     per_layer = {m["name"]: m["unit"] for m in BENCHMARK["per_layer"]}
     assert {k: unit for k, (_, unit) in metrics.items()} == per_layer
-    assert not loop.failed
+    assert not outcome.failed
+
+
+def test_layers_a_workload_does_not_reach_read_zero() -> None:
+    metrics, _, _, _ = run.traced(args("traffic-uniform"), toy_spec("traffic-uniform"))
+    assert metrics["flow.routes_block.ms_p50"][0] > 0
+    for name in ("resilient.route_ex.ms_p50", "implicit.masked_bfs.ms_p50",
+                 "codecs.neighbors_block.ns_per_arc", "resilient.corner.ms"):
+        assert metrics[name][0] == 0.0
 
 
 @pytest.mark.parametrize("name", list(suite.WORKLOADS))
@@ -84,6 +85,16 @@ def test_self_times_are_within_parent_time(name: str) -> None:
             assert span["self"] <= parent["end"] - parent["start"]
 
 
+def test_host_speed_scales_each_interval_by_the_marks_around_it() -> None:
+    host = run.HostSpeed()
+    host.marks = [0.02] * 4 + [0.5] + [0.02] * 4  # one slow mark
+    assert host.scales() == [run.REFERENCE_S / 0.02] * 8
+    host.marks = [0.01] * 5 + [0.02] * 10  # the host slows to half speed
+    scales = host.scales()
+    assert scales[0] == run.REFERENCE_S / 0.01 and scales[-1] == run.REFERENCE_S / 0.02
+    assert host.mark() > 0 and len(host.scales()) == len(host.marks) - 1
+
+
 def _corrupt(out):
     """Damage one operation output so its invariant check must fail."""
     if isinstance(out, tuple):  # traffic: one flow reported undelivered
@@ -91,7 +102,7 @@ def _corrupt(out):
         return out
     if hasattr(out, "path"):  # fault routing: route ends somewhere else
         return dataclasses.replace(out, path=out.path[:-1])
-    return dataclasses.replace(out, faulted=out.faulted + 1)  # diameter probe
+    return dataclasses.replace(out, diameter=1)  # diameter probe: eccentricity too short
 
 
 @pytest.mark.parametrize("name", list(suite.WORKLOADS))
@@ -106,8 +117,8 @@ def test_corrupted_output_lowers_success_ratio(name: str, monkeypatch: pytest.Mo
 
     monkeypatch.setattr(workload, "run_op", corrupted)
     spec = suite.Spec(build=lambda seed: workload, toy=spec.toy, item=spec.item)
-    metrics, _, loop, _ = run.untraced(args(name), spec)
-    assert loop.failed
+    metrics, _, outcome, _ = run.untraced(args(name), spec)
+    assert outcome.failed
     assert metrics["success_ratio"][0] < 1.0
 
 
