@@ -105,9 +105,7 @@ def _allpairs_pair_histogram(topology: Topology) -> dict[int, int]:
     counts: dict[int, int] | None = None
     if fast is not None:
         try:
-            from repro.fastgraph.kernels import distance_histogram
-
-            counts = distance_histogram(fast.csr)
+            counts = fast.sweep(check_connected=False).histogram
         except ImportError:
             counts = None  # no scipy: per-source label BFS below
     if counts is None:

@@ -53,12 +53,12 @@ def _transitive_profile(
 ) -> dict[int, int]:
     """One BFS suffices when the graph is vertex transitive."""
     anchor = next(iter(topology.nodes()))
-    fast = get_fastgraph(topology) if backend != "python" else None
+    fast = get_fastgraph(topology, backend=backend)
     if fast is not None:
         counts = fast.source_histogram(anchor, backend=backend)
     else:
         counts = {}
-        for dist in topology.bfs_distances(anchor, backend=backend).values():
+        for dist in topology.bfs_distances(anchor, backend="python").values():
             counts[dist] = counts.get(dist, 0) + 1
     # scale single-source counts up to ordered-pair counts
     return {d: c * topology.num_nodes for d, c in counts.items()}
@@ -67,40 +67,18 @@ def _transitive_profile(
 def _generic_profile(
     topology: Topology, *, jobs: int = 1, backend: str | None = None
 ) -> dict[int, int]:
-    fast = (
-        get_fastgraph(topology, allow_enumeration=True)
-        if backend != "python"
-        else None
-    )
+    fast = get_fastgraph(topology, backend=backend, allow_enumeration=True)
     if fast is not None:
-        resolved = fast.select_backend(backend)
         try:
-            if resolved == "implicit" or jobs > 1:
-                from repro.fastgraph.parallel import parallel_sweep
-
-                # mirror distance_histogram: count reachable pairs only
-                return parallel_sweep(
-                    fast.codec if resolved == "implicit" else fast.csr,
-                    jobs=jobs,
-                    check_connected=False,
-                    name=topology.name,
-                ).histogram
-            from repro.fastgraph.kernels import distance_histogram
-
-            return distance_histogram(fast.csr)
+            # reachable pairs only, like the label-BFS aggregation below
+            return fast.sweep(backend, jobs=jobs, check_connected=False).histogram
         except ImportError:
             if backend in ("csr", "implicit"):
                 raise  # pinned engine can't run: don't silently degrade
-            pass  # no scipy: per-source label BFS below
-    elif backend in ("csr", "implicit"):
-        from repro.errors import InvalidParameterError
-
-        raise InvalidParameterError(
-            f"fastgraph is unavailable; cannot pin backend={backend!r}"
-        )
+            # no scipy: per-source label BFS below
     counts: dict[int, int] = {}
     for v in topology.nodes():
-        for dist in topology.bfs_distances(v, backend=backend).values():
+        for dist in topology.bfs_distances(v, backend="python").values():
             counts[dist] = counts.get(dist, 0) + 1
     return counts
 

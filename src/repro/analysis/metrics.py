@@ -9,9 +9,10 @@ Diameter:
 * vertex-transitive topologies (declared via
   :attr:`repro.topologies.base.Topology.is_vertex_transitive`) need a
   **single BFS** — the eccentricity of any one vertex is the diameter;
-* irregular non-product topologies use the batched boolean BFS kernel
-  (:func:`repro.fastgraph.kernels.batched_eccentricities`) over all
-  sources — spread over a process pool with ``jobs > 1`` — falling back
+* irregular non-product topologies sweep all sources through
+  :meth:`repro.fastgraph.backend.FastGraph.sweep` (batched boolean BFS on
+  the CSR, or CSR-free implicit) — spread over a process pool with
+  ``jobs > 1`` — falling back
   to networkx's bound-refining iFUB-style ``diameter(usebounds=True)``
   when numpy/scipy are unavailable.
 
@@ -88,34 +89,12 @@ def _batched_bfs_diameter(
     chunk/reduce path.  Raises ``ImportError`` when numpy/scipy are
     unavailable so callers can fall back to networkx.
     """
-    if backend == "python":
-        return max(
-            topology.eccentricity(v, backend="python") for v in topology.nodes()
-        )
-    fast = get_fastgraph(topology, allow_enumeration=True)
-    if fast is None:
-        if backend in ("csr", "implicit"):
-            from repro.errors import InvalidParameterError
-
-            raise InvalidParameterError(
-                f"fastgraph is unavailable; cannot pin backend={backend!r}"
-            )
+    fast = get_fastgraph(topology, backend=backend, allow_enumeration=True)
+    if fast is not None:
+        return fast.sweep(backend, jobs=jobs, batch=batch).diameter()
+    if backend != "python":
         raise ImportError("fast graph backend unavailable")
-    resolved = fast.select_backend(backend)
-    if resolved == "implicit" or jobs > 1:
-        from repro.fastgraph.parallel import parallel_sweep
-
-        payload = fast.codec if resolved == "implicit" else fast.csr
-        result = parallel_sweep(
-            payload, jobs=jobs, batch=batch, name=topology.name
-        )
-        return int(result.eccentricities.max())
-    from repro.fastgraph.kernels import batched_eccentricities
-
-    eccentricities = batched_eccentricities(
-        fast.csr, batch=batch, name=topology.name
-    )
-    return int(eccentricities.max())
+    return max(topology.eccentricity(v, backend="python") for v in topology.nodes())
 
 
 def average_distance(

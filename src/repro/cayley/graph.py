@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # numpy stays a lazy import at runtime
     import numpy as np
 
 from repro.cayley.group import DirectProductGroup, Group, GeneratorSet
-from repro.errors import InvalidLabelError
+from repro.errors import InvalidLabelError, InvalidParameterError
 
 __all__ = ["CayleyGraph", "DistanceOracle", "build_cayley_graph"]
 
@@ -99,7 +99,7 @@ class DistanceOracle:
     Shortest paths are reconstructed backwards by applying inverse
     generators.
 
-    Four backends, picked automatically (``backend="auto"``):
+    Three backends, picked automatically (``backend="auto"``):
 
     * **product** — when the group is a :class:`DirectProductGroup` whose
       generators each act on a single factor (the hyper-butterfly's shape,
@@ -108,16 +108,15 @@ class DistanceOracle:
       for ``HB`` literally ``hamming + butterfly_table`` O(1) lookups),
       words are concatenations, the distribution is a convolution.  Build
       cost collapses from ``O(n·2^{m+n})`` to ``O(2^m + n·2^n)``.
-    * **dense** — for codec-backed groups the whole oracle lives in three
-      numpy arrays indexed by the :mod:`repro.fastgraph` dense-integer
-      codec; one vectorized BFS fills distances and parent generators for
-      every element at once.  ``backend="dense"`` forces this path (used
-      to cross-check the product path).
-    * **implicit** — the same three arrays, filled by the CSR-free
-      implicit kernel (:mod:`repro.fastgraph.implicit`): frontiers expand
-      directly from packed ranks, so no ``order × degree`` neighbor table
-      is ever materialized.  ``"auto"`` picks this over ``dense`` past
-      the implicit node threshold; ``backend="implicit"`` forces it.
+    * **implicit** — for codec-backed groups the whole oracle lives in
+      three numpy arrays indexed by the :mod:`repro.fastgraph` dense-integer
+      codec, filled by one CSR-free implicit BFS
+      (:mod:`repro.fastgraph.implicit`): frontiers expand directly from
+      packed ranks, so no ``order × degree`` neighbor table is ever
+      materialized.  ``backend="implicit"`` forces this path for the
+      whole group (used to cross-check the product path) and raises
+      :class:`~repro.errors.InvalidParameterError` when the group has no
+      codec or the fast backend is disabled.
     * **python** (``backend="python"``) — the original dict BFS, the
       reference the other backends are pinned against.
     """
@@ -125,6 +124,11 @@ class DistanceOracle:
     def __init__(
         self, group: Group, gens: GeneratorSet, *, backend: str = "auto"
     ) -> None:
+        if backend not in ("auto", "implicit", "python"):
+            raise InvalidParameterError(
+                f"unknown oracle backend {backend!r} "
+                "(expected 'auto', 'implicit' or 'python')"
+            )
         self.group = group
         self.gens = gens
         self._dist: dict[Hashable, int] = {}
@@ -148,36 +152,20 @@ class DistanceOracle:
         from repro.fastgraph.backend import enabled as fastgraph_enabled
         from repro.fastgraph.codecs import codec_for_group
 
-        if backend in ("auto", "dense", "implicit") and fastgraph_enabled() and len(gens):
+        if backend != "python" and fastgraph_enabled() and len(gens):
             self._codec = codec_for_group(group)
         if self._codec is not None:
             # oracle adjacency is *this* generator set, in *this* order (via
             # indices point into it) — never the codec's family default
             self._codec.generators = tuple(gens.generators)
-        if self._codec is None:
-            self._run_bfs()
-        elif self._use_implicit(backend):
             self._run_bfs_implicit()
+        elif backend == "implicit":
+            raise InvalidParameterError(
+                f"{type(group).__name__}: backend='implicit' needs a group "
+                "codec and an enabled fast backend (use backend='python')"
+            )
         else:
-            self._run_bfs_fast()
-
-    def _use_implicit(self, backend: str) -> bool:
-        """Whether to fill the oracle arrays CSR-free (never a full table)."""
-        assert self._codec is not None
-        if backend == "implicit":
-            from repro.errors import InvalidParameterError
-
-            if not self._codec.supports_implicit():
-                raise InvalidParameterError(
-                    f"group codec {type(self._codec).__name__} has no "
-                    "implicit adjacency; use backend='dense'"
-                )
-            return True
-        if backend != "auto" or not self._codec.supports_implicit():
-            return False
-        from repro.fastgraph.backend import implicit_threshold
-
-        return self._codec.num_nodes >= implicit_threshold()
+            self._run_bfs()
 
     def _run_bfs(self) -> None:
         identity = self.group.identity()
@@ -193,43 +181,14 @@ class DistanceOracle:
                     self._via[w] = i
                     queue.append(w)
 
-    def _run_bfs_fast(self) -> None:
-        """Vectorized all-elements oracle fill from the identity."""
-        import numpy as np
-
-        from repro.fastgraph.csr import CSRAdjacency
-        from repro.fastgraph.kernels import bfs_levels
-
-        codec = self._codec
-        order = codec.num_nodes
-        table = np.column_stack(
-            [
-                codec.apply_generator(np.arange(order, dtype=np.int64), s)
-                for s in self.gens.generators
-            ]
-        )
-        csr = CSRAdjacency(
-            indptr=np.arange(order + 1, dtype=np.int64) * table.shape[1],
-            indices=np.ascontiguousarray(table.ravel(), dtype=np.int32),
-            uniform_degree=table.shape[1],
-        )
-        root = codec.rank(self.group.identity())
-        dist, parents = bfs_levels(csr, root, want_parents=True)
-        # the reaching generator of v is v's column in its parent's table row
-        via = np.argmax(table[parents] == np.arange(order)[:, None], axis=1)
-        via[root] = -1
-        self._dist_arr = dist
-        self._via_arr = via
-        self._parent_arr = parents
-
     def _run_bfs_implicit(self) -> None:
         """CSR-free oracle fill — no ``order × degree`` table, ever.
 
         Frontiers expand straight from packed ranks
         (:func:`repro.fastgraph.implicit.implicit_bfs_levels`), so peak
-        memory is the three output arrays plus a visited bitset instead of
-        the dense path's full neighbor table; results are bit-identical
-        (same first-occurrence parent and reaching-generator tie-break).
+        memory is the three output arrays plus a visited bitset; ``via``
+        is the neighbor-block column that first reached each element,
+        i.e. the index of its reaching generator.
         """
         from repro.fastgraph.implicit import implicit_bfs_levels
 
@@ -333,8 +292,6 @@ class DistanceOracle:
         words themselves.
         """
         import numpy as np
-
-        from repro.errors import InvalidParameterError
 
         if self._left is not None and self._right is not None:
             raise InvalidParameterError(

@@ -1,12 +1,21 @@
 """Topology-facing fast backend: codec + CSR/implicit kernels, memoized.
 
 :func:`get_fastgraph` is the single integration point the rest of the
-library uses: it returns a :class:`FastGraph` when the topology's family
-has a registered codec (and numpy is importable), else ``None`` — callers
-keep their pure-Python label-walking fallback for arbitrary topologies.
+library uses, and the only code that resolves a ``backend=`` name:
 
-A :class:`FastGraph` now carries **two** array substrates and picks per
-call:
+* unknown names raise :class:`~repro.errors.InvalidParameterError`;
+* ``"python"`` returns ``None`` — the caller runs its label BFS;
+* otherwise it returns the memoized :class:`FastGraph` when the family
+  has a registered codec and numpy is importable, else ``None`` (the
+  caller falls back to its label BFS) — except that a pinned
+  ``"csr"``/``"implicit"`` raises instead, naming the cause: fastgraph
+  disabled or numpy missing, or no codec for the family.
+
+Call sites branch only on "``FastGraph`` or label BFS" and pass
+``backend`` on to the :class:`FastGraph` method, whose
+:meth:`FastGraph.select_backend` picks the substrate.
+
+A :class:`FastGraph` carries **two** array substrates and picks per call:
 
 * ``csr`` — materialized ``O(edges)`` adjacency; fastest per BFS once
   built, required for the batched boolean multi-source kernels.
@@ -21,7 +30,9 @@ switches to implicit when the codec supports it and the instance exceeds
 prefer implicit whenever no CSR is built — a probe should never trigger
 an ``O(edges)`` build).  ``backend="csr"``/``"implicit"`` force a
 substrate; forcing ``implicit`` on a codec without vectorized adjacency
-raises :class:`~repro.errors.InvalidParameterError`.
+raises :class:`~repro.errors.InvalidParameterError`.  All-sources sweeps
+go through :meth:`FastGraph.sweep`, which picks the pool payload (codec or
+CSR) the same way.
 
 Set ``REPRO_FASTGRAPH=0`` to disable the backend globally (every consumer
 then exercises its fallback path; the property tests use the same switch
@@ -40,6 +51,7 @@ if TYPE_CHECKING:  # runtime imports stay lazy (numpy optional, cycle-free)
 
     from repro.fastgraph.codecs import NodeCodec
     from repro.fastgraph.csr import CSRAdjacency
+    from repro.fastgraph.parallel import SweepResult
     from repro.topologies.base import Topology
 
 __all__ = ["FastGraph", "get_fastgraph", "implicit_threshold"]
@@ -322,6 +334,34 @@ class FastGraph:
         assert parents is not None
         return [self.unrank(i) for i in path_from_parents(parents, src, dst)]
 
+    def sweep(
+        self,
+        backend: str | None = None,
+        *,
+        jobs: int = 1,
+        batch: int = 128,
+        check_connected: bool = True,
+    ) -> SweepResult:
+        """All-sources eccentricities + distance histogram.
+
+        ``backend`` picks the payload (implicit codec or CSR) as in
+        :meth:`select_backend`; :func:`~repro.fastgraph.parallel.parallel_sweep`
+        runs it in-process for ``jobs=1`` and on a process pool otherwise,
+        bit-identical either way.
+        """
+        from repro.fastgraph.parallel import parallel_sweep
+
+        payload: NodeCodec | CSRAdjacency = (
+            self.codec if self.select_backend(backend) == "implicit" else self.csr
+        )
+        return parallel_sweep(
+            payload,
+            jobs=jobs,
+            batch=batch,
+            check_connected=check_connected,
+            name=self.topology.name,
+        )
+
     # -- adjacency services ------------------------------------------------
 
     def has_edge(
@@ -352,9 +392,13 @@ class FastGraph:
 
 
 def get_fastgraph(
-    topology: Topology, *, allow_enumeration: bool = False
+    topology: Topology,
+    *,
+    backend: str | None = None,
+    allow_enumeration: bool = False,
 ) -> FastGraph | None:
-    """The memoized :class:`FastGraph` for ``topology``, or ``None``.
+    """The memoized :class:`FastGraph` for ``topology``, or ``None``;
+    ``backend`` is resolved as the module docstring describes.
 
     With ``allow_enumeration=True`` an
     :class:`~repro.fastgraph.codecs.EnumerationCodec` over the node
@@ -362,28 +406,43 @@ def get_fastgraph(
     for whole-graph algorithms (batched diameters/histograms), never for
     per-call BFS routing.
     """
-    if not enabled():
+    if backend not in (None, "auto", "csr", "implicit", "python"):
+        raise InvalidParameterError(
+            f"unknown backend {backend!r} "
+            "(expected 'auto', 'csr', 'implicit' or 'python')"
+        )
+    if backend == "python":
         return None
-    cached = topology.__dict__.get(_ATTR)
-    if cached is None and _ATTR not in topology.__dict__:
-        from repro.fastgraph.codecs import codec_for
+    on = enabled()
+    fast: FastGraph | None = None
+    if on:
+        fast = topology.__dict__.get(_ATTR)
+        if fast is None and _ATTR not in topology.__dict__:
+            from repro.fastgraph.codecs import codec_for
 
-        codec = codec_for(topology)
-        cached = FastGraph(topology, codec) if codec is not None else None
-        try:
-            setattr(topology, _ATTR, cached)
-        except (AttributeError, TypeError):
-            pass  # slots/frozen instances: recompute next call
-    if cached is not None or not allow_enumeration:
-        return cached
+            codec = codec_for(topology)
+            fast = FastGraph(topology, codec) if codec is not None else None
+            try:
+                setattr(topology, _ATTR, fast)
+            except (AttributeError, TypeError):
+                pass  # slots/frozen instances: recompute next call
+        if fast is None and allow_enumeration:
+            fast = topology.__dict__.get(_ENUM_ATTR)
+            if fast is None:
+                from repro.fastgraph.codecs import EnumerationCodec
 
-    enum_cached = topology.__dict__.get(_ENUM_ATTR)
-    if enum_cached is None:
-        from repro.fastgraph.codecs import EnumerationCodec
-
-        enum_cached = FastGraph(topology, EnumerationCodec(topology.nodes()))
-        try:
-            setattr(topology, _ENUM_ATTR, enum_cached)
-        except (AttributeError, TypeError):
-            pass
-    return enum_cached
+                fast = FastGraph(topology, EnumerationCodec(topology.nodes()))
+                try:
+                    setattr(topology, _ENUM_ATTR, fast)
+                except (AttributeError, TypeError):
+                    pass
+    if fast is None and backend in ("csr", "implicit"):
+        reason = (
+            f"{topology.name} has no fastgraph codec"
+            if on
+            else "fastgraph is disabled or numpy is missing"
+        )
+        raise InvalidParameterError(
+            f"{reason}; cannot pin backend={backend!r} (use backend='python')"
+        )
+    return fast

@@ -18,6 +18,7 @@ from typing import Hashable, Iterable
 import networkx as nx
 
 from repro.errors import InvalidParameterError
+from repro.fastgraph.backend import get_fastgraph
 from repro.faults.model import FaultSet
 from repro.routing.flows import vertex_disjoint_paths
 from repro.topologies.base import Topology
@@ -100,24 +101,14 @@ def connected_under_faults(
     pinned bit-identical to the fast substrates by the backend-equality
     tests.
     """
+    fast = get_fastgraph(topology, backend=backend)
     fault_nodes = faults.nodes if isinstance(faults, FaultSet) else frozenset(faults)
     start = next((v for v in topology.nodes() if v not in fault_nodes), None)
     if start is None:
         return True  # the empty graph is vacuously connected
     survivors = topology.num_nodes - len(fault_nodes)
-    if backend != "python":
-        from repro.fastgraph.backend import get_fastgraph
-
-        fast = get_fastgraph(topology)
-        if fast is not None:
-            reached = fast.reachable_count(
-                start, blocked=fault_nodes, backend=backend
-            )
-            return reached == survivors
-        if backend in ("csr", "implicit"):
-            raise InvalidParameterError(
-                f"{topology.name} has no fastgraph codec; backend={backend!r} "
-                "is unavailable (use backend='python')"
-            )
+    if fast is not None:
+        reached = fast.reachable_count(start, blocked=fault_nodes, backend=backend)
+        return reached == survivors
     reached_map = topology.bfs_distances(start, blocked=fault_nodes, backend="python")
     return len(reached_map) == survivors

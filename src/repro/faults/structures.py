@@ -427,15 +427,9 @@ def _masked_source_stats(
     backend: str | None,
 ) -> tuple[int, int]:
     """``(eccentricity, reached)`` of one fault-masked BFS, any substrate."""
-    if backend != "python":
-        fast = get_fastgraph(topology)
-        if fast is not None:
-            return fast.masked_source_stats(source, blocked=blocked, backend=backend)
-        if backend in ("csr", "implicit"):
-            raise InvalidParameterError(
-                f"{topology.name} has no fastgraph codec; backend={backend!r} "
-                "is unavailable (use backend='python')"
-            )
+    fast = get_fastgraph(topology, backend=backend)
+    if fast is not None:
+        return fast.masked_source_stats(source, blocked=blocked, backend=backend)
     dist = topology.bfs_distances(source, blocked=blocked, backend="python")
     return max(dist.values()), len(dist)
 

@@ -24,8 +24,12 @@ if TYPE_CHECKING:
 __all__ = ["Topology"]
 
 
-def _fastgraph(topology: "Topology") -> "FastGraph | None":
-    """Fast-backend view of ``topology``, or ``None`` without a codec.
+def _fastgraph(
+    topology: "Topology", backend: str | None = None
+) -> "FastGraph | None":
+    """Fast-backend view of ``topology``, or ``None`` for the label BFS
+    (no codec, or ``backend="python"``); ``backend`` is resolved by
+    :func:`~repro.fastgraph.backend.get_fastgraph`.
 
     Deferred import: topologies sit *below* fastgraph in the layer DAG —
     the acceleration layer knows about topologies, never the reverse
@@ -33,7 +37,7 @@ def _fastgraph(topology: "Topology") -> "FastGraph | None":
     """
     from repro.fastgraph.backend import get_fastgraph
 
-    return get_fastgraph(topology)
+    return get_fastgraph(topology, backend=backend)
 
 
 class Topology(ABC):
@@ -166,18 +170,9 @@ class Topology(ABC):
         blocked = blocked or frozenset()
         if source in blocked:
             raise InvalidLabelError("source node is blocked")
-        if backend == "python":
-            return self._bfs_distances_python(source, blocked)
-        fast = _fastgraph(self)
+        fast = _fastgraph(self, backend)
         if fast is not None:
             return fast.bfs_distances(source, blocked, backend=backend)
-        if backend in ("csr", "implicit"):
-            from repro.errors import InvalidParameterError
-
-            raise InvalidParameterError(
-                f"{self.name} has no fastgraph codec; backend={backend!r} "
-                "is unavailable (use backend='python')"
-            )
         return self._bfs_distances_python(source, blocked)
 
     def _bfs_distances_python(
@@ -245,17 +240,10 @@ class Topology(ABC):
         memory, which is what makes it available past CSR scale.
         """
         self.validate_node(v)
-        fast = _fastgraph(self) if backend != "python" else None
+        fast = _fastgraph(self, backend)
         if fast is not None:
             # array max — skips materialising a num_nodes-sized label dict
             return fast.eccentricity(v, backend=backend)
-        if backend in ("csr", "implicit"):
-            from repro.errors import InvalidParameterError
-
-            raise InvalidParameterError(
-                f"{self.name} has no fastgraph codec; backend={backend!r} "
-                "is unavailable (use backend='python')"
-            )
         dist = self._bfs_distances_python(v, frozenset())
         if len(dist) != self.num_nodes:
             raise DisconnectedError(f"{self.name} is not connected from {v!r}")

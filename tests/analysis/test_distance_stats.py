@@ -4,10 +4,35 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.distance_stats import distance_profile, profile_table
+from repro.analysis.distance_stats import (
+    distance_profile,
+    pair_distance_counts,
+    profile_table,
+)
 from repro.core.hyperbutterfly import HyperButterfly
+from repro.fastgraph.backend import get_fastgraph
+from repro.fastgraph.kernels import distance_histogram
+from repro.topologies.debruijn import DeBruijn
 from repro.topologies.hypercube import Hypercube
 from repro.topologies.hyperdebruijn import HyperDeBruijn
+from repro.topologies.mesh import Mesh
+from repro.topologies.mesh_of_trees import MeshOfTrees
+
+#: ``(topology, jobs, backend)`` inputs of the all-sources sweep; the
+#: ``jobs=2`` rows have more than one 128-source chunk, so they really pool
+SWEEPS = [
+    (HyperDeBruijn(1, 3), 1, None),
+    (HyperDeBruijn(2, 6), 2, "implicit"),
+    (HyperButterfly(2, 4), 2, "csr"),
+    (DeBruijn(4), 1, "implicit"),
+    (Mesh(3, 4), 1, "csr"),
+    (MeshOfTrees(8, 8), 1, None),
+]
+
+
+def sweep_id(case) -> str:
+    topology, jobs, backend = case
+    return f"{topology.name}-jobs{jobs}-{backend or 'auto'}"
 
 
 class TestProfiles:
@@ -26,6 +51,14 @@ class TestProfiles:
         )
 
         assert _transitive_profile(hb13) == _generic_profile(hb13)
+
+    @pytest.mark.parametrize("case", SWEEPS, ids=sweep_id)
+    def test_generic_sweep_matches_kernel_reference(self, case):
+        topology, jobs, backend = case
+        csr = get_fastgraph(topology, allow_enumeration=True).csr
+        assert distance_histogram(csr) == pair_distance_counts(
+            topology, force_generic=True, jobs=jobs, backend=backend
+        )
 
     def test_histogram_sums_to_one(self, hb23):
         p = distance_profile(hb23)

@@ -7,9 +7,31 @@ import pytest
 
 from repro.analysis.metrics import average_distance, degree_profile, exact_diameter
 from repro.core.hyperbutterfly import HyperButterfly
+from repro.fastgraph.backend import get_fastgraph
+from repro.fastgraph.kernels import batched_eccentricities
 from repro.topologies.butterfly_cayley import CayleyButterfly
+from repro.topologies.debruijn import DeBruijn
 from repro.topologies.hypercube import Hypercube
 from repro.topologies.hyperdebruijn import HyperDeBruijn
+from repro.topologies.mesh import Mesh
+from repro.topologies.mesh_of_trees import MeshOfTrees
+
+#: ``(topology, jobs, backend)`` inputs of the all-sources sweep; the
+#: ``jobs=2`` rows have more than one 128-source chunk, so they really pool
+SWEEPS = [
+    (HyperDeBruijn(1, 4), 1, None),
+    (HyperDeBruijn(1, 4), 1, "implicit"),
+    (HyperDeBruijn(3, 5), 2, "csr"),
+    (DeBruijn(8), 2, "implicit"),
+    (HyperButterfly(1, 3), 1, "implicit"),
+    (Mesh(4, 5), 1, "csr"),
+    (MeshOfTrees(8, 8), 2, None),
+]
+
+
+def sweep_id(case) -> str:
+    topology, jobs, backend = case
+    return f"{topology.name}-jobs{jobs}-{backend or 'auto'}"
 
 
 class TestExactDiameter:
@@ -27,6 +49,15 @@ class TestExactDiameter:
     def test_batched_bfs_on_irregular_graph(self):
         hd = HyperDeBruijn(1, 4)
         assert exact_diameter(hd, force_generic=True) == nx.diameter(hd.to_networkx())
+
+    @pytest.mark.parametrize("case", SWEEPS, ids=sweep_id)
+    def test_generic_sweep_matches_kernel_reference(self, case):
+        topology, jobs, backend = case
+        csr = get_fastgraph(topology, allow_enumeration=True).csr
+        reference = int(batched_eccentricities(csr, name=topology.name).max())
+        assert reference == exact_diameter(
+            topology, force_generic=True, jobs=jobs, backend=backend
+        )
 
     def test_hb_diameter_formula(self, hb24):
         assert exact_diameter(hb24) == hb24.diameter_formula()

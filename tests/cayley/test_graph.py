@@ -7,6 +7,7 @@ import pytest
 
 from repro.cayley.graph import CayleyGraph, DistanceOracle, build_cayley_graph
 from repro.cayley.group import ButterflyGroup, GeneratorSet, HypercubeGroup
+from repro.core.hyperbutterfly import HyperButterfly
 from repro.errors import InvalidLabelError
 
 
@@ -28,6 +29,44 @@ def butterfly_graph(n: int) -> CayleyGraph:
         names=("g", "f", "g^-1", "f^-1"),
     )
     return CayleyGraph(group, gens)
+
+
+def hyper_butterfly_graph(n: int) -> CayleyGraph:
+    hb = HyperButterfly(1, n)
+    return CayleyGraph(hb.group, hb.gens)
+
+
+def dense_fill(cg: CayleyGraph):
+    """Reference oracle fill: ``(dist, via, parents)`` arrays by codec rank.
+
+    Materializes the full generator table (column ``i`` is generator ``i``
+    applied to every element), runs the CSR BFS kernel over it, and reads
+    each element's reaching generator off its parent's table row.
+    """
+    import numpy as np
+
+    from repro.fastgraph.codecs import codec_for_group
+    from repro.fastgraph.csr import CSRAdjacency
+    from repro.fastgraph.kernels import bfs_levels
+
+    codec = codec_for_group(cg.group)
+    order = codec.num_nodes
+    table = np.column_stack(
+        [
+            codec.apply_generator(np.arange(order, dtype=np.int64), s)
+            for s in cg.gens.generators
+        ]
+    )
+    csr = CSRAdjacency(
+        indptr=np.arange(order + 1, dtype=np.int64) * table.shape[1],
+        indices=np.ascontiguousarray(table.ravel(), dtype=np.int32),
+        uniform_degree=table.shape[1],
+    )
+    root = codec.rank(cg.group.identity())
+    dist, parents = bfs_levels(csr, root, want_parents=True)
+    via = np.argmax(table[parents] == np.arange(order)[:, None], axis=1)
+    via[root] = -1
+    return dist, via, parents
 
 
 class TestConstruction:
@@ -126,16 +165,19 @@ class TestDistanceOracle:
         # mean Hamming weight over all 3-bit words = 1.5
         assert oracle.average_distance() == pytest.approx(1.5)
 
-    @pytest.mark.parametrize("graph_builder", [cube_graph, butterfly_graph])
+    @pytest.mark.parametrize(
+        "graph_builder", [cube_graph, butterfly_graph, hyper_butterfly_graph]
+    )
     def test_implicit_backend_bit_identical_to_dense(self, graph_builder):
         import numpy as np
 
         cg = graph_builder(3)
-        dense = DistanceOracle(cg.group, cg.gens, backend="dense")
         implicit = DistanceOracle(cg.group, cg.gens, backend="implicit")
-        assert np.array_equal(dense._dist_arr, implicit._dist_arr)
-        assert np.array_equal(dense._via_arr, implicit._via_arr)
-        assert np.array_equal(dense._parent_arr, implicit._parent_arr)
+        assert implicit.factor_split() is None  # whole-group array fill
+        dist, via, parents = dense_fill(cg)
+        assert np.array_equal(implicit._dist_arr, dist)
+        assert np.array_equal(implicit._via_arr, via)
+        assert np.array_equal(implicit._parent_arr, parents)
         python = DistanceOracle(cg.group, cg.gens, backend="python")
         for delta in cg.nodes():
             assert implicit.distance_from_identity(delta) == (
@@ -146,16 +188,6 @@ class TestDistanceOracle:
             for i in word:
                 v = cg.gens.apply(v, i)
             assert v == delta
-
-    def test_auto_backend_goes_implicit_past_threshold(self, monkeypatch):
-        import numpy as np
-
-        monkeypatch.setenv("REPRO_IMPLICIT_THRESHOLD", "1")
-        cg = butterfly_graph(3)
-        auto = DistanceOracle(cg.group, cg.gens, backend="auto")
-        dense = DistanceOracle(cg.group, cg.gens, backend="dense")
-        assert np.array_equal(auto._dist_arr, dense._dist_arr)
-        assert np.array_equal(auto._via_arr, dense._via_arr)
 
     def test_invalid_label_raises(self):
         oracle = cube_graph(2).oracle

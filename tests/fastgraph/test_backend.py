@@ -12,12 +12,17 @@ import random
 
 import pytest
 
+from repro.analysis.distance_stats import pair_distance_counts
 from repro.analysis.metrics import exact_diameter
 from repro.cayley.graph import DistanceOracle
+from repro.cayley.group import GeneratorSet, Group
 from repro.core.hyperbutterfly import HyperButterfly
+from repro.errors import InvalidParameterError
 from repro.fastgraph import get_fastgraph
 from repro.fastgraph.backend import FastGraph
 from repro.fastgraph.kernels import batched_eccentricities, distance_histogram
+from repro.faults.connectivity import connected_under_faults
+from repro.faults.structures import star_structure, structure_fault_diameter
 from repro.topologies.butterfly import WrappedButterfly
 from repro.topologies.butterfly_cayley import CayleyButterfly
 from repro.topologies.cycle import Cycle
@@ -25,6 +30,7 @@ from repro.topologies.debruijn import DeBruijn
 from repro.topologies.hypercube import Hypercube
 from repro.topologies.hyperdebruijn import HyperDeBruijn
 from repro.topologies.mesh import Mesh, Torus
+from repro.topologies.mesh_of_trees import MeshOfTrees
 from repro.topologies.tree import CompleteBinaryTree
 
 GRID = [
@@ -196,3 +202,87 @@ class TestMemoization:
         h = Hypercube(3)
         fg = get_fastgraph(h)
         assert fg.csr is fg.csr
+
+
+class CyclicGroup(Group):
+    """``Z_k`` — a group with no registered element codec."""
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+
+    def identity(self) -> int:
+        return 0
+
+    def multiply(self, a: int, b: int) -> int:
+        return (a + b) % self.k
+
+    def inverse(self, a: int) -> int:
+        return -a % self.k
+
+    def order(self) -> int:
+        return self.k
+
+    def elements(self):
+        return iter(range(self.k))
+
+    def contains(self, a) -> bool:
+        return isinstance(a, int) and 0 <= a < self.k
+
+
+def _oracle_histogram(topology, backend):
+    if isinstance(topology, MeshOfTrees):
+        group = CyclicGroup(5)
+        gens = GeneratorSet(group=group, generators=(1, 4), names=("+1", "-1"))
+    else:
+        group, gens = topology.group, topology.gens
+    return DistanceOracle(group, gens, backend=backend).distance_distribution()
+
+
+def _first(topology):
+    return next(iter(topology.nodes()))
+
+
+#: every public ``backend=`` entry point, as ``(topology, backend) -> value``
+ENTRY_POINTS = {
+    "bfs_distances": lambda t, b: t.bfs_distances(_first(t), backend=b),
+    "eccentricity": lambda t, b: t.eccentricity(_first(t), backend=b),
+    "connected_under_faults": lambda t, b: connected_under_faults(t, [], backend=b),
+    "structure_fault_diameter": lambda t, b: structure_fault_diameter(
+        t, star_structure(t, _first(t)), backend=b
+    ),
+    "exact_diameter": lambda t, b: exact_diameter(t, backend=b),
+    "pair_distance_counts": lambda t, b: pair_distance_counts(t, backend=b),
+    "DistanceOracle": _oracle_histogram,
+}
+
+#: entry points whose whole-graph sweeps enumerate codec-less topologies
+ENUMERATING = {"exact_diameter", "pair_distance_counts"}
+
+
+class TestBackendResolution:
+    """Backend names resolve in one place, with one message per cause."""
+
+    @pytest.mark.parametrize("case", ["codec", "codecless", "disabled"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_every_entry_point(self, entry, case, monkeypatch):
+        if case == "disabled":
+            monkeypatch.setenv("REPRO_FASTGRAPH", "0")
+        topology = MeshOfTrees(2, 2) if case == "codecless" else HyperButterfly(1, 3)
+        call = ENTRY_POINTS[entry]
+        with pytest.raises(InvalidParameterError, match="unknown .*'bogus'"):
+            call(topology, "bogus")
+        reference = call(topology, "python")
+        if entry == "DistanceOracle":
+            pin, cause = "implicit", "needs a group codec and an enabled fast backend"
+        else:
+            pin, cause = "csr", {
+                "disabled": "fastgraph is disabled or numpy is missing",
+                "codecless": r"MT\(2,2\) has no fastgraph codec",
+            }.get(case)
+            if case == "codecless" and entry in ENUMERATING:
+                cause = None
+        if case == "codec" or cause is None:
+            assert call(topology, pin) == reference
+        else:
+            with pytest.raises(InvalidParameterError, match=cause):
+                call(topology, pin)
