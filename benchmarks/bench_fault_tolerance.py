@@ -60,17 +60,17 @@ def test_oblivious_overhead_is_small(sweep_result):
 
 
 def test_fault_routing_latency_kernel(benchmark, hb23):
-    from repro.core.fault_routing import FaultTolerantRouter
+    from repro.core.resilient import ResilientRouter
     from repro.faults.model import random_node_faults
     import random
 
-    router = FaultTolerantRouter(hb23)
+    router = ResilientRouter(hb23)
     rng = random.Random(5)
     u, v = (0, (0, 0)), (3, (2, 0b101))
     faults = random_node_faults(hb23, hb23.m + 3, rng=rng, exclude=(u, v))
 
     def route():
-        return router.route(u, v, faults)
+        return router.route(u, v, node_faults=faults.nodes)
 
     path = benchmark(route)
     assert faults.nodes.isdisjoint(path)

@@ -9,7 +9,7 @@ fault-tolerant routing (Remark 10).
 Run:  python examples/quickstart.py
 """
 
-from repro import FaultTolerantRouter, HBRouter, HyperButterfly, disjoint_paths
+from repro import HBRouter, HyperButterfly, ResilientRouter, disjoint_paths
 
 def main() -> None:
     # HB(2, 4): the product of a 2-cube and a wrapped butterfly B_4.
@@ -39,8 +39,7 @@ def main() -> None:
 
     # Remark 10: with at most m + 3 faults, routing always succeeds.
     faults = [route.path[1], route.path[2]]  # break the optimal route
-    ft = FaultTolerantRouter(hb)
-    detour = ft.route(u, v, faults)
+    detour = ResilientRouter(hb).route(u, v, node_faults=faults)
     print(f"with {len(faults)} faults on the optimal route, the disjoint-"
           f"path scheme still delivers in {len(detour) - 1} hops")
 

@@ -24,7 +24,7 @@ from repro.core import (
     HyperButterfly,
     HBRouter,
     RouteResult,
-    FaultTolerantRouter,
+    ResilientRouter,
     disjoint_paths,
     verify_disjoint_paths,
     broadcast_tree,
@@ -61,7 +61,7 @@ __all__ = [
     "HyperButterfly",
     "HBRouter",
     "RouteResult",
-    "FaultTolerantRouter",
+    "ResilientRouter",
     "disjoint_paths",
     "verify_disjoint_paths",
     "broadcast_tree",

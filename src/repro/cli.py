@@ -42,12 +42,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TypeVar
 
 from repro import __version__
 
 if TYPE_CHECKING:  # runtime imports stay lazy per subcommand
+    from repro.faults.campaigns import CampaignConfig, StructureCampaignConfig
     from repro.topologies.base import Topology
+
+_FaultConfig = TypeVar("_FaultConfig", "CampaignConfig", "StructureCampaignConfig")
 
 __all__ = ["main", "build_parser"]
 
@@ -283,27 +286,32 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faults_campaign(args: argparse.Namespace) -> int:
+def _fault_campaign_config(
+    config_cls: type[_FaultConfig], args: argparse.Namespace
+) -> _FaultConfig:
+    """The quick or full fault-campaign config, with --trials/--pairs."""
     import dataclasses
 
+    if args.quick:
+        config = config_cls.quick(args.m, args.n, seed=args.seed)
+    else:
+        config = config_cls(m=args.m, n=args.n, seed=args.seed)
+    overrides = {
+        key: getattr(args, key)
+        for key in ("trials", "pairs")
+        if getattr(args, key) is not None
+    }
+    return dataclasses.replace(config, **overrides)
+
+
+def _cmd_faults_campaign(args: argparse.Namespace) -> int:
     from repro.faults.campaigns import (
         CampaignConfig,
         run_campaign,
         write_campaign_json,
     )
 
-    if args.quick:
-        config = CampaignConfig.quick(args.m, args.n, seed=args.seed)
-    else:
-        config = CampaignConfig(m=args.m, n=args.n, seed=args.seed)
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.pairs is not None:
-        overrides["pairs"] = args.pairs
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    results = run_campaign(config)
+    results = run_campaign(_fault_campaign_config(CampaignConfig, args))
     write_campaign_json(results, args.output)
     for network in results["networks"]:
         print(
@@ -313,12 +321,13 @@ def _cmd_faults_campaign(args: argparse.Namespace) -> int:
         )
         print("  faults  delivery  stretch  disjoint-share")
         for row in network["curve"]:
-            stretch = row["mean_stretch"]
-            share = row["disjoint_share"]
+            delivery, stretch, share = (
+                float("nan") if row[key] is None else row[key]
+                for key in ("delivery_ratio", "mean_stretch", "disjoint_share")
+            )
             print(
-                f"  {row['faults']:6d}  {row['delivery_ratio']:8.3f}  "
-                f"{stretch if stretch is not None else float('nan'):7.3f}  "
-                f"{share if share is not None else float('nan'):14.3f}"
+                f"  {row['faults']:6d}  {delivery:8.3f}  "
+                f"{stretch:7.3f}  {share:14.3f}"
             )
     print(f"transient transport on {results['transient']['network']}:")
     print("  rate    no-retry  retry     mean-rexmit")
@@ -332,26 +341,15 @@ def _cmd_faults_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_structure_campaign(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from repro.faults.campaigns import (
         StructureCampaignConfig,
         run_structure_campaign,
         write_campaign_json,
     )
 
-    if args.quick:
-        config = StructureCampaignConfig.quick(args.m, args.n, seed=args.seed)
-    else:
-        config = StructureCampaignConfig(m=args.m, n=args.n, seed=args.seed)
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.pairs is not None:
-        overrides["pairs"] = args.pairs
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    results = run_structure_campaign(config)
+    results = run_structure_campaign(
+        _fault_campaign_config(StructureCampaignConfig, args)
+    )
     write_campaign_json(results, args.output)
     for network in results["networks"]:
         print(f"{network['name']}: {network['num_nodes']} nodes ({network['scheme']})")

@@ -8,8 +8,8 @@ Modules:
 * :mod:`repro.core.routing` — optimal point-to-point routing (Section 3).
 * :mod:`repro.core.disjoint_paths` — the ``m + 4`` node-disjoint paths of
   Theorem 5.
-* :mod:`repro.core.fault_routing` — fault-tolerant routing (Remark 10).
-* :mod:`repro.core.resilient` — escalating resilient router with graceful
+* :mod:`repro.core.resilient` — fault-tolerant routing (Remark 10): the
+  disjoint-path scheme, escalating to adaptive BFS and graceful
   degradation past the ``m + 3`` guarantee.
 * :mod:`repro.core.broadcast` — the broadcast extension teased in the
   paper's conclusion.
@@ -19,7 +19,6 @@ from repro.core.hyperbutterfly import HyperButterfly
 from repro.core.labels import format_hb_node, parse_hb_node
 from repro.core.routing import HBRouter, RouteResult
 from repro.core.disjoint_paths import disjoint_paths, verify_disjoint_paths
-from repro.core.fault_routing import FaultTolerantRouter
 from repro.core.resilient import (
     ResilientRouter,
     RouteOutcome,
@@ -41,7 +40,6 @@ __all__ = [
     "RouteResult",
     "disjoint_paths",
     "verify_disjoint_paths",
-    "FaultTolerantRouter",
     "ResilientRouter",
     "RouteOutcome",
     "ReachabilityReport",

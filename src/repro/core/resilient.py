@@ -1,7 +1,9 @@
-"""Resilient routing runtime: escalation with graceful degradation.
+"""Fault-tolerant routing (paper Remark 10) with graceful degradation.
 
-:class:`ResilientRouter` wraps the paper's fault-tolerance machinery into
-a runtime suitable for dynamic fault environments.  A route request
+The constructive proof of Theorem 5 "readily suggests an optimal routing
+scheme in the presence of the maximal number of allowable faults".
+:class:`ResilientRouter` implements that scheme and wraps it into a
+runtime suitable for dynamic fault environments.  A route request
 escalates through three stages:
 
 1. **disjoint** — Theorem 5's ``m + 4`` internally disjoint paths (cached
@@ -186,18 +188,33 @@ class ResilientRouter:
         key = (u, v, nodes, links)
         if key in self._adaptive:
             return self._adaptive[key]
+        path: tuple | None = None
         if links:
-            raw = self._bfs_avoiding(u, v, nodes, links)
+            parent = self._parents_avoiding(u, nodes, links, stop=v)
+            if v in parent:
+                walk = [v]
+                while walk[-1] != u:
+                    walk.append(parent[walk[-1]])
+                path = tuple(reversed(walk))
         else:
             raw = self.hb.bfs_shortest_path(u, v, blocked=nodes)
-        path = tuple(raw) if raw is not None else None
+            path = tuple(raw) if raw is not None else None
         self._adaptive[key] = path
         return path
 
-    def _bfs_avoiding(
-        self, u: HBNode, v: HBNode, nodes: frozenset, links: frozenset
-    ) -> list | None:
-        """Label BFS that skips faulty nodes *and* faulty links."""
+    def _parents_avoiding(
+        self,
+        u: HBNode,
+        nodes: frozenset,
+        links: frozenset,
+        *,
+        stop: HBNode | None = None,
+    ) -> dict:
+        """Label BFS from ``u`` that skips faulty nodes *and* faulty links.
+
+        Returns the BFS parent map (``u`` maps to itself); its keys are the
+        nodes reached.  The sweep ends early once ``stop`` is reached.
+        """
         parent: dict = {u: u}
         queue = deque([u])
         while queue:
@@ -208,14 +225,10 @@ class ResilientRouter:
                 if _canonical_link(a, b) in links:
                     continue
                 parent[b] = a
-                if b == v:
-                    path = [b]
-                    while path[-1] != u:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
+                if b == stop:
+                    return parent
                 queue.append(b)
-        return None
+        return parent
 
     def route_ex(
         self,
@@ -290,26 +303,9 @@ class ResilientRouter:
         links = self._standing_links | _normalize_links(link_faults)
         self.hb.validate_node(u)
         if u in nodes:
-            return ReachabilityReport(
-                source=u,
-                reachable=0,
-                healthy=self.hb.num_nodes - len(nodes),
-                node_faults=len(nodes),
-                link_faults=len(links),
-            )
-        if links:
-            seen = {u}
-            queue = deque([u])
-            while queue:
-                a = queue.popleft()
-                for b in self.hb.neighbors(a):
-                    if b in seen or b in nodes:
-                        continue
-                    if _canonical_link(a, b) in links:
-                        continue
-                    seen.add(b)
-                    queue.append(b)
-            reachable = len(seen)
+            reachable = 0
+        elif links:
+            reachable = len(self._parents_avoiding(u, nodes, links))
         else:
             reachable = len(self.hb.bfs_distances(u, blocked=nodes))
         return ReachabilityReport(

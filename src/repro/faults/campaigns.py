@@ -30,12 +30,14 @@ package initialises this module, while ``simulation.network`` imports
 from __future__ import annotations
 
 import json
+import math
+import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Hashable
+from typing import Container, Hashable, Iterator, Sequence
 
 from repro.core.hyperbutterfly import HyperButterfly
-from repro.errors import RoutingError
+from repro.core.resilient import DegradedRouteError, ResilientRouter
 from repro.faults.dynamic import FaultSchedule
 from repro.faults.model import random_node_faults
 from repro.topologies.base import Topology
@@ -44,6 +46,7 @@ from repro.topologies.hyperdebruijn import HyperDeBruijn
 
 __all__ = [
     "CampaignConfig",
+    "healthy_pairs",
     "run_campaign",
     "StructureCampaignConfig",
     "run_structure_campaign",
@@ -97,88 +100,151 @@ def _fault_counts(num_nodes: int, guarantee: int, config: CampaignConfig) -> lis
     return sorted(c for c in counts if c <= num_nodes - 2)
 
 
+def healthy_pairs(
+    rng: random.Random,
+    nodes: Sequence[Hashable],
+    faults: Container[Hashable],
+    count: int,
+) -> Iterator[tuple[Hashable, Hashable]]:
+    """``count`` random ordered pairs of distinct nodes outside ``faults``.
+
+    Rejection sampling: fault sets are far smaller than the network, so
+    this avoids rebuilding an O(V) healthy-node list per trial.
+    """
+    for _ in range(count):
+        while True:
+            u, v = rng.sample(nodes, 2)
+            if u not in faults and v not in faults:
+                break
+        yield u, v
+
+
+def _ratio(numerator: float, denominator: int) -> float | None:
+    return _round(numerator / denominator) if denominator else None
+
+
+@dataclass
+class _PairTally:
+    """Route outcomes over healthy pairs, summarised as one campaign row.
+
+    Without a ``router`` (the baselines route by adaptive BFS) the
+    ``disjoint_share`` is null.  Only :class:`DegradedRouteError` is a lost
+    pair; any other ``RoutingError`` (a broken Theorem 5 family inside the
+    guarantee) propagates.
+    """
+
+    topology: Topology
+    router: ResilientRouter | None
+    total: int = 0
+    delivered: int = 0
+    disjoint_hits: int = 0
+    length_sum: int = 0
+    stretch_sum: float = 0.0
+
+    def route(self, u: Hashable, v: Hashable, faults: frozenset) -> None:
+        self.total += 1
+        if self.router is None:
+            path = self.topology.bfs_shortest_path(u, v, blocked=faults)
+            if path is None:
+                return
+            length = len(path) - 1
+        else:
+            try:
+                outcome = self.router.route_ex(u, v, node_faults=faults)
+            except DegradedRouteError:
+                return
+            length = outcome.length
+            self.disjoint_hits += outcome.strategy == "disjoint"
+        self.delivered += 1
+        self.length_sum += length
+        # stretch over the fault-free distance (u != v on a connected graph)
+        base = self.topology.bfs_shortest_path(u, v)
+        assert base is not None
+        self.stretch_sum += length / (len(base) - 1)
+
+    def row(self) -> dict:
+        share = _ratio(self.disjoint_hits, self.total) if self.router else None
+        return {
+            "delivery_ratio": _ratio(self.delivered, self.total),
+            "mean_latency_hops": _ratio(self.length_sum, self.delivered),
+            "mean_stretch": _ratio(self.stretch_sum, self.delivered),
+            "disjoint_share": share,
+        }
+
+
+def _matched_networks(
+    m: int, n: int
+) -> tuple[HyperButterfly, HyperDeBruijn, Hypercube]:
+    """``HB(m, n)`` and its baselines: ``HD(m, n)`` and the hypercube
+    closest in node count."""
+    hb = HyperButterfly(m, n)
+    cube = Hypercube(max(2, round(math.log2(hb.num_nodes))))
+    return hb, HyperDeBruijn(m, n), cube
+
+
+def _router(topology: Topology) -> ResilientRouter | None:
+    """``HB`` routes by escalation, the baselines by adaptive BFS alone."""
+    return ResilientRouter(topology) if isinstance(topology, HyperButterfly) else None
+
+
+def _network_entry(topology: Topology) -> dict:
+    return {
+        "name": topology.name,
+        "num_nodes": topology.num_nodes,
+        "scheme": "resilient(disjoint->adaptive)"
+        if isinstance(topology, HyperButterfly)
+        else "adaptive-bfs",
+    }
+
+
 def _static_curve(
-    topology: Topology,
-    guarantee: int,
-    config: CampaignConfig,
-    *,
-    resilient: bool,
+    topology: Topology, guarantee: int, config: CampaignConfig
 ) -> tuple[list[dict], int | None]:
     """Sweep static fault counts; returns (curve rows, breaking point)."""
-    import random
-
-    from repro.core.resilient import DegradedRouteError, ResilientRouter
-
     rng = random.Random(config.seed)
-    router = ResilientRouter(topology) if resilient else None
+    router = _router(topology)
     all_nodes = list(topology.nodes())
     curve: list[dict] = []
     breaking_point: int | None = None
     for count in _fault_counts(topology.num_nodes, guarantee, config):
-        delivered = 0
-        total = 0
-        disjoint_hits = 0
-        length_sum = 0
-        stretch_sum = 0.0
-        stretch_n = 0
+        tally = _PairTally(topology, router)
         for _ in range(config.trials):
             faults = random_node_faults(topology, count, rng=rng)
-            for _ in range(config.pairs):
-                while True:
-                    u, v = rng.sample(all_nodes, 2)
-                    if u not in faults and v not in faults:
-                        break
-                total += 1
-                path: list | None = None
-                strategy = "adaptive"
-                if router is not None:
-                    try:
-                        outcome = router.route_ex(u, v, node_faults=faults.nodes)
-                        path = list(outcome.path)
-                        strategy = outcome.strategy
-                    except (DegradedRouteError, RoutingError):
-                        path = None
-                else:
-                    path = topology.bfs_shortest_path(u, v, blocked=faults.nodes)
-                if path is None:
-                    continue
-                delivered += 1
-                if strategy == "disjoint":
-                    disjoint_hits += 1
-                length = len(path) - 1
-                length_sum += length
-                base = topology.bfs_shortest_path(u, v)
-                if base is not None and len(base) > 1:
-                    stretch_sum += length / (len(base) - 1)
-                    stretch_n += 1
-        ratio = delivered / total if total else 1.0
-        if breaking_point is None and ratio < 1.0:
+            for u, v in healthy_pairs(rng, all_nodes, faults, config.pairs):
+                tally.route(u, v, faults.nodes)
+        if breaking_point is None and tally.delivered < tally.total:
             breaking_point = count
         curve.append(
             {
                 "faults": count,
                 "fault_fraction": _round(count / topology.num_nodes),
-                "delivery_ratio": _round(ratio),
-                "mean_latency_hops": _round(length_sum / delivered)
-                if delivered
-                else None,
-                "mean_stretch": _round(stretch_sum / stretch_n)
-                if stretch_n
-                else None,
-                "disjoint_share": _round(disjoint_hits / total) if total else None,
+                **tally.row(),
             }
         )
     return curve, breaking_point
 
 
-def _transient_curve(hb: HyperButterfly, config: CampaignConfig) -> list[dict]:
-    """Fire-and-forget vs reliable transport on identical fault schedules."""
-    import random
+def _replay(
+    hb: HyperButterfly,
+    schedule: FaultSchedule,
+    packets: int,
+    span: float,
+    seed: int,
+) -> dict:
+    """Replay one fault schedule fire-and-forget and with reliable transport.
 
+    The same ``packets`` uniform flows (seed ``seed``), injected uniformly
+    over ``[0, span)`` (seed ``seed + 1``), run through the simulator
+    (seed ``seed + 2``) twice; returns ``{"no_retry": stats, "retry":
+    stats}``.
+    """
     from repro.simulation.network import NetworkSimulator, TransportConfig
     from repro.simulation.protocols import HBObliviousProtocol
     from repro.simulation.traffic import uniform_random_traffic
 
+    traffic = uniform_random_traffic(hb, packets, seed=seed)
+    inject_rng = random.Random(seed + 1)
+    inject_times = [inject_rng.uniform(0.0, span) for _ in traffic]
     transport = TransportConfig(
         ack_timeout=2.0,
         max_retries=10,
@@ -186,6 +252,24 @@ def _transient_curve(hb: HyperButterfly, config: CampaignConfig) -> list[dict]:
         backoff_factor=2.0,
         jitter=0.5,
     )
+    stats = {}
+    for label, cfg in (("no_retry", None), ("retry", transport)):
+        sim = NetworkSimulator(
+            hb,
+            HBObliviousProtocol(hb),
+            schedule=schedule,
+            transport=cfg,
+            seed=seed + 2,
+        )
+        for (s, t), at in zip(traffic, inject_times, strict=True):
+            sim.inject(s, t, at=at)
+        sim.run()
+        stats[label] = sim.stats()
+    return stats
+
+
+def _transient_curve(hb: HyperButterfly, config: CampaignConfig) -> list[dict]:
+    """Fire-and-forget vs reliable transport on identical fault schedules."""
     rows: list[dict] = []
     for rate in config.transient_rates:
         schedule = FaultSchedule.generate(
@@ -197,26 +281,13 @@ def _transient_curve(hb: HyperButterfly, config: CampaignConfig) -> list[dict]:
             kinds=("node", "link"),
             repair_time=config.repair_time,
         )
-        pairs = uniform_random_traffic(
-            hb, config.transient_packets, seed=config.seed + 2
+        stats = _replay(
+            hb,
+            schedule,
+            config.transient_packets,
+            0.6 * config.horizon,
+            config.seed + 2,
         )
-        inject_rng = random.Random(config.seed + 3)
-        inject_times = [
-            inject_rng.uniform(0.0, 0.6 * config.horizon) for _ in pairs
-        ]
-        stats = {}
-        for label, cfg in (("no_retry", None), ("retry", transport)):
-            sim = NetworkSimulator(
-                hb,
-                HBObliviousProtocol(hb),
-                schedule=schedule,
-                transport=cfg,
-                seed=config.seed + 4,
-            )
-            for (s, t), at in zip(pairs, inject_times, strict=True):
-                sim.inject(s, t, at=at)
-            sim.run()
-            stats[label] = sim.stats()
         base, retry = stats["no_retry"], stats["retry"]
         rows.append(
             {
@@ -238,30 +309,15 @@ def _transient_curve(hb: HyperButterfly, config: CampaignConfig) -> list[dict]:
 
 def run_campaign(config: CampaignConfig) -> dict:
     """The full campaign: static curves on HB/HD/hypercube + transient sweep."""
-    import math
-
-    hb = HyperButterfly(config.m, config.n)
+    hb, hd, cube = _matched_networks(config.m, config.n)
     networks = []
-    comparisons: list[tuple[Topology, int, bool]] = [
-        # (topology, guaranteed tolerance = connectivity - 1, resilient?)
-        (hb, hb.m + 3, True),
-        (HyperDeBruijn(config.m, config.n), config.m + 1, False),
-        (Hypercube(max(2, round(math.log2(hb.num_nodes)))), None, False),
-    ]
-    for topology, guarantee, resilient in comparisons:
-        if guarantee is None:
-            guarantee = topology.m - 1  # hypercube connectivity is its degree
-        curve, breaking_point = _static_curve(
-            topology, guarantee, config, resilient=resilient
-        )
+    # guaranteed tolerance = connectivity - 1; a hypercube's is its degree
+    for topology, guarantee in ((hb, hb.m + 3), (hd, config.m + 1), (cube, cube.m - 1)):
+        curve, breaking_point = _static_curve(topology, guarantee, config)
         networks.append(
             {
-                "name": topology.name,
-                "num_nodes": topology.num_nodes,
+                **_network_entry(topology),
                 "guaranteed_tolerance": guarantee,
-                "scheme": "resilient(disjoint->adaptive)"
-                if resilient
-                else "adaptive-bfs",
                 "curve": curve,
                 "breaking_point": breaking_point,
             }
@@ -337,14 +393,9 @@ class StructureCampaignConfig:
 def _structure_rows(
     topology: Topology,
     config: StructureCampaignConfig,
-    *,
-    resilient: bool,
     seed_offset: int,
 ) -> list[dict]:
     """The kind × size × count sweep on one network, aggregated over trials."""
-    import random
-
-    from repro.core.resilient import DegradedRouteError, ResilientRouter
     from repro.faults.connectivity import connected_under_faults
     from repro.faults.structures import (
         random_structures,
@@ -353,19 +404,14 @@ def _structure_rows(
     )
 
     rng = random.Random(config.seed + seed_offset)
-    router = ResilientRouter(topology) if resilient else None
+    router = _router(topology)
     all_nodes = list(topology.nodes())
     applicable = [k for k in config.kinds if k in structure_kinds(topology)]
     rows: list[dict] = []
     for kind in applicable:
         for size in config.sizes:
             for count in config.counts:
-                delivered = 0
-                total = 0
-                disjoint_hits = 0
-                length_sum = 0
-                stretch_sum = 0.0
-                stretch_n = 0
+                tally = _PairTally(topology, router)
                 faulted_sum = 0
                 connected_trials = 0
                 for _ in range(config.trials):
@@ -378,42 +424,8 @@ def _structure_rows(
                         connected_trials += 1
                     if topology.num_nodes - len(faults) < 2:
                         continue  # nothing left to route between
-                    if router is not None:
-                        # the whole structure lands at once — exactly the
-                        # standing-fault API (cache invalidated per call)
-                        router.apply_faults(node_faults=faults.nodes)
-                    for _ in range(config.pairs):
-                        while True:
-                            u, v = rng.sample(all_nodes, 2)
-                            if u not in faults and v not in faults:
-                                break
-                        total += 1
-                        path: list | None = None
-                        strategy = "adaptive"
-                        if router is not None:
-                            try:
-                                outcome = router.route_ex(u, v)
-                                path = list(outcome.path)
-                                strategy = outcome.strategy
-                            except (DegradedRouteError, RoutingError):
-                                path = None
-                        else:
-                            path = topology.bfs_shortest_path(
-                                u, v, blocked=faults.nodes
-                            )
-                        if path is None:
-                            continue
-                        delivered += 1
-                        if strategy == "disjoint":
-                            disjoint_hits += 1
-                        length = len(path) - 1
-                        length_sum += length
-                        base = topology.bfs_shortest_path(u, v)
-                        if base is not None and len(base) > 1:
-                            stretch_sum += length / (len(base) - 1)
-                            stretch_n += 1
-                    if router is not None:
-                        router.clear_faults()
+                    for u, v in healthy_pairs(rng, all_nodes, faults, config.pairs):
+                        tally.route(u, v, faults.nodes)
                 rows.append(
                     {
                         "kind": kind,
@@ -423,18 +435,7 @@ def _structure_rows(
                         "connected_fraction": _round(
                             connected_trials / config.trials
                         ),
-                        "delivery_ratio": _round(delivered / total)
-                        if total
-                        else None,
-                        "mean_latency_hops": _round(length_sum / delivered)
-                        if delivered
-                        else None,
-                        "mean_stretch": _round(stretch_sum / stretch_n)
-                        if stretch_n
-                        else None,
-                        "disjoint_share": _round(disjoint_hits / total)
-                        if (total and router is not None)
-                        else None,
+                        **tally.row(),
                     }
                 )
     return rows
@@ -442,13 +443,8 @@ def _structure_rows(
 
 def _cascade_section(hb: HyperButterfly, config: StructureCampaignConfig) -> dict:
     """One seeded cascade on HB + retry-vs-no-retry transport replay."""
-    import random
-
     from repro.faults.connectivity import connected_under_faults
     from repro.faults.structures import CascadeConfig, random_structures, run_cascade
-    from repro.simulation.network import NetworkSimulator, TransportConfig
-    from repro.simulation.protocols import HBObliviousProtocol
-    from repro.simulation.traffic import uniform_random_traffic
 
     epoch_time = config.horizon / (config.cascade_epochs + 2)
     cascade_config = CascadeConfig(
@@ -477,36 +473,22 @@ def _cascade_section(hb: HyperButterfly, config: StructureCampaignConfig) -> dic
             }
         )
 
-    schedule = trace.to_schedule()
-    traffic = uniform_random_traffic(hb, config.cascade_packets, seed=config.seed + 7)
-    inject_rng = random.Random(config.seed + 8)
-    inject_times = [inject_rng.uniform(0.0, 0.8 * config.horizon) for _ in traffic]
-    transport = TransportConfig(
-        ack_timeout=2.0,
-        max_retries=10,
-        backoff_base=1.0,
-        backoff_factor=2.0,
-        jitter=0.5,
+    stats = _replay(
+        hb,
+        trace.to_schedule(),
+        config.cascade_packets,
+        0.8 * config.horizon,
+        config.seed + 7,
     )
-    replay = {}
-    for label, cfg in (("no_retry", None), ("retry", transport)):
-        sim = NetworkSimulator(
-            hb,
-            HBObliviousProtocol(hb),
-            schedule=schedule,
-            transport=cfg,
-            seed=config.seed + 9,
-        )
-        for (s, t), at in zip(traffic, inject_times, strict=True):
-            sim.inject(s, t, at=at)
-        sim.run()
-        stats = sim.stats()
-        replay[label] = {
-            "delivery": _round(stats.delivery_rate),
-            "mean_latency": _round(stats.mean_latency),
-            "retransmissions": stats.retransmissions,
-            "duplicates": stats.duplicates,
+    replay = {
+        label: {
+            "delivery": _round(s.delivery_rate),
+            "mean_latency": _round(s.mean_latency),
+            "retransmissions": s.retransmissions,
+            "duplicates": s.duplicates,
         }
+        for label, s in stats.items()
+    }
     return {
         "network": hb.name,
         "spread": _round(config.cascade_spread),
@@ -558,32 +540,15 @@ def _diameter_section(config: StructureCampaignConfig) -> list[dict]:
 
 def run_structure_campaign(config: StructureCampaignConfig) -> dict:
     """Correlated sweep on HB/HD/hypercube + cascade + diameter probes."""
-    import math
-
-    hb = HyperButterfly(config.m, config.n)
-    comparisons: list[tuple[Topology, bool, int]] = [
-        (hb, True, 0),
-        (HyperDeBruijn(config.m, config.n), False, 1),
-        (Hypercube(max(2, round(math.log2(hb.num_nodes)))), False, 2),
+    matched = _matched_networks(config.m, config.n)
+    networks = [
+        {**_network_entry(topology), "rows": _structure_rows(topology, config, offset)}
+        for offset, topology in enumerate(matched)
     ]
-    networks = []
-    for topology, resilient, offset in comparisons:
-        networks.append(
-            {
-                "name": topology.name,
-                "num_nodes": topology.num_nodes,
-                "scheme": "resilient(disjoint->adaptive)"
-                if resilient
-                else "adaptive-bfs",
-                "rows": _structure_rows(
-                    topology, config, resilient=resilient, seed_offset=offset
-                ),
-            }
-        )
     return {
         "config": asdict(config),
         "networks": networks,
-        "cascade": _cascade_section(hb, config),
+        "cascade": _cascade_section(matched[0], config),
         "structure_fault_diameter": _diameter_section(config),
     }
 

@@ -15,12 +15,12 @@ becomes possible but stays rare (random faults rarely isolate a node).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.fault_routing import FaultTolerantRouter
 from repro.core.hyperbutterfly import HyperButterfly
-from repro.errors import DisconnectedError, RoutingError
+from repro.core.resilient import DegradedRouteError, ResilientRouter
+from repro.faults.campaigns import healthy_pairs
 from repro.faults.model import random_node_faults
 
 __all__ = ["FaultSweepResult", "fault_sweep"]
@@ -63,11 +63,14 @@ def fault_sweep(
     pairs_per_trial: int = 10,
     seed: int = 0,
 ) -> list[FaultSweepResult]:
-    """Run the E6 sweep; one :class:`FaultSweepResult` per fault count."""
+    """Run the E6 sweep; one :class:`FaultSweepResult` per fault count.
+
+    A pair is connected when :meth:`ResilientRouter.route_ex` finds any
+    route, and a disjoint success when that route is ``"disjoint"``; its
+    overhead is measured against the shortest fault-avoiding path.
+    """
     rng = random.Random(seed)
-    router = FaultTolerantRouter(hb)
-    # The adaptive strategy BFS runs on the fastgraph CSR backend (blocked
-    # fault masks), so the per-pair cost is array sweeps, not label walks.
+    router = ResilientRouter(hb)
     all_nodes = list(hb.nodes())
     results = []
     for count in fault_counts:
@@ -76,27 +79,18 @@ def fault_sweep(
         )
         for _ in range(trials):
             faults = random_node_faults(hb, count, rng=rng)
-            for _ in range(pairs_per_trial):
-                # rejection-sample a healthy pair: avoids rebuilding an
-                # O(V) healthy-node list per trial (faults << V always)
-                while True:
-                    u, v = rng.sample(all_nodes, 2)
-                    if u not in faults and v not in faults:
-                        break
+            for u, v in healthy_pairs(rng, all_nodes, faults, pairs_per_trial):
                 res.total_pairs += 1
-                adaptive = None
                 try:
-                    adaptive = router.route(u, v, faults, strategy="adaptive")
-                    res.connected_pairs += 1
-                except DisconnectedError:
-                    pass
-                try:
-                    path = router.route(u, v, faults, strategy="disjoint")
+                    outcome = router.route_ex(u, v, node_faults=faults.nodes)
+                except DegradedRouteError:
+                    continue
+                res.connected_pairs += 1
+                if outcome.strategy == "disjoint":
+                    adaptive = hb.bfs_shortest_path(u, v, blocked=faults.nodes)
+                    assert adaptive is not None  # a fault-free route exists
                     res.disjoint_success += 1
-                    if adaptive is not None:
-                        res.disjoint_total_length += len(path) - 1
-                        res.adaptive_total_length += len(adaptive) - 1
-                except (DisconnectedError, RoutingError):
-                    pass
+                    res.disjoint_total_length += outcome.length
+                    res.adaptive_total_length += len(adaptive) - 1
         results.append(res)
     return results

@@ -3,7 +3,8 @@
 Corollary 1 / Remark 10, stated as executable properties: for *any* fault
 set of at most ``m + 3`` nodes avoiding the endpoints,
 
-* the disjoint strategy always returns a fault-free ``u → v`` path, and
+* :meth:`ResilientRouter.route_ex` always answers from the disjoint
+  family with a fault-free ``u → v`` path, and
 * the adaptive (shortest fault-avoiding) path is never longer than the
   disjoint one.
 
@@ -17,8 +18,8 @@ import random
 
 import pytest
 
-from repro.core.fault_routing import FaultTolerantRouter
 from repro.core.hyperbutterfly import HyperButterfly
+from repro.core.resilient import ResilientRouter
 from repro.faults.model import random_node_faults
 from repro.routing.base import validate_path
 
@@ -38,14 +39,16 @@ def _hb(m: int, n: int) -> HyperButterfly:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_disjoint_always_fault_free_within_guarantee(m, n, seed):
     hb = _hb(m, n)
-    router = FaultTolerantRouter(hb)
+    router = ResilientRouter(hb)
     rng = random.Random(seed * 1009 + m * 101 + n)
     nodes = list(hb.nodes())
     for trial in range(4):
         u, v = rng.sample(nodes, 2)
-        count = rng.randint(0, router.max_tolerated_faults())
+        count = rng.randint(0, router.max_guaranteed_faults())
         faults = random_node_faults(hb, count, rng=rng, exclude=(u, v))
-        path = router.route(u, v, faults, strategy="disjoint")
+        outcome = router.route_ex(u, v, node_faults=faults.nodes)
+        assert outcome.strategy == "disjoint"
+        path = list(outcome.path)
         assert path[0] == u and path[-1] == v
         assert faults.nodes.isdisjoint(path)
         validate_path(hb, path)
@@ -55,15 +58,17 @@ def test_disjoint_always_fault_free_within_guarantee(m, n, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_adaptive_never_longer_than_disjoint(m, n, seed):
     hb = _hb(m, n)
-    router = FaultTolerantRouter(hb)
+    router = ResilientRouter(hb)
     rng = random.Random(seed * 2003 + m * 101 + n)
     nodes = list(hb.nodes())
     for trial in range(4):
         u, v = rng.sample(nodes, 2)
-        count = rng.randint(0, router.max_tolerated_faults())
+        count = rng.randint(0, router.max_guaranteed_faults())
         faults = random_node_faults(hb, count, rng=rng, exclude=(u, v))
-        disjoint = router.route(u, v, faults, strategy="disjoint")
-        adaptive = router.route(u, v, faults, strategy="adaptive")
-        assert len(adaptive) <= len(disjoint)
+        disjoint = router.route_ex(u, v, node_faults=faults.nodes)
+        assert disjoint.strategy == "disjoint"
+        adaptive = hb.bfs_shortest_path(u, v, blocked=faults.nodes)
+        assert adaptive is not None
+        assert len(adaptive) <= len(disjoint.path)
         assert faults.nodes.isdisjoint(adaptive)
         validate_path(hb, adaptive)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.hyperbutterfly import HyperButterfly
+from repro.errors import RoutingError
+from repro.faults.campaigns import CampaignConfig, run_campaign
 from repro.faults.experiments import fault_sweep
 
 
@@ -37,3 +41,55 @@ class TestFaultSweep:
         b = fault_sweep(hb13, [4], trials=2, pairs_per_trial=4, seed=3)
         assert a[0].connected_pairs == b[0].connected_pairs
         assert a[0].disjoint_total_length == b[0].disjoint_total_length
+
+    def test_bench_parameters_pinned(self, hb23):
+        """Every field of the bench E6 sweep, captured before the sweep
+        moved onto :class:`ResilientRouter`."""
+        results = fault_sweep(
+            hb23, range(10), trials=4, pairs_per_trial=10, seed=17
+        )
+        assert [
+            (
+                r.faults,
+                r.trials,
+                r.pairs_per_trial,
+                r.connected_pairs,
+                r.total_pairs,
+                r.disjoint_success,
+                r.disjoint_total_length,
+                r.adaptive_total_length,
+            )
+            for r in results
+        ] == [
+            (0, 4, 10, 40, 40, 40, 132, 132),
+            (1, 4, 10, 40, 40, 40, 135, 134),
+            (2, 4, 10, 40, 40, 40, 112, 112),
+            (3, 4, 10, 40, 40, 40, 129, 128),
+            (4, 4, 10, 40, 40, 40, 151, 148),
+            (5, 4, 10, 40, 40, 40, 132, 132),
+            (6, 4, 10, 40, 40, 40, 133, 130),
+            (7, 4, 10, 40, 40, 40, 150, 140),
+            (8, 4, 10, 40, 40, 40, 143, 141),
+            (9, 4, 10, 40, 40, 40, 135, 133),
+        ]
+
+
+def test_broken_family_inside_guarantee_raises(monkeypatch):
+    """A Theorem 5 family with no fault-free member under <= m+3 faults is
+    a construction bug: the sweeps must raise, not count a lost pair.
+
+    The stub family is a single walk through every node, so any fault at
+    all lies on it.
+    """
+    import repro.core.resilient as resilient
+
+    def one_path_family(hb, u, v):
+        middle = [x for x in hb.nodes() if x not in (u, v)]
+        return [[u, *middle, v]]
+
+    monkeypatch.setattr(resilient, "disjoint_paths", one_path_family)
+    hb = HyperButterfly(1, 3)
+    with pytest.raises(RoutingError, match="internal error"):
+        fault_sweep(hb, [1], trials=1, pairs_per_trial=1, seed=0)
+    with pytest.raises(RoutingError, match="internal error"):
+        run_campaign(CampaignConfig.quick(1, 3))

@@ -10,9 +10,9 @@ from __future__ import annotations
 import pytest
 
 from repro import (
-    FaultTolerantRouter,
     HBRouter,
     HyperButterfly,
+    ResilientRouter,
     disjoint_paths,
     format_hb_node,
     parse_hb_node,
@@ -52,11 +52,11 @@ class TestFaultsMeetSimulation:
     def test_simulated_delivery_under_survivable_faults(self, hb13, rng):
         """Fault a node on every shortest route; the fault-tolerant path
         still delivers when driven through the packet simulator."""
-        router = FaultTolerantRouter(hb13)
+        router = ResilientRouter(hb13)
         u, v = (0, (0, 0)), (1, (2, 0b101))
         optimal = HBRouter(hb13).route(u, v).path
         faults = [optimal[1]]
-        safe_path = router.route(u, v, faults)
+        safe_path = router.route(u, v, node_faults=faults)
         validate_path(hb13, safe_path, source=u, target=v)
 
         from repro.simulation.protocols import PrecomputedPathProtocol
