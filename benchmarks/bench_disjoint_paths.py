@@ -111,3 +111,45 @@ def test_constructive_coverage_rate(benchmark):
 
     rate = benchmark.pedantic(coverage, rounds=1, iterations=1)
     assert rate >= 0.8  # corners (documented) are the only fallbacks
+
+
+def test_double_corners_always_fall_back(benchmark):
+    """E5 finding 4: a double corner (``dist(h, h') = 1`` and ``b'``
+    adjacent to ``b``) never builds copy-locally.  Every such pair from
+    the first 20 sources of HB(3,4) takes the global Menger family."""
+    hb = HyperButterfly(3, 4)
+    pairs = [
+        (u, (hu[0], bu[1]))
+        for u in list(hb.nodes())[:20]
+        for hu in hb.hypercube_neighbors(u)
+        for bu in hb.butterfly_neighbors(u)
+    ]
+
+    def fallbacks():
+        count = 0
+        for u, v in pairs:
+            family, info = disjoint_paths_with_info(hb, u, v)
+            verify_disjoint_paths(hb, u, v, family)
+            count += info["method"] == "flow"
+        return count
+
+    count = benchmark.pedantic(fallbacks, rounds=1, iterations=1)
+    emit("E5 finding 4: double corners", f"{hb.name}: {count}/{len(pairs)} pairs fall back")
+    assert count == len(pairs) == 240
+
+
+def test_corollary1_exact_grid(benchmark):
+    """Corollary 1 exactly: κ(HB(m, n)) = m + 4 by Even's algorithm."""
+    from repro.faults.connectivity import vertex_connectivity
+
+    grid = [(0, 3), (1, 3), (2, 3), (2, 4), (3, 4)]
+
+    def kappas():
+        return [vertex_connectivity(HyperButterfly(m, n)) for m, n in grid]
+
+    values = benchmark.pedantic(kappas, rounds=1, iterations=1)
+    emit(
+        "E5: Corollary 1 exact",
+        "\n".join(f"HB({m},{n}): kappa = {k}" for (m, n), k in zip(grid, values, strict=True)),
+    )
+    assert values == [m + 4 for m, _ in grid]

@@ -26,19 +26,20 @@ stated can fail in two corner situations:
    ``v`` through its ``m`` hypercube edges.
 
 Theorem 5 itself is still true (``HB`` is ``(m+4)``-connected — verified
-exactly by max-flow on small instances), so this module implements the
-paper's construction for the generic case — with the node-to-set tail
-families extracted by copy-local max-flow, exactly the black boxes the
-proof invokes — detects the corner cases, and falls back to an exact
-global Menger (max-flow) family whenever the constructive skeleton cannot
-be completed.  Every returned family is verified before being handed back.
+exactly up to ``HB(3, 4)`` by Even's algorithm), so this module implements
+the paper's construction for the generic case — with the butterfly family
+and the node-to-set tails solved copy-locally on ``hb.butterfly`` and
+``hb.hypercube`` by the Menger solver of :mod:`repro.routing.flows`,
+exactly the black boxes the proof invokes — repairs each corner, and
+falls back to an exact global Menger family on ``hb`` whenever the
+constructive skeleton cannot be completed (``m = 1`` with ``dist(h, h') =
+1``, and every pair that meets both corners at once).  Every returned
+family is verified before being handed back.
 """
 
 from __future__ import annotations
 
 from typing import Literal
-
-import networkx as nx
 
 from repro._bits import set_bits
 from repro.core.hyperbutterfly import HBNode, HyperButterfly
@@ -67,24 +68,6 @@ def construction_case(u: HBNode, v: HBNode) -> int:
     if b_differs and not h_differs:
         return 2
     return 3
-
-
-def _fly_graph(hb: HyperButterfly) -> nx.Graph:
-    """Cached explicit ``B_n`` (factor) graph."""
-    graph = getattr(hb, "_fly_nx_cache", None)
-    if graph is None:
-        graph = hb.butterfly.to_networkx()
-        hb._fly_nx_cache = graph
-    return graph
-
-
-def _cube_graph(hb: HyperButterfly) -> nx.Graph:
-    """Cached explicit ``H_m`` (factor) graph."""
-    graph = getattr(hb, "_cube_nx_cache", None)
-    if graph is None:
-        graph = hb.hypercube.to_networkx()
-        hb._cube_nx_cache = graph
-    return graph
 
 
 def _lift_cube(path_words: list[int], b: tuple[int, int]) -> list[HBNode]:
@@ -121,7 +104,7 @@ def _case1(hb: HyperButterfly, u: HBNode, v: HBNode) -> list[list[HBNode]]:
 def _case2(hb: HyperButterfly, u: HBNode, v: HBNode) -> list[list[HBNode]]:
     h, b = u
     _, b2 = v
-    fly_paths = vertex_disjoint_paths(_fly_graph(hb), b, b2, k=4)
+    fly_paths = vertex_disjoint_paths(hb.butterfly, b, b2, k=4)
     paths = [_lift_fly(h, p) for p in fly_paths]
     fly_route = butterfly_route_walk(hb.n, b, b2)
     for i in range(hb.m):
@@ -138,8 +121,8 @@ def _case2(hb: HyperButterfly, u: HBNode, v: HBNode) -> list[list[HBNode]]:
 class _Case3Builder:
     """Builds the case-3 family, including corner-case repairs.
 
-    The generic skeleton (see module docstring) fails in two corners; both
-    admit local *repairs* that keep the construction copy-local:
+    The generic skeleton (see module docstring) fails in two corners; each
+    alone admits a local *repair* that keeps the construction copy-local:
 
     * ``dist(h, h') = 1`` with differing dimension ``i*``: the cube-first
       path for ``i*`` is rerouted as ``u → (h', b) → (h'', b) →
@@ -155,9 +138,15 @@ class _Case3Builder:
       fresh butterfly word at distance 2 from ``b``; the path enters ``v``
       through butterfly neighbor ``b'''`` (blocked from the fly-tail flow).
 
-    If a repair's preconditions fail (``m = 1``, or no fresh ``b'''``
-    exists), :class:`RoutingError` propagates and the caller falls back to
-    the exact max-flow family.
+    The two repairs do not compose.  In a *double* corner (both at once)
+    the first repaired path holds ``(h', b)`` — a butterfly neighbour of
+    ``v``, since ``b ~ b'`` — and the second enters ``v`` through
+    ``(h', b''')``, so only 2 of ``v``'s 4 butterfly entries are left for
+    the 3 remaining fly tails and the tail flow fails ("only 2 of 3
+    node-to-set paths exist").  That failure, and a repair whose
+    preconditions fail (``m = 1``, or no fresh ``b'''``), raise
+    :class:`RoutingError`, and the caller falls back to the exact global
+    Menger family.
     """
 
     def __init__(self, hb: HyperButterfly, u: HBNode, v: HBNode) -> None:
@@ -234,7 +223,7 @@ class _Case3Builder:
         if self.b_fresh is not None:
             blocked.add(self.b_fresh)  # (h', b''') is the repaired path's entry
         fly_tails = node_to_set_disjoint_paths(
-            _fly_graph(hb), tail_sources, self.b2, blocked=blocked
+            hb.butterfly, tail_sources, self.b2, blocked=blocked
         )
         tail_by_source = dict(zip(tail_sources, fly_tails, strict=True))
 
@@ -289,7 +278,7 @@ class _Case3Builder:
         if self.j_star is not None:
             blocked.add(self.h)  # (h, b') is owned by the repaired fly-first path
         cube_tails = node_to_set_disjoint_paths(
-            _cube_graph(hb), tail_sources, self.h2, blocked=blocked
+            hb.hypercube, tail_sources, self.h2, blocked=blocked
         )
         tail_by_source = dict(zip(tail_sources, cube_tails, strict=True))
 
@@ -377,7 +366,7 @@ def disjoint_paths_with_info(
                 raise
             info["fallback_reason"] = str(exc)
 
-    paths = vertex_disjoint_paths(hb.to_networkx(), u, v, k=hb.m + 4)
+    paths = vertex_disjoint_paths(hb, u, v, k=hb.m + 4)
     verify_disjoint_paths(hb, u, v, paths)
     info["method"] = "flow"
     return paths, info
@@ -394,7 +383,8 @@ def disjoint_paths(
 
     ``method="constructive"`` insists on the paper's construction (raises
     :class:`RoutingError` on its corner cases); ``method="flow"`` always
-    uses global max-flow; ``"auto"`` tries the construction first.
+    takes the global Menger family; ``"auto"`` tries the construction
+    first.
     """
     paths, _ = disjoint_paths_with_info(hb, u, v, method=method)
     return paths

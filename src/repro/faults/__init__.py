@@ -4,7 +4,7 @@
 * :mod:`repro.faults.dynamic` — seeded fail/repair schedules (chaos layer).
 * :mod:`repro.faults.structures` — correlated structure faults (stars,
   paths, subcubes, rings), structure-fault diameter, cascading failures.
-* :mod:`repro.faults.connectivity` — exact vertex connectivity (max-flow),
+* :mod:`repro.faults.connectivity` — exact vertex connectivity (Menger),
   connectivity under faults, and maximal-fault-tolerance certificates.
 * :mod:`repro.faults.experiments` — fault-sweep experiment driver (E6).
 * :mod:`repro.faults.campaigns` — degradation campaigns past the ``m + 3``

@@ -5,7 +5,9 @@
   ``m`` vertex-disjoint paths construction for ``H_m`` [5].
 * :mod:`repro.routing.butterfly` — two exact routers for the wrapped
   butterfly: an ``O(n^2)`` combinatorial *covering-walk* router and the
-  BFS-oracle router, plus 4 vertex-disjoint paths (Menger/max-flow).
+  BFS-oracle router, plus 4 vertex-disjoint paths (Menger).
+* :mod:`repro.routing.flows` — the exact Menger solver (s–t and
+  node-to-set families) on the implicit vertex-split residual.
 
 The hyper-butterfly-level routing that composes these lives in
 :mod:`repro.core.routing` / :mod:`repro.core.disjoint_paths`.

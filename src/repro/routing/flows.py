@@ -1,101 +1,159 @@
-"""Menger-style disjoint-path extraction via max-flow (node-splitting).
+"""Menger families by unit augmentations on the implicit vertex-split residual.
 
 Used as the exact substrate for the "4 disjoint paths in ``B_n`` [4]" and
 node-to-set families that Theorem 5's construction consumes as black boxes,
-and as the last-resort fallback for the full ``m + 4`` family.
+as the last-resort fallback for the full ``m + 4`` family, and for the
+exact connectivity computations behind Corollary 1.
 
-The construction is the textbook node-splitting reduction: every vertex
-``v`` becomes an arc ``v_in → v_out`` of capacity 1 (endpoints get capacity
-``k``), every undirected edge ``{u, v}`` becomes ``u_out → v_in`` and
-``v_out → u_in``.  Integral max-flow then decomposes into vertex-disjoint
-paths.
+The model is the textbook node-splitting reduction: every vertex ``v``
+becomes a unit arc ``v⁻ → v⁺``, every undirected edge ``{u, v}`` the unit
+arcs ``u⁺ → v⁻`` and ``v⁺ → u⁻``, and an integral flow decomposes into
+internally vertex-disjoint paths.  None of that network is built.  The
+vertices are ranked once per topology (``nodes()`` order, adjacency from
+``neighbors()`` in rank order, cached on the instance) and the flow is only
+
+* ``pred`` — for every vertex that carries flow, the vertex feeding it
+  (the source's successors all point back at the source), and
+* ``into_target`` — the vertices whose arc enters the target (only the
+  source and the target carry more than one unit).
+
+Each augmentation is one BFS over the residual those two imply: an entry
+half ``v⁻`` moves on to ``v⁺`` when ``v`` is free, and back to
+``pred[v]⁺`` (cancelling that arc) when it is not; an exit half ``v⁺``
+moves to ``w⁻`` for every neighbour ``w`` it does not already feed, and
+back to ``v⁻`` when ``v`` carries flow.  A node-to-set BFS starts from
+every source not yet served, which stands in for a super-source.
+Families are bounded by the minimum degree, so an s–t family takes at
+most ``cutoff`` BFS passes and a node-to-set family ``len(sources)``.
+Paths come out by following the flow from the source side to the target,
+then :func:`loop_erase`.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Sequence
 
-import networkx as nx
-
 from repro.errors import RoutingError
 from repro.routing.base import loop_erase
+from repro.topologies.base import Topology
 
 __all__ = [
     "vertex_disjoint_paths",
     "node_to_set_disjoint_paths",
 ]
 
-_IN = 0
-_OUT = 1
+#: instance attribute caching ``(labels, rank, adjacency)`` per topology
+_ATTR = "_menger_ranks"
 
 
-def _split_digraph(
-    graph: nx.Graph,
-    *,
-    unlimited: set,
-    blocked: set,
-) -> nx.DiGraph:
-    dg = nx.DiGraph()
-    for v in graph.nodes():
-        if v in blocked:
-            continue
-        cap = graph.number_of_nodes() if v in unlimited else 1
-        dg.add_edge((v, _IN), (v, _OUT), capacity=cap)
-    for a, b in graph.edges():
-        if a in blocked or b in blocked:
-            continue
-        dg.add_edge((a, _OUT), (b, _IN), capacity=1)
-        dg.add_edge((b, _OUT), (a, _IN), capacity=1)
-    return dg
+def _ranked(
+    topology: Topology,
+) -> tuple[list[Hashable], dict[Hashable, int], list[list[int]]]:
+    """Labels in ``nodes()`` order, their ranks and the rank adjacency.
 
-
-_SUPER = "__super_source__"
-
-
-def _decompose_paths(
-    flow: dict, source_out: tuple, target_in: tuple
-) -> list[list[Hashable]]:
-    """Walk unit flow from ``source_out`` greedily, yielding node paths.
-
-    Each walk collects the underlying graph node of every split vertex it
-    passes (deduplicating the ``v_in → v_out`` pair) and is loop-erased at
-    the end: preflow-push max-flow may leave flow cycles, which the walk
-    consumes harmlessly.
+    Neighbour lists are sorted by rank, as CSR rows are, so BFS ties break
+    by ``nodes()`` order rather than by a family's generator order.
     """
-    residual = {
-        u: {v: f for v, f in nbrs.items() if f > 0} for u, nbrs in flow.items()
-    }
+    ranked = topology.__dict__.get(_ATTR)
+    if ranked is None:
+        labels = list(topology.nodes())
+        rank = {v: i for i, v in enumerate(labels)}
+        adj = [sorted(rank[w] for w in topology.neighbors(v)) for v in labels]
+        ranked = (labels, rank, adj)
+        setattr(topology, _ATTR, ranked)
+    return ranked
 
-    def take_step(cur: tuple) -> tuple | None:
-        nbrs = residual.get(cur, {})
-        nxt = next((v for v, f in nbrs.items() if f > 0), None)
-        if nxt is not None:
-            nbrs[nxt] -= 1
-        return nxt
 
+def _augment(
+    adj: list[list[int]],
+    starts: Iterable[int],
+    target: int,
+    closed: set[int],
+    pred: dict[int, int],
+    into_target: set[int],
+) -> int | None:
+    """Push one unit from any of ``starts`` to ``target`` along a shortest
+    residual path (one BFS from all of them at once); returns the start it
+    used, or ``None`` at max flow.
+
+    States are ``2·rank`` (entry half) and ``2·rank + 1`` (exit half);
+    ``closed`` vertices have no entry half (blocked vertices, sources).
+    """
+    parent = {2 * s + 1: -1 for s in starts}
+    queue = list(parent)
+    for state in queue:  # the list grows while it is walked: a BFS queue
+        v = state >> 1
+        if state & 1:
+            for w in adj[v]:
+                if w == target:
+                    if v not in into_target:
+                        return _apply(parent, state, target, pred, into_target)
+                elif w not in closed and pred.get(w) != v and 2 * w not in parent:
+                    parent[2 * w] = state
+                    queue.append(2 * w)
+            if v in pred and 2 * v not in parent:
+                parent[2 * v] = state
+                queue.append(2 * v)
+        else:
+            p = pred.get(v)
+            nxt = 2 * v + 1 if p is None else 2 * p + 1
+            if nxt not in parent:
+                parent[nxt] = state
+                queue.append(nxt)
+    return None
+
+
+def _apply(
+    parent: dict[int, int],
+    last: int,
+    target: int,
+    pred: dict[int, int],
+    into_target: set[int],
+) -> int:
+    """Augment along the BFS tree path ending ``last⁺ → target⁻``."""
+    states = [2 * target]
+    while last != -1:
+        states.append(last)
+        last = parent[last]
+    states.reverse()
+    gained: list[tuple[int, int]] = []
+    for a, b in zip(states, states[1:], strict=False):
+        x, y = a >> 1, b >> 1
+        if x == y:
+            continue  # a vertex arc: implied by the edge arcs around it
+        if a & 1:
+            gained.append((y, x))  # x⁺ → y⁻ now carries flow
+        else:
+            del pred[x]  # x⁻ → y⁺ cancels the arc y → x
+    # new arcs go in only after every cancellation: a vertex the path
+    # re-enters loses its old feeder and gains a new one
+    for y, x in gained:
+        if y == target:
+            into_target.add(x)
+        else:
+            pred[y] = x
+    return states[0] >> 1
+
+
+def _flow_paths(
+    labels: list[Hashable],
+    pred: dict[int, int],
+    firsts: Iterable[int],
+    target: int,
+) -> list[list[Hashable]]:
+    """Follow the flow from each of ``firsts`` to ``target``, in order."""
+    succ = {p: v for v, p in pred.items()}
     paths = []
-    while True:
-        cur = take_step(source_out)
-        if cur is None:
-            break
-        node_path: list[Hashable] = []
-        if source_out[0] != _SUPER:
-            node_path.append(source_out[0])
-        while True:
-            node = cur[0]
-            if node != _SUPER and (not node_path or node_path[-1] != node):
-                node_path.append(node)
-            if cur == target_in:
-                break
-            cur = take_step(cur)
-            if cur is None:
-                raise RoutingError("flow decomposition failed (internal bug)")
-        paths.append(loop_erase(node_path))
+    for first in firsts:
+        ranks = [first]
+        while ranks[-1] != target:
+            ranks.append(succ.get(ranks[-1], target))
+        paths.append(loop_erase([labels[r] for r in ranks]))
     return paths
 
 
 def vertex_disjoint_paths(
-    graph: nx.Graph,
+    topology: Topology,
     source: Hashable,
     target: Hashable,
     *,
@@ -111,28 +169,30 @@ def vertex_disjoint_paths(
     that many paths are found — disjoint-path families are bounded by the
     minimum degree, so a cutoff makes large-instance witnesses cheap
     (defaults to ``k``, or to ``min(deg(source), deg(target))`` otherwise,
-    both of which are exact bounds rather than approximations).
+    both of which are exact bounds rather than approximations).  Paths are
+    ordered by their first hop, in ``nodes()`` order.
     """
     blocked = set(blocked)
     if source in blocked or target in blocked:
         raise RoutingError("endpoints may not be blocked")
     if source == target:
         raise RoutingError("disjoint paths require distinct endpoints")
-    dg = _split_digraph(graph, unlimited={source, target}, blocked=blocked)
-    s, t = (source, _OUT), (target, _IN)
-    if s not in dg or t not in dg:
+    labels, rank, adj = _ranked(topology)
+    if source not in rank or target not in rank:
         raise RoutingError("endpoint missing from graph")
-    # no path may pass *through* an endpoint: sever their transit halves
-    dg.remove_node((source, _IN))
-    dg.remove_node((target, _OUT))
+    s, t = rank[source], rank[target]
     if cutoff is None:
-        cutoff = k if k is not None else min(
-            graph.degree(source), graph.degree(target)
-        )
-    value, flow = nx.maximum_flow(
-        dg, s, t, flow_func=nx.algorithms.flow.edmonds_karp, cutoff=cutoff
-    )
-    paths = _decompose_paths(flow, s, t)
+        cutoff = k if k is not None else min(len(adj[s]), len(adj[t]))
+    closed = {rank[x] for x in blocked if x in rank}
+    closed.add(s)
+    pred: dict[int, int] = {}
+    into_target: set[int] = set()
+    for _ in range(cutoff):
+        if _augment(adj, (s,), t, closed, pred, into_target) is None:
+            break
+    # the source feeds several vertices, so its paths start from its hops
+    hops = [w for w in adj[s] if pred.get(w) == s or (w == t and s in into_target)]
+    paths = [[source, *p] for p in _flow_paths(labels, pred, hops, t)]
     if k is not None:
         if len(paths) < k:
             raise RoutingError(
@@ -143,7 +203,7 @@ def vertex_disjoint_paths(
 
 
 def node_to_set_disjoint_paths(
-    graph: nx.Graph,
+    topology: Topology,
     sources: Sequence[Hashable],
     target: Hashable,
     *,
@@ -154,8 +214,8 @@ def node_to_set_disjoint_paths(
     This is the node-to-set disjoint path problem (cf. Latifi, Ko &
     Srimani for hypercubes); Theorem 5's tails need exactly this.  A source
     equal to ``target`` gets the trivial path ``[target]``.  Sources must be
-    distinct.  Raises :class:`RoutingError` if no such family exists under
-    ``blocked``.
+    distinct, and no path passes through another source.  Raises
+    :class:`RoutingError` if no such family exists under ``blocked``.
     """
     if len(set(sources)) != len(sources):
         raise RoutingError("sources must be distinct")
@@ -167,31 +227,24 @@ def node_to_set_disjoint_paths(
         s: [target] for s in sources if s == target
     }
     if real_sources:
-        dg = _split_digraph(graph, unlimited={target}, blocked=blocked)
-        super_source = (_SUPER, _OUT)
-        for s in real_sources:
-            # feed each source at its _OUT side and sever its _IN side so
-            # no other path can pass through a source vertex
-            dg.add_edge(super_source, (s, _OUT), capacity=1)
-            dg.remove_node((s, _IN))
-        t = (target, _IN)
-        if (target, _OUT) in dg:
-            dg.remove_node((target, _OUT))
-        value, flow = nx.maximum_flow(
-            dg,
-            super_source,
-            t,
-            flow_func=nx.algorithms.flow.edmonds_karp,
-            cutoff=len(real_sources),
-        )
-        if value < len(real_sources):
-            raise RoutingError(
-                f"only {value} of {len(real_sources)} node-to-set paths exist"
-            )
-        raw = _decompose_paths(flow, super_source, t)
-        for path in raw:
+        labels, rank, adj = _ranked(topology)
+        if target not in rank or any(s not in rank for s in real_sources):
+            raise RoutingError("endpoint missing from graph")
+        t = rank[target]
+        starts = [rank[s] for s in real_sources]
+        closed = {rank[x] for x in blocked if x in rank}
+        closed.update(starts)
+        pred: dict[int, int] = {}
+        into_target: set[int] = set()
+        free = list(starts)
+        while free:
+            used = _augment(adj, free, t, closed, pred, into_target)
+            if used is None:
+                raise RoutingError(
+                    f"only {len(starts) - len(free)} of {len(starts)} "
+                    "node-to-set paths exist"
+                )
+            free.remove(used)
+        for path in _flow_paths(labels, pred, starts, t):
             result_by_source[path[0]] = path
-    missing = [s for s in sources if s not in result_by_source]
-    if missing:
-        raise RoutingError(f"flow produced no path for sources {missing!r}")
     return [result_by_source[s] for s in sources]

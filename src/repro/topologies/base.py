@@ -4,8 +4,8 @@ A :class:`Topology` is an implicitly represented undirected graph: nodes are
 hashable labels and adjacency is computed from the label, never stored.
 This keeps construction ``O(1)`` and lets algorithms work on instances far
 larger than what an explicit adjacency structure would allow, while
-``to_networkx()`` materialises an explicit graph when exact global analysis
-(max-flow connectivity, iFUB diameter, isomorphism checks) is needed.
+``to_networkx()`` materialises an explicit graph when a global analysis
+works on networkx (iFUB diameter, isomorphism checks, bisection).
 """
 
 from __future__ import annotations

@@ -108,6 +108,19 @@ class TestCornerRepairs:
         assert info["method"] == "flow"
         assert "no copy-local repair" in info["fallback_reason"]
 
+    def test_double_corner_falls_back_to_global_family(self):
+        """Both corners at once: the repairs compete for v's butterfly
+        entries, so the fly tails fail and the global family answers."""
+        hb = HyperButterfly(3, 4)
+        u = (0, (0, 0))
+        h2 = 0b010  # dist(h, h') = 1
+        for b2 in hb.butterfly.neighbors(u[1]):
+            v = (h2, b2)
+            family, info = disjoint_paths_with_info(hb, u, v)
+            verify_disjoint_paths(hb, u, v, family)
+            assert info["method"] == "flow"
+            assert info["fallback_reason"] == "only 2 of 3 node-to-set paths exist"
+
     def test_constructive_mode_raises_on_unrepairable_corner(self, hb13):
         u = (0, (0, 0))
         v = (1, (1, 0b001))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
 from repro.core.hyperbutterfly import HyperButterfly
@@ -12,9 +13,35 @@ from repro.faults.connectivity import (
     vertex_connectivity,
 )
 from repro.faults.model import FaultSet
+from repro.topologies.base import Topology
 from repro.topologies.butterfly_cayley import CayleyButterfly
 from repro.topologies.hypercube import Hypercube
 from repro.topologies.hyperdebruijn import HyperDeBruijn
+from repro.topologies.mesh import Mesh
+from repro.topologies.mesh_of_trees import MeshOfTrees
+from repro.topologies.tree import CompleteBinaryTree
+
+
+class _GraphTopology(Topology):
+    """An explicit networkx graph behind the :class:`Topology` interface
+    (not vertex transitive), so Even's algorithm meets arbitrary inputs."""
+
+    def __init__(self, graph: nx.Graph) -> None:
+        self.graph = graph
+        self.name = f"G({graph.number_of_nodes()})"
+
+    @property
+    def num_nodes(self) -> int:
+        return self.graph.number_of_nodes()
+
+    def nodes(self):
+        return iter(self.graph.nodes())
+
+    def neighbors(self, v):
+        return list(self.graph.neighbors(v))
+
+    def has_node(self, v) -> bool:
+        return v in self.graph
 
 
 class TestExactConnectivity:
@@ -31,7 +58,7 @@ class TestExactConnectivity:
         assert vertex_connectivity(b) == 4
         assert is_maximally_fault_tolerant(b)
 
-    @pytest.mark.parametrize(("m", "n"), [(0, 3), (1, 3), (2, 3)])
+    @pytest.mark.parametrize(("m", "n"), [(0, 3), (1, 3), (2, 3), (2, 4), (3, 4)])
     def test_corollary1_hb_kappa_m_plus_4(self, m, n):
         """Corollary 1: kappa(HB(m,n)) = m + 4 — exact, not just witnessed."""
         hb = HyperButterfly(m, n)
@@ -45,6 +72,54 @@ class TestExactConnectivity:
         assert vertex_connectivity(hd) == m + 2
         lo, hi = hd.degree_stats()
         assert m + 2 == lo < hi  # limited by its minimum-degree nodes
+
+
+class TestEvenAgainstNetworkx:
+    """``vertex_connectivity`` (Even's algorithm on the Menger solver)
+    against ``nx.node_connectivity`` on the materialised graph."""
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            HyperButterfly(1, 3),
+            HyperButterfly(2, 3),
+            Mesh(4, 5),
+            CompleteBinaryTree(4),
+            MeshOfTrees(4, 4),
+            HyperDeBruijn(2, 3),
+        ],
+        ids=lambda t: t.name,
+    )
+    def test_families(self, topology):
+        assert vertex_connectivity(topology) == nx.node_connectivity(
+            topology.to_networkx()
+        )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_graphs(self, seed):
+        graph = nx.gnp_random_graph(14, 0.45, seed=seed)
+        assert vertex_connectivity(_GraphTopology(graph)) == nx.node_connectivity(graph)
+
+    def test_separator_holds_the_first_vertices(self):
+        """Two K_5 glued on a 3-vertex separator listed first: the sources
+        inside the separator see no cut, so Even's bound must reach past
+        them."""
+        graph = nx.Graph()
+        graph.add_nodes_from(range(13))
+        left, right, cut = range(3, 8), range(8, 13), range(3)
+        for side in (left, right):
+            for a in [*side, *cut]:
+                for b in [*side, *cut]:
+                    if a < b:
+                        graph.add_edge(a, b)
+        assert vertex_connectivity(_GraphTopology(graph)) == 3 == nx.node_connectivity(graph)
+
+    def test_complete_graph(self):
+        assert vertex_connectivity(_GraphTopology(nx.complete_graph(6))) == 5
+
+    def test_disconnected(self):
+        graph = nx.disjoint_union(nx.cycle_graph(4), nx.cycle_graph(5))
+        assert vertex_connectivity(_GraphTopology(graph)) == 0
 
 
 class TestCertificates:

@@ -44,7 +44,13 @@ class TestFaultSweep:
 
     def test_bench_parameters_pinned(self, hb23):
         """Every field of the bench E6 sweep, captured before the sweep
-        moved onto :class:`ResilientRouter`."""
+        moved onto :class:`ResilientRouter`.
+
+        One disjoint total moved when the Menger solver changed from
+        networkx ``edmonds_karp`` to the rank-native one (7 faults:
+        150 -> 149): both solvers return valid families, but equal-length
+        tails tie-break differently, so the shortest fault-free member of
+        one family differs."""
         results = fault_sweep(
             hb23, range(10), trials=4, pairs_per_trial=10, seed=17
         )
@@ -68,7 +74,7 @@ class TestFaultSweep:
             (4, 4, 10, 40, 40, 40, 151, 148),
             (5, 4, 10, 40, 40, 40, 132, 132),
             (6, 4, 10, 40, 40, 40, 133, 130),
-            (7, 4, 10, 40, 40, 40, 150, 140),
+            (7, 4, 10, 40, 40, 40, 149, 140),
             (8, 4, 10, 40, 40, 40, 143, 141),
             (9, 4, 10, 40, 40, 40, 135, 133),
         ]

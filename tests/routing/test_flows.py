@@ -1,71 +1,85 @@
-"""Max-flow disjoint-path extraction tests."""
+"""Menger solver tests, with networkx ``edmonds_karp`` as the reference."""
 
 from __future__ import annotations
+
+import random
 
 import networkx as nx
 import pytest
 
+from repro.core.hyperbutterfly import HyperButterfly
 from repro.errors import RoutingError
 from repro.routing.base import paths_internally_disjoint, validate_path
 from repro.routing.flows import node_to_set_disjoint_paths, vertex_disjoint_paths
 from repro.topologies.butterfly_cayley import CayleyButterfly
 from repro.topologies.hypercube import Hypercube
+from repro.topologies.mesh import Mesh
+from tests.routing import _nx_menger
 
 
 class TestVertexDisjointPaths:
     def test_matches_local_connectivity(self, rng):
         h = Hypercube(4)
         g = h.to_networkx()
-        nodes = list(g.nodes())
+        nodes = list(h.nodes())
         for _ in range(15):
             u, v = rng.sample(nodes, 2)
-            family = vertex_disjoint_paths(g, u, v)
+            family = vertex_disjoint_paths(h, u, v)
             assert len(family) == nx.connectivity.local_node_connectivity(g, u, v)
             assert paths_internally_disjoint(family)
             for p in family:
                 validate_path(h, p, source=u, target=v)
 
     def test_k_truncates(self):
-        g = Hypercube(4).to_networkx()
-        family = vertex_disjoint_paths(g, 0, 0b1111, k=2)
+        family = vertex_disjoint_paths(Hypercube(4), 0, 0b1111, k=2)
         assert len(family) == 2
 
     def test_k_too_large_raises(self):
-        g = Hypercube(3).to_networkx()
         with pytest.raises(RoutingError):
-            vertex_disjoint_paths(g, 0, 7, k=4)
+            vertex_disjoint_paths(Hypercube(3), 0, 7, k=4)
 
     def test_blocked_nodes_avoided(self):
-        g = Hypercube(3).to_networkx()
-        family = vertex_disjoint_paths(g, 0, 0b111, blocked={0b001})
+        family = vertex_disjoint_paths(Hypercube(3), 0, 0b111, blocked={0b001})
         for p in family:
             assert 0b001 not in p
         assert len(family) == 2  # one neighbor of the source is gone
 
     def test_blocked_endpoint_rejected(self):
-        g = Hypercube(3).to_networkx()
         with pytest.raises(RoutingError):
-            vertex_disjoint_paths(g, 0, 7, blocked={0})
+            vertex_disjoint_paths(Hypercube(3), 0, 7, blocked={0})
 
     def test_same_endpoints_rejected(self):
-        g = Hypercube(3).to_networkx()
         with pytest.raises(RoutingError):
-            vertex_disjoint_paths(g, 1, 1)
+            vertex_disjoint_paths(Hypercube(3), 1, 1)
+
+    def test_missing_endpoint_rejected(self):
+        with pytest.raises(RoutingError):
+            vertex_disjoint_paths(Hypercube(3), 0, 8)
 
     def test_cutoff_still_yields_requested_family(self):
         bf = CayleyButterfly(4)
-        g = bf.to_networkx()
-        family = vertex_disjoint_paths(g, (0, 0), (2, 0b1010), k=4, cutoff=4)
+        family = vertex_disjoint_paths(bf, (0, 0), (2, 0b1010), k=4, cutoff=4)
         assert len(family) == 4
         assert paths_internally_disjoint(family)
+
+    def test_adjacent_endpoints_keep_the_direct_edge(self):
+        family = vertex_disjoint_paths(Hypercube(3), 0, 1)
+        assert [0, 1] in family
+        assert len(family) == 3
+
+    def test_paths_ordered_by_first_hop(self):
+        bf = CayleyButterfly(4)
+        u, v = (0, 0), (2, 0b1010)
+        hops = [p[1] for p in vertex_disjoint_paths(bf, u, v)]
+        order = list(bf.nodes())
+        assert hops == sorted(hops, key=order.index)
 
 
 class TestNodeToSet:
     def test_hypercube_neighbors_to_antipode(self):
         h = Hypercube(4)
-        g = h.to_networkx()
         sources = [1 << i for i in range(4)]
-        family = node_to_set_disjoint_paths(g, sources, 0b1111)
+        family = node_to_set_disjoint_paths(h, sources, 0b1111)
         assert [p[0] for p in family] == sources
         seen = set()
         for p in family:
@@ -76,20 +90,18 @@ class TestNodeToSet:
             validate_path(h, p, target=0b1111)
 
     def test_source_equal_to_target_gets_trivial_path(self):
-        g = Hypercube(3).to_networkx()
-        family = node_to_set_disjoint_paths(g, [0b111, 0b011], 0b111)
+        family = node_to_set_disjoint_paths(Hypercube(3), [0b111, 0b011], 0b111)
         assert family[0] == [0b111]
         assert family[1][0] == 0b011 and family[1][-1] == 0b111
 
     def test_butterfly_neighbors_to_far_node(self, bf4, rng):
-        g = bf4.to_networkx()
         for _ in range(10):
             target = rng.choice(list(bf4.nodes()))
             anchor = rng.choice(list(bf4.nodes()))
             sources = bf4.neighbors(anchor)
             if target in sources or target == anchor:
                 continue
-            family = node_to_set_disjoint_paths(g, sources, target)
+            family = node_to_set_disjoint_paths(bf4, sources, target)
             assert len(family) == 4
             seen = set()
             for p in family:
@@ -98,27 +110,88 @@ class TestNodeToSet:
                     seen.add(x)
 
     def test_paths_never_pass_through_other_sources(self):
-        g = Hypercube(4).to_networkx()
         sources = [1, 2, 4, 8]
-        family = node_to_set_disjoint_paths(g, sources, 0b1111)
+        family = node_to_set_disjoint_paths(Hypercube(4), sources, 0b1111)
         for i, p in enumerate(family):
             for j, s in enumerate(sources):
                 if i != j:
                     assert s not in p
 
     def test_duplicate_sources_rejected(self):
-        g = Hypercube(3).to_networkx()
         with pytest.raises(RoutingError):
-            node_to_set_disjoint_paths(g, [1, 1], 7)
+            node_to_set_disjoint_paths(Hypercube(3), [1, 1], 7)
 
     def test_infeasible_raises(self):
         # a path graph cannot route 2 disjoint paths into its end vertex
-        g = nx.path_graph(5)
-        with pytest.raises(RoutingError):
-            node_to_set_disjoint_paths(g, [0, 2], 4)
+        path5 = Mesh(1, 5)
+        with pytest.raises(RoutingError, match="only 1 of 2"):
+            node_to_set_disjoint_paths(path5, [(0, 0), (0, 2)], (0, 4))
 
     def test_blocked_respected(self):
-        g = Hypercube(3).to_networkx()
-        family = node_to_set_disjoint_paths(g, [1, 2], 7, blocked={5})
+        family = node_to_set_disjoint_paths(Hypercube(3), [1, 2], 7, blocked={5})
         for p in family:
             assert 5 not in p
+
+
+# -- property grid against the networkx reference ---------------------------
+
+GRID = [Hypercube(4), CayleyButterfly(4), HyperButterfly(1, 3), HyperButterfly(2, 3)]
+
+
+def _blocked_sample(rng, nodes, keep, most):
+    others = [x for x in nodes if x not in keep]
+    return set(rng.sample(others, rng.randint(0, most)))
+
+
+def _check_family(topology, family, sources, target, blocked):
+    for p, s in zip(family, sources, strict=True):
+        validate_path(topology, p, source=s, target=target, simple=True)
+        assert blocked.isdisjoint(p)
+    interiors = [x for p in family for x in p[:-1]]
+    assert len(interiors) == len(set(interiors))
+
+
+@pytest.mark.parametrize("topology", GRID, ids=lambda t: t.name)
+class TestAgainstReference:
+    def test_family_size_is_local_connectivity(self, topology):
+        rng = random.Random(17)
+        g = topology.to_networkx()
+        nodes = list(topology.nodes())
+        for _ in range(40):
+            u, v = rng.sample(nodes, 2)
+            blocked = _blocked_sample(rng, nodes, (u, v), topology.degree(u) - 1)
+            family = vertex_disjoint_paths(topology, u, v, blocked=blocked)
+            h = g.subgraph(x for x in nodes if x not in blocked)
+            assert len(family) == nx.connectivity.local_node_connectivity(h, u, v)
+            reference = _nx_menger.vertex_disjoint_paths(g, u, v, blocked=blocked)
+            assert len(family) == len(reference)
+            assert paths_internally_disjoint(family)
+            for p in family:
+                validate_path(topology, p, source=u, target=v, simple=True)
+                assert blocked.isdisjoint(p)
+
+    def test_node_to_set_feasible_exactly_when_reference_is(self, topology):
+        rng = random.Random(23)
+        g = topology.to_networkx()
+        nodes = list(topology.nodes())
+        outcomes = set()
+        for _ in range(40):
+            target = rng.choice(nodes)
+            sources = rng.sample([x for x in nodes if x != target], rng.randint(1, 4))
+            # crowd the target so that some draws leave too few entries
+            near = [x for x in topology.neighbors(target) if x not in sources]
+            blocked = set(rng.sample(near, rng.randint(0, len(near))))
+            blocked |= _blocked_sample(rng, nodes, (target, *sources), 2)
+            try:
+                _nx_menger.node_to_set_disjoint_paths(g, sources, target, blocked=blocked)
+                feasible = True
+            except RoutingError:
+                feasible = False
+            outcomes.add(feasible)
+            if not feasible:
+                with pytest.raises(RoutingError):
+                    node_to_set_disjoint_paths(topology, sources, target, blocked=blocked)
+                continue
+            family = node_to_set_disjoint_paths(topology, sources, target, blocked=blocked)
+            _check_family(topology, family, sources, target, blocked)
+        assert outcomes == {True, False}  # the grid reaches both verdicts
