@@ -141,6 +141,7 @@ class DistanceOracle:
         self._right: DistanceOracle | None = None
         self._left_index: tuple[int, ...] = ()
         self._right_index: tuple[int, ...] = ()
+        self._word_table: tuple[np.ndarray, np.ndarray] | None = None
         if backend == "auto":
             split = _split_product_generators(group, gens)
             if split is not None:
@@ -290,6 +291,9 @@ class DistanceOracle:
         level instead of per-element backtracking).  Product oracles raise:
         callers go through :meth:`factor_split` and concatenate factor
         words themselves.
+
+        Built once per oracle and cached; both arrays are read-only so
+        no caller can corrupt the cache.
         """
         import numpy as np
 
@@ -297,6 +301,8 @@ class DistanceOracle:
             raise InvalidParameterError(
                 "product oracle has no single word table; use factor_split()"
             )
+        if self._word_table is not None:
+            return self._word_table
         if self._dist_arr is not None:
             dist = np.asarray(self._dist_arr, dtype=np.int64)
             via = np.asarray(self._via_arr, dtype=np.int64)
@@ -337,7 +343,10 @@ class DistanceOracle:
                 words[sel, : d - 1] = words[parent[sel], : d - 1]
             # generator indices are tiny; the int16 narrowing is lossless
             words[sel, d - 1] = via[sel].astype(np.int16)
-        return words, dist
+        words.flags.writeable = False
+        dist.flags.writeable = False
+        self._word_table = (words, dist)
+        return self._word_table
 
     def distance(self, u: Hashable, v: Hashable) -> int:
         """Exact distance between arbitrary vertices ``u`` and ``v``."""

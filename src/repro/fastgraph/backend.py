@@ -44,7 +44,7 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
 
-from repro.errors import DisconnectedError, InvalidParameterError
+from repro.errors import DisconnectedError, InvalidLabelError, InvalidParameterError
 
 if TYPE_CHECKING:  # runtime imports stay lazy (numpy optional, cycle-free)
     import numpy as np
@@ -253,10 +253,15 @@ class FastGraph:
         The workhorse of structure-fault diameter sweeps: the max distance
         among *reached survivors* and how many survivors were reached
         (source included), without materialising a label dict.  Blocked
-        nodes are never counted.  On the implicit substrate this runs in
-        ``O(num_nodes / 8)`` memory, keeping ``HB(9,11)``-class masked
-        eccentricities in reach.
+        nodes are never counted: a blocked ``source`` raises
+        :class:`~repro.errors.InvalidLabelError`, as
+        :meth:`~repro.topologies.base.Topology.bfs_distances` does.  On the
+        implicit substrate this runs in ``O(num_nodes / 8)`` memory,
+        keeping ``HB(9,11)``-class masked eccentricities in reach.
         """
+        blocked = frozenset(blocked or ())
+        if source in blocked:
+            raise InvalidLabelError("source node is blocked")
         if self.select_backend(backend) == "implicit":
             from repro.fastgraph.implicit import implicit_source_stats
 

@@ -222,6 +222,9 @@ class ButterflyElementCodec(NodeCodec):
         n = self.n
         word_mask = (1 << n) - 1
         dx, dc = gen
+        if dx == 0 and dc == 0:
+            # the identity — a hyper-butterfly cube generator's fly part
+            return idx
         x = idx >> n
         c = idx & word_mask
         x2 = (x + dx) % n
@@ -337,12 +340,23 @@ class ProductCodec(NodeCodec):
         return self.left.supports_implicit() and self.right.supports_implicit()
 
     def neighbors_block(self, idx: np.ndarray) -> np.ndarray:
+        import numpy as np
+
+        if self.generators:
+            # apply_generator per column, with the factor split done once
+            nr = self.right.num_nodes
+            a, b = np.divmod(idx, nr)
+            left, right = self.left, self.right
+            return np.column_stack(
+                [
+                    left.apply_generator(a, ga) * nr + right.apply_generator(b, gb)
+                    for ga, gb in self.generators
+                ]
+            )
         if self.generators is not None:
             return super().neighbors_block(idx)
         # Cartesian combination — left-factor moves first, then right-factor
         # moves, matching both CartesianProduct.neighbors and neighbor_table.
-        import numpy as np
-
         nr = self.right.num_nodes
         a, b = np.divmod(idx, nr)
         lb = self.left.neighbors_block(a)

@@ -10,6 +10,8 @@ frontier via :meth:`~repro.fastgraph.codecs.NodeCodec.neighbors_block`
 and discards it again.  Peak memory is
 
 * one packed :class:`Bitset` of visited nodes — ``num_nodes / 8`` bytes,
+  plus, on levels without attribution, one ``num_nodes / 8``-byte
+  snapshot of it per level,
 * the frontier rank array and a bounded ``slice × degree`` gather buffer
   (the frontier is expanded in slices of :func:`default_slice_nodes`
   ranks), and
@@ -17,6 +19,18 @@ and discards it again.  Peak memory is
   (:func:`implicit_bfs_levels`); the sweep statistics kernels
   (:func:`implicit_source_stats`, :func:`implicit_sweep_chunk`) never
   allocate per-node output and run in ``O(num_nodes / 8)`` memory.
+
+Two level expansions share that layout:
+
+* **no attribution** (:func:`implicit_source_stats`,
+  :func:`implicit_sweep_chunk`, dist-only :func:`implicit_bfs_levels`) —
+  snapshot the bitset words, mark every valid candidate, and read the
+  next frontier off the words that changed: ascending rank order with no
+  sort and no ``np.unique``;
+* **origins** (``want_parents`` / ``want_via``: the
+  :class:`~repro.cayley.graph.DistanceOracle` fill and shortest paths) —
+  test the candidates against the bitset, keep the first occurrence of
+  each fresh rank with ``np.unique``, and mark those.
 
 Bit-identity contract: for any codec whose ``neighbors_block`` rows list
 valid entries in CSR row order (all built-in codecs), every kernel here
@@ -27,8 +41,8 @@ and depth histograms.  ``tests/fastgraph/test_implicit.py`` pins this
 across the family grid, including fault-masked subsets.
 
 When :mod:`numba` is importable (the optional ``repro[speed]`` extra) a
-jitted fused test-and-set kernel replaces the numpy
-test/unique/mark sequence — auto-detected at import, disabled with
+jitted fused test-and-set kernel replaces the numpy test/unique/mark
+sequence of the origins levels — auto-detected at import, disabled with
 ``REPRO_IMPLICIT_NUMBA=0``, and bit-identical to the numpy path by
 construction (both resolve duplicate candidates to their first
 occurrence and sort each new frontier).
@@ -37,7 +51,6 @@ occurrence and sort each new frontier).
 from __future__ import annotations
 
 import os
-from typing import Callable
 
 import numpy as np
 
@@ -123,6 +136,18 @@ class Bitset:
         bits = np.uint64(1) << (idx & 63).astype(np.uint64)
         np.bitwise_or.at(self.words, idx >> 6, bits)
 
+    def new_since(self, snapshot: np.ndarray) -> np.ndarray:
+        """Ascending ranks set now but clear in ``snapshot``, an earlier
+        copy of :attr:`words` (bits are only ever set, never cleared)."""
+        changed = self.words ^ snapshot
+        hot = np.flatnonzero(changed)
+        # little-endian bytes, little-endian bits: column j is bit j
+        bits = np.unpackbits(
+            changed[hot].astype("<u8", copy=False).view(np.uint8), bitorder="little"
+        ).reshape(hot.size, 64)
+        rows, cols = np.nonzero(bits)
+        return hot[rows] * 64 + cols
+
     def count(self) -> int:
         """Number of set bits."""
         # dtype pinned: a bare .sum() accumulates in the platform integer
@@ -150,27 +175,45 @@ def _fresh_in_slice(
     return uniq, unseen[first]
 
 
-def _expand_level(
+def _level(
+    codec: NodeCodec, frontier: np.ndarray, bitset: Bitset, *, slice_nodes: int
+) -> np.ndarray:
+    """Expand one BFS level without attribution; returns the next frontier.
+
+    Every valid candidate of every slice is marked, visited or not
+    (re-marking a set bit is a no-op), and the fresh ranks are read off
+    the words that changed since a snapshot taken at level start.  That
+    read walks words and bits in rank order, so the next frontier comes
+    out ascending — the CSR kernel's ``np.unique`` frontier — with no sort.
+    """
+    snapshot = bitset.words.copy()
+    for lo in range(0, len(frontier), slice_nodes):
+        flat = codec.neighbors_block(frontier[lo : lo + slice_nodes]).ravel()
+        if bool((flat < 0).any()):
+            flat = flat[flat >= 0]
+        bitset.set_bits(flat)
+    return bitset.new_since(snapshot)
+
+
+def _level_with_origins(
     codec: NodeCodec,
     frontier: np.ndarray,
     bitset: Bitset,
     *,
     slice_nodes: int,
-    want_origins: bool,
     use_numba: bool,
-    on_fresh: Callable[[np.ndarray, np.ndarray | None, np.ndarray | None], None],
-) -> tuple[np.ndarray, int]:
-    """Expand one BFS level slice by slice; returns ``(next frontier, newly)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expand one BFS level with attribution → ``(frontier, origins, columns)``.
 
-    ``on_fresh(news, origins, columns)`` is invoked per slice with the
-    newly visited ranks, the frontier ranks they were reached from, and
-    the neighbor-block column (generator index) used — the latter two are
-    ``None`` unless ``want_origins``.  The next frontier is the ascending
-    sort of all news, which keeps the flattened gather order of the *next*
-    level identical to the CSR kernel's ``np.unique`` frontier.
+    Row ``i`` says that ``frontier[i]`` (ascending) was first reached from
+    frontier rank ``origins[i]`` through neighbor-block column
+    ``columns[i]`` (the generator index, for generator codecs).  "First"
+    is the first occurrence in the frontier-major flattened neighbor
+    order — the CSR kernel's parent rule.
     """
-    parts: list[np.ndarray] = []
-    newly = 0
+    news_parts: list[np.ndarray] = []
+    origin_parts: list[np.ndarray] = []
+    column_parts: list[np.ndarray] = []
     for lo in range(0, len(frontier), slice_nodes):
         part = frontier[lo : lo + slice_nodes]
         block = codec.neighbors_block(part)
@@ -185,22 +228,24 @@ def _expand_level(
         news, keep = _fresh_in_slice(bitset, flat, use_numba=use_numba)
         if news.size == 0:
             continue
-        newly += int(news.size)
-        parts.append(news)
-        if want_origins:
-            if valid is not None:
-                keep = valid[keep]
-            origins = part[keep // width]
-            columns = keep % width
-            on_fresh(news, origins, columns)
-        else:
-            on_fresh(news, None, None)
-    if not parts:
-        return np.zeros(0, dtype=np.int64), 0
-    if len(parts) == 1 and not use_numba:
-        return parts[0], newly  # already sorted by np.unique
-    merged = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    return np.sort(merged), newly
+        if valid is not None:
+            keep = valid[keep]
+        news_parts.append(news)
+        origin_parts.append(part[keep // width])
+        column_parts.append(keep % width)
+    if not news_parts:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    if len(news_parts) == 1 and not use_numba:
+        # already ascending: np.unique sorts
+        return news_parts[0], origin_parts[0], column_parts[0]
+    news = np.concatenate(news_parts)
+    order = np.argsort(news)  # slices never share a fresh rank
+    return (
+        news[order],
+        np.concatenate(origin_parts)[order],
+        np.concatenate(column_parts)[order],
+    )
 
 
 def _seed_bitset(
@@ -244,32 +289,21 @@ def implicit_bfs_levels(
     depth = 0
     slice_nodes = slice_nodes or default_slice_nodes()
     use_numba = numba_enabled()
-    def on_fresh(
-        news: np.ndarray,
-        origins: np.ndarray | None,
-        columns: np.ndarray | None,
-    ) -> None:
-        # called synchronously inside _expand_level, so it reads the
-        # current level's ``depth`` from the enclosing scope
-        dist[news] = depth
-        if parents is not None and origins is not None:
-            parents[news] = origins
-        if via is not None and columns is not None:
-            via[news] = columns
-
     while frontier.size:
         if target is not None and dist[target] >= 0:
             break
         depth += 1
-        frontier, _ = _expand_level(
-            codec,
-            frontier,
-            bitset,
-            slice_nodes=slice_nodes,
-            want_origins=want_parents or want_via,
-            use_numba=use_numba,
-            on_fresh=on_fresh,
-        )
+        if parents is None and via is None:
+            frontier = _level(codec, frontier, bitset, slice_nodes=slice_nodes)
+        else:
+            frontier, origins, columns = _level_with_origins(
+                codec, frontier, bitset, slice_nodes=slice_nodes, use_numba=use_numba
+            )
+            if parents is not None:
+                parents[frontier] = origins
+            if via is not None:
+                via[frontier] = columns
+        dist[frontier] = depth
     return dist, parents, via
 
 
@@ -290,41 +324,20 @@ def implicit_source_stats(
     """
     bitset = _seed_bitset(codec, source, forbidden)
     frontier = np.array([source], dtype=np.int64)
-    depth = 0
-    reached = 1
     depth_counts: dict[int, int] = {}
     slice_nodes = slice_nodes or default_slice_nodes()
-    use_numba = numba_enabled()
-
-    def on_fresh(
-        news: np.ndarray,
-        origins: np.ndarray | None,
-        columns: np.ndarray | None,
-    ) -> None:
-        pass  # counts are taken from _expand_level's newly total
-
-    while frontier.size:
-        depth += 1
-        frontier, newly = _expand_level(
-            codec,
-            frontier,
-            bitset,
-            slice_nodes=slice_nodes,
-            want_origins=False,
-            use_numba=use_numba,
-            on_fresh=on_fresh,
-        )
-        if newly:
-            depth_counts[depth] = newly
-            reached += newly
-    return max(depth_counts) if depth_counts else 0, depth_counts, reached
+    while True:
+        frontier = _level(codec, frontier, bitset, slice_nodes=slice_nodes)
+        if not frontier.size:
+            break
+        depth_counts[len(depth_counts) + 1] = int(frontier.size)
+    return len(depth_counts), depth_counts, 1 + sum(depth_counts.values())
 
 
 def implicit_sweep_chunk(
     codec: NodeCodec,
     chunk: np.ndarray,
     *,
-    forbidden: np.ndarray | None = None,
     slice_nodes: int | None = None,
 ) -> tuple[np.ndarray, dict[int, int], bool]:
     """Per-source BFS over the ``chunk`` source ranks, reduced like
@@ -341,13 +354,12 @@ def implicit_sweep_chunk(
     eccentricities = np.zeros(len(chunk), dtype=np.int64)
     depth_counts: dict[int, int] = {}
     all_visited = True
-    total = codec.num_nodes - (len(forbidden) if forbidden is not None else 0)
     for i, source in enumerate(chunk):
         ecc, counts, reached = implicit_source_stats(
-            codec, int(source), forbidden=forbidden, slice_nodes=slice_nodes
+            codec, int(source), slice_nodes=slice_nodes
         )
         eccentricities[i] = ecc
         for depth, newly in counts.items():
             depth_counts[depth] = depth_counts.get(depth, 0) + newly
-        all_visited = all_visited and reached == total
+        all_visited = all_visited and reached == codec.num_nodes
     return eccentricities, depth_counts, all_visited

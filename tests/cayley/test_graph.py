@@ -189,6 +189,18 @@ class TestDistanceOracle:
                 v = cg.gens.apply(v, i)
             assert v == delta
 
+    @pytest.mark.parametrize("backend", ["implicit", "python"])
+    def test_word_table_is_cached_and_read_only(self, backend):
+        cg = butterfly_graph(3)
+        oracle = DistanceOracle(cg.group, cg.gens, backend=backend)
+        words, dist = oracle.word_table()
+        again = oracle.word_table()
+        assert again[0] is words and again[1] is dist
+        with pytest.raises(ValueError):
+            words[0, 0] = 1
+        with pytest.raises(ValueError):
+            dist[0] = 1
+
     def test_invalid_label_raises(self):
         oracle = cube_graph(2).oracle
         with pytest.raises(InvalidLabelError):

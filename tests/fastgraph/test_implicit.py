@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from repro.core.hyperbutterfly import HyperButterfly
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidLabelError, InvalidParameterError
 from repro.fastgraph.backend import FastGraph, get_fastgraph, implicit_threshold
+from repro.fastgraph.codecs import ButterflyElementCodec
 from repro.fastgraph.implicit import (
     HAVE_NUMBA,
     Bitset,
@@ -91,6 +92,51 @@ class TestBitset:
         with pytest.raises(InvalidParameterError):
             Bitset(-1)
 
+    def test_new_since_reads_fresh_bits_ascending(self):
+        bits = Bitset(130)
+        bits.set_bits(np.array([5, 65], dtype=np.int64))
+        snapshot = bits.words.copy()
+        # word 0 edges (0, 63), word 1's first bit (64), the last bit of a
+        # size that is no multiple of 64 (129); 5 and 65 are already set
+        bits.set_bits(np.array([129, 63, 64, 0, 5, 65, 63], dtype=np.int64))
+        fresh = bits.new_since(snapshot)
+        assert fresh.dtype == np.int64
+        assert fresh.tolist() == [0, 63, 64, 129]
+
+    def test_new_since_empty_diff(self):
+        bits = Bitset(130)
+        bits.set_bits(np.array([1, 100], dtype=np.int64))
+        snapshot = bits.words.copy()
+        bits.set_bits(np.array([100], dtype=np.int64))
+        assert bits.new_since(snapshot).size == 0
+        assert Bitset(0).new_since(np.zeros(0, dtype=np.uint64)).size == 0
+
+    def test_new_since_random_sets_ascending(self):
+        rng = np.random.default_rng(11)
+        bits = Bitset(1000)
+        before = rng.integers(0, 1000, size=200)
+        bits.set_bits(before)
+        snapshot = bits.words.copy()
+        after = rng.integers(0, 1000, size=300)
+        bits.set_bits(after)
+        expected = np.setdiff1d(after, before)  # sorted, unique
+        assert np.array_equal(bits.new_since(snapshot), expected)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_butterfly_identity_short_circuit_matches_formula(n):
+    """Generator ``(0, 0)`` returns ``idx`` itself, which the rotate
+    formula it skips agrees with; generators next to it still rotate."""
+    codec = ButterflyElementCodec(n)
+    idx = np.arange(codec.num_nodes, dtype=np.int64)
+    word_mask = (1 << n) - 1
+    x, c = idx >> n, idx & word_mask
+    for dx, dc in [(0, 0), (0, 1), (0, 1 << (n - 1)), (1, 0), (n - 1, 1)]:
+        rotated = ((dc << x) | (dc >> (n - x))) & word_mask
+        formula = (((x + dx) % n) << n) | (c ^ rotated)
+        assert np.array_equal(codec.apply_generator(idx, (dx, dc)), formula)
+    assert codec.apply_generator(idx, (0, 0)) is idx
+
 
 @pytest.mark.parametrize("topology", GRID, ids=lambda t: t.name)
 class TestImplicitMatchesCSR:
@@ -122,6 +168,7 @@ class TestImplicitMatchesCSR:
         assert via[source] == -1 and parents[source] == -1
 
     def test_fault_masked_distances_identical(self, topology):
+        """Dist-only levels and the stats kernel under seeded fault masks."""
         fast = _fast(topology)
         n = fast.codec.num_nodes
         rng = random.Random(7)
@@ -132,10 +179,18 @@ class TestImplicitMatchesCSR:
             mask[faulty] = True
             forbidden = np.array(sorted(faulty), dtype=np.int64)
             ref_dist, _ = bfs_levels(fast.csr, source, forbidden=mask)
-            dist, _, _ = implicit_bfs_levels(
-                fast.codec, source, forbidden=forbidden, slice_nodes=TINY_SLICE
-            )
-            assert np.array_equal(dist, ref_dist)
+            counts = np.bincount(ref_dist[ref_dist > 0])
+            for slice_nodes in (TINY_SLICE, default_slice_nodes()):
+                dist, _, _ = implicit_bfs_levels(
+                    fast.codec, source, forbidden=forbidden, slice_nodes=slice_nodes
+                )
+                assert np.array_equal(dist, ref_dist)
+                ecc, depth_counts, reached = implicit_source_stats(
+                    fast.codec, source, forbidden=forbidden, slice_nodes=slice_nodes
+                )
+                assert ecc == int(ref_dist.max())
+                assert reached == int((ref_dist >= 0).sum())
+                assert depth_counts == {d: int(c) for d, c in enumerate(counts) if c}
 
     def test_target_early_exit_identical(self, topology):
         fast = _fast(topology)
@@ -250,6 +305,18 @@ class TestTopologyBackendKwarg:
             topology.bfs_distances(source, backend="implicit")
         with pytest.raises(InvalidParameterError):
             topology.eccentricity(source, backend="csr")
+
+    @pytest.mark.parametrize("backend", ["csr", "implicit"])
+    def test_blocked_source_rejected(self, backend):
+        fast = _fast(HyperButterfly(2, 3))
+        nodes = list(fast.topology.nodes())
+        blocked = set(nodes[:3])
+        with pytest.raises(InvalidLabelError, match="source node is blocked"):
+            fast.masked_source_stats(nodes[1], blocked=blocked, backend=backend)
+        with pytest.raises(InvalidLabelError, match="source node is blocked"):
+            fast.reachable_count(nodes[1], blocked=blocked, backend=backend)
+        # a survivor source counts survivors only
+        assert fast.reachable_count(nodes[5], blocked=blocked, backend=backend) == 93
 
     def test_source_histogram_backends_agree(self):
         fast = _fast(HyperButterfly(2, 3))
