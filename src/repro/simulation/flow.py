@@ -14,9 +14,11 @@ array arithmetic, at cost ``O(flows arriving this tick)`` per tick:
   for the hyper-de Bruijn baseline, a bit-scatter e-cube builder for the
   hypercube, and a per-pair python fallback for everything else.
 * **Dynamics** (:class:`FlowEngine`) replay the event simulator's
-  fire-and-forget store-and-forward model tick-synchronously: per-link
-  occupancy is aggregated with sort + ``np.unique`` group-bys (the
-  scatter-add analogue of ``np.bincount`` on packed directed link ids),
+  fire-and-forget store-and-forward model tick-synchronously: each tick's
+  sends are grouped by packed directed link id with one unstable sort,
+  forwarder order is restored inside each link by one sort of the packed
+  key ``group * sends + forwarder index`` (the scatter-add analogue of
+  ``np.bincount`` on link ids, canonical however the sort breaks ties),
   transmission slots are handed out capacity-limited per link, and fault
   fail/repair events replay the depth-counted
   :class:`repro.faults.dynamic.FaultState` epochs as vectorized masks.
@@ -31,8 +33,11 @@ every event lands on an integer tick and no event schedules another event
 at its own tick, so processing whole ticks in event order is exact; within
 a tick the event queue orders fault events before injections before hop
 completions (scheduling order), and hop completions by the order their
-sends were processed — reproduced here by per-flow *stamps* (injection
-index, then a global send counter) that sort each tick's arrivals.
+sends were processed.  A tick's bucket holds exactly that order without
+any per-flow bookkeeping: its injection chunk (ascending flow ids) is
+pushed first, later chunks are pushed in increasing processing tick, and
+each tick pushes its arrivals per finish tick in forwarder order — which
+is processing order.
 Capacity/latency link classes beyond the unit model generalize the event
 simulator rather than mirror it (it has no capacity notion).
 """
@@ -533,18 +538,30 @@ class FlowEngine:
         self.ttl = ttl
         self._num_nodes = codec.num_nodes
         flows = traffic.num_flows
+        if self.routes.num_flows != flows:
+            raise InvalidParameterError(
+                f"route block has {self.routes.num_flows} flows, "
+                f"traffic has {flows}"
+            )
+        if codec.num_nodes != topology.num_nodes:
+            raise InvalidParameterError(
+                f"route block ranks {codec.num_nodes} nodes, "
+                f"{topology.name} has {topology.num_nodes}"
+            )
+        if not np.array_equal(self.routes.sources, traffic.sources):
+            raise InvalidParameterError(
+                "route block sources differ from the traffic sources"
+            )
         _validated(codec, traffic.sources, traffic.targets)
         if flows and int(traffic.inject_at.min()) < 0:
             raise InvalidParameterError("injection ticks must be >= 0")
         config = link_config if link_config is not None else LinkConfig()
         self._lat_by_gen, self._cap_by_gen = config.resolve(self.routes.gen_names)
-        # per-flow state: position (== attempted hops), current node, the
-        # node the last hop left from, and the event-order stamp
+        # per-flow state: position (== attempted hops), current node and
+        # the node the last hop left from
         self._pos = np.zeros(flows, dtype=np.int64)
         self._cur = traffic.sources.astype(np.int64, copy=True)
         self._came_from = np.full(flows, -1, dtype=np.int64)
-        self._stamp = np.arange(flows, dtype=np.int64)
-        self._stamp_counter = flows
         self.delivered_at = np.full(flows, -1, dtype=np.int64)
         self.drop_code = np.zeros(flows, dtype=np.int8)
         self.drop_at = np.full(flows, -1, dtype=np.int64)
@@ -553,7 +570,8 @@ class FlowEngine:
         self._link_depth: dict[int, int] = {}
         self._faulty_links = np.zeros(0, dtype=np.int64)
         self._links_dirty = False
-        for v in dict.fromkeys(faults):  # ordered de-duplication
+        static_nodes = dict.fromkeys(faults)  # ordered de-duplication
+        for v in static_nodes:
             topology.validate_node(v)
             self._node_depth[codec.rank(v)] += 1
         for u, v in link_faults:
@@ -578,6 +596,10 @@ class FlowEngine:
                 self._events.append(
                     (event.time, event.action, event.kind, packed)
                 )
+        # decided from the inputs, not by scanning the per-node depths
+        self._node_faults_possible = bool(static_nodes) or any(
+            kind == "node" for _, _, kind, _ in self._events
+        )
         # per-directed-link busy-until ticks, kept as sorted parallel arrays
         self._busy_ids = np.zeros(0, dtype=np.int64)
         self._busy_free = np.zeros(0, dtype=np.int64)
@@ -672,10 +694,11 @@ class FlowEngine:
                 self._drop(ids[bad], _DROP_LINK, tick)
                 alive &= ~bad
         # 2. node fault at the arrival node
-        bad = alive & (self._node_depth[cur] > 0)
-        if bad.any():
-            self._drop(ids[bad], _DROP_NODE, tick)
-            alive &= ~bad
+        if self._node_faults_possible:
+            bad = alive & (self._node_depth[cur] > 0)
+            if bad.any():
+                self._drop(ids[bad], _DROP_NODE, tick)
+                alive &= ~bad
         # 3. delivery
         done = alive & (cur == self.traffic.targets[ids])
         if done.any():
@@ -692,72 +715,83 @@ class FlowEngine:
         if bad.any():
             self._drop(ids[bad], _DROP_NOROUTE, tick)
             alive &= ~bad
+        # forwarders stay in processing order — the event queue's order
         forwarders = ids[alive]
-        if not len(forwarders):
+        k = len(forwarders)
+        if not k:
             return
         fpos = pos[alive]
         here = cur[alive]
         nxt = self.routes.hops[forwarders, fpos]
-        # stamps in processing order — the event queue's insertion order
-        self._stamp[forwarders] = self._stamp_counter + np.arange(
-            len(forwarders), dtype=np.int64
-        )
-        self._stamp_counter += len(forwarders)
         if self.routes.gen_idx is not None:
             gi = self.routes.gen_idx[forwarders, fpos]
         else:
-            gi = np.full(len(forwarders), -1, dtype=np.int64)
+            gi = np.full(k, -1, dtype=np.int64)
         lat = self._lat_by_gen[gi]
         cap = self._cap_by_gen[gi]
-        # capacity-limited slot assignment, grouped by directed link
+        # group by directed link: an unstable sort, group flags from
+        # adjacent differences, then forwarder order restored inside each
+        # link by sorting the unique key grp * k + index (< k**2)
         link = here * n + nxt
-        order = np.argsort(link, kind="stable")  # stamp order within a link
+        order = np.argsort(link)
         link_s = link[order]
+        flags = np.empty(k + 1, dtype=bool)
+        flags[0] = flags[k] = True
+        np.not_equal(link_s[1:], link_s[:-1], out=flags[1:k])
+        bounds = np.flatnonzero(flags)
+        first = bounds[:-1]
+        counts = bounds[1:] - first
+        grp = np.cumsum(flags[:k]) - 1
+        if len(first) < k:  # some link carries several sends
+            order = np.sort(grp * k + order) % k
+        uniq = link_s[first]
         lat_s = lat[order]
-        uniq, first, counts = np.unique(
-            link_s, return_index=True, return_counts=True
-        )
         lat_u = lat_s[first]
-        cap_u = cap[order][first]
+        cap_u = cap[order[first]]
         base = np.full(len(uniq), tick, dtype=np.int64)
-        if self._busy_ids.size:
-            hit = _in_sorted(self._busy_ids, uniq)
-            pos_b = np.minimum(
-                np.searchsorted(self._busy_ids, uniq), self._busy_ids.size - 1
-            )
-            base = np.maximum(base, np.where(hit, self._busy_free[pos_b], tick))
-        offsets = np.arange(len(link_s), dtype=np.int64) - np.repeat(first, counts)
-        start = np.repeat(base, counts) + (
-            offsets // np.repeat(cap_u, counts)
-        ) * lat_s
-        finish = start + lat_s
+        busy = self._busy_ids
+        if busy.size:
+            at = np.minimum(np.searchsorted(busy, uniq), busy.size - 1)
+            hit = busy[at] == uniq
+            hit_at = at[hit]
+            base[hit] = np.maximum(self._busy_free[hit_at], tick)
+        offsets = np.arange(k, dtype=np.int64) - first[grp]
+        finish = base[grp] + (offsets // cap_u[grp] + 1) * lat_s
         new_free = base + ((counts + cap_u - 1) // cap_u) * lat_u
         # merge the busy set: entries for links used this tick are replaced,
         # entries already free at or before this tick can never matter again
-        if self._busy_ids.size:
-            keep = (self._busy_free > tick) & ~_in_sorted(uniq, self._busy_ids)
-            merged_ids = np.concatenate((self._busy_ids[keep], uniq))
+        if busy.size:
+            keep = self._busy_free > tick
+            keep[hit_at] = False
+            merged_ids = np.concatenate((busy[keep], uniq))
             merged_free = np.concatenate((self._busy_free[keep], new_free))
-            merge_order = np.argsort(merged_ids, kind="stable")
+            merge_order = np.argsort(merged_ids)  # ids are unique
             self._busy_ids = merged_ids[merge_order]
             self._busy_free = merged_free[merge_order]
         else:
             self._busy_ids = uniq
             self._busy_free = new_free
-        # advance flow state and schedule the arrivals
+        # advance flow state and schedule the arrivals, one chunk per finish
+        # tick, each in forwarder order
         self._came_from[forwarders] = here
         self._cur[forwarders] = nxt
         self._pos[forwarders] = fpos + 1
-        moved = forwarders[order]
-        fin_order = np.argsort(finish, kind="stable")
-        fin_sorted = finish[fin_order]
-        moved_sorted = moved[fin_order]
-        cuts = np.flatnonzero(np.diff(fin_sorted)) + 1
-        starts = np.concatenate((np.zeros(1, dtype=np.int64), cuts))
-        for chunk, when in zip(
-            np.split(moved_sorted, cuts), fin_sorted[starts], strict=True
-        ):
-            self._push(int(when), chunk)
+        fin = np.empty(k, dtype=np.int64)
+        fin[order] = finish
+        lo, hi = int(fin.min()), int(fin.max())
+        if lo == hi:
+            self._push(lo, forwarders)
+            return
+        delay = fin - lo
+        if hi - lo <= np.iinfo(np.int16).max:
+            delay = delay.astype(np.int16)  # stable sort is a radix sort
+        fin_order = np.argsort(delay, kind="stable")
+        delay_s = delay[fin_order]
+        moved = forwarders[fin_order]
+        cuts = np.flatnonzero(delay_s[1:] != delay_s[:-1]) + 1
+        edges = [0, *cuts.tolist(), k]
+        for a, b in zip(edges, edges[1:]):
+            self._push(lo + int(delay_s[a]), moved[a:b])
 
     # -- driving -----------------------------------------------------------
 
@@ -773,9 +807,9 @@ class FlowEngine:
                 break
             heapq.heappop(self._heap)
             chunks = self._buckets.pop(tick)
+            # chunks are in event order already (see the module docstring)
             ids = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
             self._apply_faults_until(tick)
-            ids = ids[np.argsort(self._stamp[ids], kind="stable")]
             self._step(ids, tick)
             self.ticks_processed += 1
             if max_ticks is not None and self.ticks_processed >= max_ticks:

@@ -5,11 +5,13 @@ link model the engine must reproduce the discrete-event simulator flow
 for flow — same delivery tick, same hop count, same drop reason — across
 every topology family, fault regime, TTL and arrival pacing.  Everything
 else (capacity queueing, latency classes) generalizes the event model
-and is checked against closed-form expectations.
+and is checked against a small pure-Python per-link FIFO reference.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
 
 import numpy as np
@@ -221,6 +223,36 @@ class TestEventSimPinning:
         routes = routes_block(hb, tm.sources, tm.targets)
         _assert_bit_identical(hb, tm, routes)
 
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=lambda t: t.name)
+    @pytest.mark.parametrize("family", ["hotspot", "incast"])
+    @pytest.mark.parametrize("per_tick", [None, 25], ids=["batch", "paced"])
+    def test_contention_heavy_event_order(self, topology, family, per_tick):
+        """300 flows funnelled onto few links: long per-link queues, many
+        arrivals per tick from many earlier ticks, so every tick's bucket
+        order — injections first, then sends in processing order — is
+        exercised."""
+        tm = build_workload(topology, family, count=300, seed=13,
+                            per_tick=per_tick)
+        routes = routes_block(topology, tm.sources, tm.targets)
+        engine = _assert_bit_identical(topology, tm, routes)
+        assert engine.stats().delivered == 300
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=lambda t: t.name)
+    @pytest.mark.parametrize("family", ["hotspot", "incast"])
+    def test_run_until_then_run_equals_one_run(self, topology, family):
+        tm = build_workload(topology, family, count=300, seed=17, per_tick=25)
+        routes = routes_block(topology, tm.sources, tm.targets)
+        whole = FlowEngine(topology, tm, routes).run()
+        for until in (0, 4, 11):
+            split = FlowEngine(topology, tm, routes).run(until=until)
+            assert split.stats().delivered < 300
+            split.run()
+            assert split.ticks_processed == whole.ticks_processed
+            for field in ("delivered_at", "hops", "drop_code", "drop_at"):
+                assert np.array_equal(
+                    getattr(split.result(), field), getattr(whole.result(), field)
+                ), (until, field)
+
     def test_static_fault_validation_matches_event_sim(self):
         hb = HyperButterfly(2, 3)
         tm = build_workload(hb, "uniform", count=4, seed=0)
@@ -231,6 +263,79 @@ class TestEventSimPinning:
         schedule = FaultSchedule(other, [])
         with pytest.raises(SimulationError):
             FlowEngine(hb, tm, schedule=schedule)
+
+
+def _fifo_reference(tm, routes, config):
+    """Per-flow ``(delivered_at, hops)`` under the engine's link model.
+
+    One packet at a time in event order — ``(tick, push order)``, flows
+    injected in id order before any hop is pushed.  Each directed link
+    sends in rounds of ``latency`` ticks carrying up to ``capacity``
+    packets first come first served; a round is filled only by sends of
+    the tick that opened it, and the next round starts when the previous
+    one ends (or at the send's tick, if later).
+    """
+    targets = tm.targets.tolist()
+    lengths = routes.lengths.tolist()
+    hops = routes.hops.tolist()
+    gens = routes.gen_idx.tolist()
+    cur = tm.sources.tolist()
+    pos = [0] * len(cur)
+    delivered = [-1] * len(cur)
+    seq = itertools.count()
+    queue = [(int(t), next(seq), i) for i, t in enumerate(tm.inject_at)]
+    heapq.heapify(queue)
+    rounds: dict[tuple[int, int], list[int]] = {}  # link -> [opened, start, fill]
+    while queue:
+        tick, _, i = heapq.heappop(queue)
+        if cur[i] == targets[i]:
+            delivered[i] = tick
+            continue
+        assert pos[i] < lengths[i]
+        link = (cur[i], hops[i][pos[i]])
+        cls = config.class_for(routes.gen_names[gens[i][pos[i]]])
+        state = rounds.get(link)
+        if state is not None and state[0] == tick and state[2] < cls.capacity:
+            state[2] += 1
+        else:
+            start = tick if state is None else max(tick, state[1] + cls.latency)
+            state = rounds[link] = [tick, start, 1]
+        cur[i] = link[1]
+        pos[i] += 1
+        heapq.heappush(queue, (state[1] + cls.latency, next(seq), i))
+    return delivered, pos
+
+
+class TestLinkModelReference:
+    """Capacity and latency above one, against the per-link FIFO model."""
+
+    @pytest.mark.parametrize(
+        "topology",
+        [HyperButterfly(2, 3), HyperDeBruijn(2, 3), Hypercube(4)],
+        ids=lambda t: t.name,
+    )
+    @pytest.mark.parametrize("family", ["hotspot", "incast"])
+    @pytest.mark.parametrize("per_tick", [None, 10], ids=["batch", "paced"])
+    def test_engine_matches_fifo_reference(self, topology, family, per_tick):
+        tm = build_workload(topology, family, count=300, seed=3,
+                            per_tick=per_tick)
+        routes = routes_block(topology, tm.sources, tm.targets)
+        # capacity 2 on cube links, latency 3 on butterfly / shift links
+        config = LinkConfig(
+            classes=[LinkClass("cube", capacity=2), LinkClass("fly", latency=3)],
+            assign={
+                name: "cube" if name.startswith("h_") else "fly"
+                for name in routes.gen_names
+            },
+        )
+        res = FlowEngine(topology, tm, routes, link_config=config).run().result()
+        delivered, hops = _fifo_reference(tm, routes, config)
+        assert res.delivered_at.tolist() == delivered
+        assert res.hops.tolist() == hops
+        # the configuration must actually queue: some flow waits on a link
+        lat = np.array([config.class_for(g).latency for g in routes.gen_names])
+        hop_lat = np.where(routes.gen_idx >= 0, lat[routes.gen_idx], 0)
+        assert (res.delivered_at > tm.inject_at + hop_lat.sum(axis=1)).any()
 
 
 class TestEngineSemantics:
@@ -325,6 +430,29 @@ class TestEngineSemantics:
         counts = res.drop_counts()
         assert sum(counts.values()) == engine.stats().dropped
         assert set(counts) <= set(DROP_REASONS[1:])
+
+    def test_routes_for_other_traffic_rejected(self):
+        hb = HyperButterfly(2, 3)
+        tm = build_workload(hb, "uniform", count=10, seed=1)
+        other = build_workload(hb, "uniform", count=10, seed=2)
+        with pytest.raises(InvalidParameterError, match="sources"):
+            FlowEngine(hb, tm, routes_block(hb, other.sources, other.targets))
+
+    @pytest.mark.parametrize("route_count", [6, 14])
+    def test_route_count_mismatch_rejected(self, route_count):
+        hb = HyperButterfly(2, 3)
+        tm = build_workload(hb, "uniform", count=10, seed=1)
+        other = build_workload(hb, "uniform", count=route_count, seed=1)
+        routes = routes_block(hb, other.sources, other.targets)
+        with pytest.raises(InvalidParameterError, match="flows"):
+            FlowEngine(hb, tm, routes)
+
+    def test_routes_on_another_topology_rejected(self):
+        hb = HyperButterfly(2, 3)
+        tm = build_workload(hb, "uniform", count=10, seed=1)
+        routes = routes_block(HyperButterfly(2, 4), tm.sources, tm.targets)
+        with pytest.raises(InvalidParameterError, match="nodes"):
+            FlowEngine(hb, tm, routes)
 
     def test_negative_injection_rejected(self):
         hb = HyperButterfly(2, 3)
