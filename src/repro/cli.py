@@ -26,10 +26,10 @@ Subcommands:
   — csr, implicit, or python — ``--jobs`` pools it, ``--output`` writes
   sorted JSON).
 * ``prove``               — verify the paper invariants of every registered
-  family: exhaustive sweeps at the small parameter grids, abstract
-  bit-vector certificates at the large ones (``--family``, ``--max-bits``,
-  ``--format text|json``, ``--output`` for the proof ledger); exit 0
-  proved / 1 counterexample / 2 error.
+  family: exhaustive sweeps at the small parameter grids, live
+  ``neighbors_block`` range checks at the large ones (``--family``,
+  ``--max-bits``, ``--format text|json``, ``--output`` for the proof
+  ledger); exit 0 proved / 1 counterexample / 2 error.
 * ``lint [PATHS]``        — run the reprolint paper-invariant checks
   (``--format text|json``, ``--baseline``, ``--self-test``,
   ``--list-rules``); exit 0 clean / 1 findings / 2 linter error.
@@ -199,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prove = sub.add_parser(
         "prove",
-        help="verify paper invariants: exhaustive small grids, abstract "
-        "bit-vector certificates at large ones",
+        help="verify paper invariants: exhaustive small grids, live "
+        "neighbors_block checks at large ones",
     )
     from repro.devtools.reprolint.prove import configure_parser as _configure_prove
 
@@ -438,28 +438,22 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     from repro.analysis.decompose import leaf_factors
     from repro.analysis.distance_stats import pair_distance_counts
-    from repro.errors import ReproError
-
-    try:
-        topology = _metrics_topology(args)
-        pinned = args.backend != "auto"
-        if args.force_bfs:
-            engine = "bfs-sweep"
-        elif not pinned and leaf_factors(topology) is not None:
-            engine = "decomposition"
-        elif topology.is_vertex_transitive:
-            engine = "transitive-bfs"
-        else:
-            engine = "bfs-sweep"
-        counts = pair_distance_counts(
-            topology,
-            jobs=args.jobs,
-            force_generic=args.force_bfs,
-            backend=args.backend,
-        )
-    except ReproError as exc:
-        print(f"metrics: error: {exc}", file=sys.stderr)
-        return 2
+    topology = _metrics_topology(args)
+    pinned = args.backend != "auto"
+    if args.force_bfs:
+        engine = "bfs-sweep"
+    elif not pinned and leaf_factors(topology) is not None:
+        engine = "decomposition"
+    elif topology.is_vertex_transitive:
+        engine = "transitive-bfs"
+    else:
+        engine = "bfs-sweep"
+    counts = pair_distance_counts(
+        topology,
+        jobs=args.jobs,
+        force_generic=args.force_bfs,
+        backend=args.backend,
+    )
     total = sum(counts.values())
     distinct = total - topology.num_nodes
     average = (
@@ -557,11 +551,18 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; a library error prints ``<command>: error: …``
+    and exits 2."""
+    from repro.errors import ReproError
     from repro.fastgraph.guard import install_errstate_from_env
 
     install_errstate_from_env()  # sanitize --mode overflow trap, else no-op
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except ReproError as exc:
+        print(f"{args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from repro.devtools.reprolint.suppressions import SuppressionIndex, scan_suppres
 if TYPE_CHECKING:  # deferred: project.py needs rules.base which needs us
     from repro.devtools.reprolint.dataflow import ProjectDataflow
     from repro.devtools.reprolint.project import ProjectGraph
-    from repro.devtools.reprolint.verification import VerificationIndex
 
 
 @dataclass
@@ -113,9 +112,6 @@ class ProjectContext:
     _dataflow: "ProjectDataflow | None" = field(
         default=None, repr=False, compare=False
     )
-    _verification: "VerificationIndex | None" = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def library_files(self) -> list[FileContext]:
@@ -144,12 +140,3 @@ class ProjectContext:
 
             self._dataflow = ProjectDataflow(self)
         return self._dataflow
-
-    @property
-    def verification(self) -> "VerificationIndex":
-        """The symbolic verification index, built lazily on first access."""
-        if self._verification is None:
-            from repro.devtools.reprolint.verification import VerificationIndex
-
-            self._verification = VerificationIndex(self)
-        return self._verification

@@ -1,47 +1,50 @@
-"""Runtime prover behind ``hyperbutterfly prove``.
+"""Invariant prover behind ``hyperbutterfly prove``.
 
-The static HB8xx rules verify kernels *without importing them*; this
-module is the complementary runtime engine.  For every registered
-:class:`~repro.topologies.invariants.InvariantSpec` it
+The one checker of the paper's structural invariants.  For every
+registered :class:`~repro.topologies.invariants.InvariantSpec` it runs
+the real topology and codec objects:
 
-* sweeps the spec's ``small`` parameter grids **exhaustively** — every
-  vertex, every codec index — checking the same five paper invariants
-  the HB8xx rules own (codec bijectivity, neighbor symmetry, the paper
-  degree formula, self-loop/label-range safety, scalar-vs-block
-  agreement), and
-* certifies the ``large`` grids with the **abstract bit-vector domain**
-  of :mod:`.symexec`: the real codec object is reflected into the
-  symbolic machine and ``neighbors_block`` is run on the whole rank
-  range ``[0, N)`` at once, proving every reachable neighbor rank stays
-  inside ``[-1, N)`` for node counts (millions) far past enumeration.
+* the ``small`` parameter grids are swept **exhaustively** — every
+  vertex, every codec index — against five paper invariants (codec
+  bijectivity, neighbor symmetry, the paper degree formula,
+  self-loop/label-range safety, scalar-vs-block agreement);
+* the ``large`` grids up to :data:`LARGE_NODE_CAP` nodes are checked
+  **live**: the codec's ``neighbors_block`` runs over the whole rank
+  range ``[0, N)`` in chunks of :data:`LARGE_CHUNK` ranks, checking that
+  every neighbor rank lies in ``[-1, N)`` (label safety) and, for
+  regular families, that every row is exactly the paper degree wide with
+  no ``-1`` padding (degree formula).  Larger points are listed as out
+  of cap.
+
+Run over the whole registry (no family filter), it also joins the codec
+registry against the spec registry: a codec-registered family with no
+invariant spec fails every invariant, since none of them is ever checked.
 
 The result is a deterministic *proof ledger* (no timestamps, sorted
 keys) suitable for committing — ``.reprolint-proofs.json`` at the repo
 root — and diffing in CI.  Statuses per (family, invariant):
 
-* ``proved``          — exhaustively verified at ≥ 1 small point
-* ``proved-abstract`` — only the abstract certificate applies
-* ``failed``          — a concrete counterexample witness was found
-* ``skipped``         — out of model (no codec, no implicit support, …)
+* ``proved``  — verified at >= 1 exhaustive or large point
+* ``failed``  — a concrete counterexample witness was found
+* ``skipped`` — out of model (no codec, no implicit support, …)
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import pathlib
 import sys
 from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:
-    from repro.devtools.reprolint.symexec import Evaluator
     from repro.topologies.base import Topology
     from repro.topologies.invariants import InvariantSpec
 
 __all__ = [
     "DEFAULT_MAX_BITS",
     "INVARIANTS",
+    "LARGE_NODE_CAP",
     "LEDGER_PATH",
     "prove",
     "prove_family",
@@ -52,6 +55,12 @@ __all__ = [
 
 #: exhaustive sweeps are capped at ``2**max_bits`` nodes per point
 DEFAULT_MAX_BITS = 13
+
+#: large points are checked live up to this many nodes
+LARGE_NODE_CAP = 1 << 22
+
+#: ranks per ``neighbors_block`` call in a live check (HB(8,10): ~25 MB)
+LARGE_CHUNK = 1 << 18
 
 #: the default ledger location, committed at the repo root
 LEDGER_PATH = ".reprolint-proofs.json"
@@ -69,11 +78,11 @@ INVARIANTS = (
 class _Tally:
     """Per-invariant accumulator across a family's parameter points."""
 
-    __slots__ = ("exhaustive", "abstract", "skips", "witness")
+    __slots__ = ("exhaustive", "large", "skips", "witness")
 
     def __init__(self) -> None:
         self.exhaustive: list[tuple[int, ...]] = []
-        self.abstract: list[tuple[int, ...]] = []
+        self.large: list[tuple[int, ...]] = []
         self.skips: list[str] = []
         self.witness: dict[str, Any] | None = None
 
@@ -81,10 +90,8 @@ class _Tally:
     def status(self) -> str:
         if self.witness is not None:
             return "failed"
-        if self.exhaustive:
+        if self.exhaustive or self.large:
             return "proved"
-        if self.abstract:
-            return "proved-abstract"
         return "skipped"
 
     def fail(self, point: tuple[int, ...], **detail: Any) -> None:
@@ -95,29 +102,13 @@ class _Tally:
         entry: dict[str, Any] = {
             "status": self.status,
             "exhaustive_points": len(self.exhaustive),
-            "abstract_points": len(self.abstract),
+            "large_points": len(self.large),
         }
         if self.witness is not None:
             entry["witness"] = self.witness
         if self.status == "skipped" and self.skips:
             entry["reasons"] = sorted(set(self.skips))
         return entry
-
-
-def _load_evaluator() -> "Evaluator":
-    """Reflect the installed ``repro`` sources into a symbolic Evaluator."""
-    import repro
-    from repro.devtools.reprolint.symexec import Evaluator, Program
-
-    pkg_root = pathlib.Path(repro.__file__).resolve().parent
-    sources = []
-    for path in sorted(pkg_root.rglob("*.py")):
-        parts = ("repro",) + path.relative_to(pkg_root).with_suffix("").parts
-        module = ".".join(parts)
-        if module.endswith(".__init__"):
-            module = module[: -len(".__init__")]
-        sources.append((module, ast.parse(path.read_text())))
-    return Evaluator(Program.from_sources(sources))
 
 
 # -- exhaustive sweeps (small grids) ----------------------------------------
@@ -302,68 +293,63 @@ def _block_rows(topo: "Topology", n: int) -> Iterable[tuple[int, list]]:
         yield idx, list(rows[idx])
 
 
-# -- abstract certificates (large grids) ------------------------------------
+# -- live checks (large grids) ---------------------------------------------
 
 
-def _certify_abstract(
+def _check_large(
     spec: "InvariantSpec",
     point: tuple[int, ...],
-    evaluator: "Evaluator",
+    topo: "Topology",
     tallies: dict[str, _Tally],
 ) -> None:
-    """Certify ``neighbors_block`` over the whole rank range symbolically.
+    """Run ``neighbors_block`` over the whole rank range, chunk by chunk.
 
-    Proves two facts without enumerating a single vertex: every
-    reachable neighbor rank lies in ``[-1, N)`` (label safety), and —
-    for regular families whose block has no padding — the block width
-    equals the paper degree (degree formula).
+    Checks two facts at every rank: each neighbor rank lies in
+    ``[-1, N)`` (label safety), and — for regular families — the row is
+    exactly the paper degree wide with no ``-1`` padding (degree formula).
     """
-    from repro.devtools.reprolint.symexec import (
-        ArrayVal,
-        BitVec,
-        SymRaise,
-        Unsupported,
-    )
+    import numpy as np
+
     from repro.fastgraph.codecs import codec_for
 
     safety = tallies["label-safety"]
-    try:
-        topo = spec.build_instance(point)
-        n = topo.num_nodes
-        codec = codec_for(topo)
-        if codec is None or not codec.supports_implicit():
-            safety.skips.append("no implicit codec for abstract certificate")
-            return
-        sym = evaluator.reflect(codec)
-        out = evaluator.call_method(
-            sym, "neighbors_block", [BitVec.range(0, n - 1)]
-        )
-    except (Unsupported, SymRaise) as exc:
-        safety.skips.append(f"abstract certificate out of model: {exc}")
+    degree = tallies["degree-formula"]
+    codec = codec_for(topo)
+    if codec is None or not codec.supports_implicit():
+        safety.skips.append("no implicit codec for the large-point check")
         return
-    if not isinstance(out, ArrayVal):
-        safety.skips.append("neighbors_block did not reflect to a column array")
-        return
-    cols = [
-        c if isinstance(c, BitVec) else BitVec.concrete(c) for c in out.cols
-    ]
-    for col_idx, col in enumerate(cols):
-        if col.lo < -1 or col.hi >= n:
+    n = topo.num_nodes
+    expected = spec.degree_at(point) if spec.regular else None
+    safe = safety.witness is None
+    exact = degree.witness is None and expected is not None
+    for start in range(0, n, LARGE_CHUNK):
+        if not (safe or exact):
+            break
+        idx = np.arange(start, min(start + LARGE_CHUNK, n), dtype=np.int64)
+        rows = codec.neighbors_block(idx)
+        lo, hi = int(rows.min()), int(rows.max())
+        if safe and (lo < -1 or hi >= n):
+            row, col = (int(x) for x in np.argwhere((rows < -1) | (rows >= n))[0])
             safety.fail(
                 point,
-                kind="abstract-range-escape",
-                col=col_idx,
-                bounds=[col.lo, col.hi],
-                num_nodes=n,
+                kind="out-of-range-rank",
+                idx=start + row,
+                entry=int(rows[row, col]),
             )
-            return
-    if safety.witness is None:
-        safety.abstract.append(point)
-    degree = tallies["degree-formula"]
-    if degree.witness is None and spec.regular and spec.degree is not None:
-        expected = spec.degree_at(point)
-        if len(cols) == expected and all(c.lo >= 0 for c in cols):
-            degree.abstract.append(point)
+            safe = False
+        if exact and rows.shape[1] != expected:
+            degree.fail(
+                point, kind="block-width", width=int(rows.shape[1]), expected=expected
+            )
+            exact = False
+        elif exact and lo < 0:
+            row = int(np.flatnonzero((rows < 0).any(axis=1))[0])
+            degree.fail(point, kind="padded-row", idx=start + row)
+            exact = False
+    if safe:
+        safety.large.append(point)
+    if exact:
+        degree.large.append(point)
 
 
 # -- per-family and whole-registry drivers ----------------------------------
@@ -373,12 +359,12 @@ def prove_family(
     spec: "InvariantSpec",
     *,
     max_bits: int = DEFAULT_MAX_BITS,
-    evaluator: "Evaluator | None" = None,
 ) -> dict[str, Any]:
     """Prove one family's invariants; returns its ledger entry."""
     node_cap = 1 << max_bits
     tallies = {name: _Tally() for name in INVARIANTS}
     swept: list[tuple[int, ...]] = []
+    large: list[tuple[int, ...]] = []
     out_of_cap: list[tuple[int, ...]] = []
     for point in spec.small:
         topo = spec.build_instance(point)
@@ -387,18 +373,19 @@ def prove_family(
             continue
         swept.append(point)
         _check_exhaustive(spec, point, topo, tallies)
-    abstract_points = tuple(spec.large) + tuple(out_of_cap)
-    if abstract_points:
-        if evaluator is None:
-            evaluator = _load_evaluator()
-        for point in abstract_points:
-            _certify_abstract(spec, point, evaluator, tallies)
+    for point in spec.large:
+        topo = spec.build_instance(point)
+        if topo.num_nodes > LARGE_NODE_CAP:
+            out_of_cap.append(point)
+            continue
+        large.append(point)
+        _check_large(spec, point, topo, tallies)
     return {
         "params": list(spec.params),
         "paper": spec.paper,
         "points": {
             "exhaustive": [list(p) for p in swept],
-            "abstract": [list(p) for p in abstract_points],
+            "large": [list(p) for p in large],
             "out_of_cap": [list(p) for p in out_of_cap],
         },
         "invariants": {name: tallies[name].to_dict() for name in INVARIANTS},
@@ -410,10 +397,14 @@ def prove(
     *,
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> dict[str, Any]:
-    """Prove every registered family (or a subset); returns the ledger."""
+    """Prove every registered family (or a subset); returns the ledger.
+
+    Without a ``families`` filter, codec-registered families that have no
+    spec are listed too, failing every invariant.
+    """
     import repro  # noqa: F401  — registers every family's invariant spec
-    import repro.fastgraph.codecs  # noqa: F401  — populates the codec registry
     from repro.errors import InvalidParameterError
+    from repro.fastgraph.codecs import registered_codec_families
     from repro.topologies.invariants import all_invariant_specs
 
     specs = all_invariant_specs()
@@ -425,23 +416,41 @@ def prove(
                 f"unknown families {unknown}; registered: {sorted(specs)}"
             )
         specs = {name: specs[name] for name in sorted(wanted)}
-    needs_abstract = any(
-        spec.large for spec in specs.values()
-    )
-    evaluator = _load_evaluator() if needs_abstract else None
-    ledger: dict[str, Any] = {
-        "version": 1,
-        "max_bits": max_bits,
-        "families": {},
+    entries = {
+        name: prove_family(spec, max_bits=max_bits) for name, spec in specs.items()
     }
-    counts = {"proved": 0, "proved-abstract": 0, "failed": 0, "skipped": 0}
-    for name, spec in specs.items():
-        entry = prove_family(spec, max_bits=max_bits, evaluator=evaluator)
-        ledger["families"][name] = entry
+    if families is None:
+        for name in sorted(set(registered_codec_families()) - set(specs)):
+            entries[name] = _missing_spec_entry()
+    counts = {"proved": 0, "failed": 0, "skipped": 0}
+    for entry in entries.values():
         for inv in entry["invariants"].values():
             counts[inv["status"]] += 1
-    ledger["summary"] = {"families": len(specs), **counts}
-    return ledger
+    return {
+        "version": 2,
+        "max_bits": max_bits,
+        "families": dict(sorted(entries.items())),
+        "summary": {"families": len(entries), **counts},
+    }
+
+
+def _missing_spec_entry() -> dict[str, Any]:
+    """The ledger entry of a codec-registered family with no spec."""
+    witness = {"kind": "missing-invariant-spec", "params": []}
+    return {
+        "params": [],
+        "paper": "",
+        "points": {"exhaustive": [], "large": [], "out_of_cap": []},
+        "invariants": {
+            name: {
+                "status": "failed",
+                "exhaustive_points": 0,
+                "large_points": 0,
+                "witness": witness,
+            }
+            for name in INVARIANTS
+        },
+    }
 
 
 # -- rendering and CLI ------------------------------------------------------
@@ -457,7 +466,8 @@ def render_text(ledger: dict[str, Any]) -> str:
         points = entry["points"]
         lines.append(
             f"  points: {len(points['exhaustive'])} exhaustive, "
-            f"{len(points['abstract'])} abstract"
+            f"{len(points['large'])} large, "
+            f"{len(points['out_of_cap'])} out of cap"
         )
         for name in INVARIANTS:
             inv = entry["invariants"][name]
@@ -470,7 +480,6 @@ def render_text(ledger: dict[str, Any]) -> str:
     summary = ledger["summary"]
     lines.append(
         f"{summary['families']} families: {summary['proved']} proved, "
-        f"{summary['proved-abstract']} proved-abstract, "
         f"{summary['failed']} failed, {summary['skipped']} skipped"
     )
     return "\n".join(lines)
@@ -495,7 +504,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=DEFAULT_MAX_BITS,
         help=f"exhaustive-sweep cap: at most 2**MAX_BITS nodes per point "
-        f"(default {DEFAULT_MAX_BITS}; larger points use the abstract domain)",
+        f"(default {DEFAULT_MAX_BITS}; larger small points are out of cap)",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", dest="fmt"
@@ -509,14 +518,9 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    """CLI entry point; exit 0 proved / 1 counterexample / 2 error."""
-    from repro.errors import ReproError
-
-    try:
-        ledger = prove(args.family, max_bits=args.max_bits)
-    except ReproError as exc:
-        print(f"prove: error: {exc}", file=sys.stderr)
-        return 2
+    """CLI entry point; exit 0 proved / 1 counterexample (``cli.main``
+    turns a library error into exit 2)."""
+    ledger = prove(args.family, max_bits=args.max_bits)
     if args.fmt == "json":
         print(json.dumps(ledger, indent=2, sort_keys=True))
     else:

@@ -11,7 +11,6 @@ id block:
 * :mod:`~repro.devtools.reprolint.rules.taint` — HB501–HB502
 * :mod:`~repro.devtools.reprolint.rules.numerics_flow` — HB601–HB605
 * :mod:`~repro.devtools.reprolint.rules.concurrency` — HB701–HB705
-* :mod:`~repro.devtools.reprolint.rules.verification` — HB801–HB806
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.devtools.reprolint.rules import determinism as determinism
 from repro.devtools.reprolint.rules import numerics as numerics
 from repro.devtools.reprolint.rules import numerics_flow as numerics_flow
 from repro.devtools.reprolint.rules import taint as taint
-from repro.devtools.reprolint.rules import verification as verification
 from repro.devtools.reprolint.rules.base import (
     FileRule,
     ImportMap,
@@ -45,5 +43,4 @@ __all__ = [
     "numerics",
     "numerics_flow",
     "taint",
-    "verification",
 ]

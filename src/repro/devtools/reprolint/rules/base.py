@@ -57,7 +57,6 @@ class Rule(ABC):
             "5": "taint",
             "6": "numerics-flow",
             "7": "concurrency",
-            "8": "verification",
         }.get(block, "other")
 
 

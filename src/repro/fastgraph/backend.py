@@ -80,11 +80,17 @@ def enabled() -> bool:
 
 def implicit_threshold() -> int:
     """Node count at which ``"auto"`` prefers implicit over building a CSR
-    (``REPRO_IMPLICIT_THRESHOLD`` overrides, default 2^22)."""
-    try:
-        return int(os.environ.get(_THRESHOLD_ENV, _DEFAULT_THRESHOLD))
-    except ValueError:
+    (``REPRO_IMPLICIT_THRESHOLD`` overrides, default 2^22; a value that is
+    not an integer raises :class:`InvalidParameterError`)."""
+    raw = os.environ.get(_THRESHOLD_ENV)
+    if raw is None:
         return _DEFAULT_THRESHOLD
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidParameterError(
+            f"{_THRESHOLD_ENV}={raw!r} is not an integer node count"
+        ) from None
 
 
 class FastGraph:

@@ -548,9 +548,9 @@ def register_codec(type_name: str | type, factory: Callable[[Any], NodeCodec | N
 
 
 def registered_codec_families() -> tuple[str, ...]:
-    """The registered topology class names, sorted — the verification layer
-    (``hyperbutterfly prove``, HB806) joins this against the invariant-spec
-    registry of :mod:`repro.topologies.invariants`."""
+    """The registered topology class names, sorted — ``hyperbutterfly
+    prove`` joins this against the invariant-spec registry of
+    :mod:`repro.topologies.invariants` and fails any family without a spec."""
     return tuple(sorted(_REGISTRY))
 
 

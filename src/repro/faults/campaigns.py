@@ -38,6 +38,7 @@ from typing import Container, Hashable, Iterator, Sequence
 
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.core.resilient import DegradedRouteError, ResilientRouter
+from repro.errors import InvalidParameterError
 from repro.faults.dynamic import FaultSchedule
 from repro.faults.model import random_node_faults
 from repro.topologies.base import Topology
@@ -71,6 +72,9 @@ class CampaignConfig:
     horizon: float = 80.0
     repair_time: float = 6.0
 
+    def __post_init__(self) -> None:
+        _require_positive(self, "trials", "pairs")
+
     @classmethod
     def quick(cls, m: int, n: int, *, seed: int = 0) -> "CampaignConfig":
         """A seconds-scale configuration for smoke tests and CI."""
@@ -85,6 +89,16 @@ class CampaignConfig:
             transient_packets=30,
             horizon=40.0,
         )
+
+
+def _require_positive(config: object, *fields: str) -> None:
+    """Reject sample counts below 1 (they would average over nothing)."""
+    for name in fields:
+        value = getattr(config, name)
+        if value < 1:
+            raise InvalidParameterError(
+                f"{type(config).__name__}.{name} must be >= 1, got {value}"
+            )
 
 
 def _round(x: float) -> float:
@@ -370,6 +384,9 @@ class StructureCampaignConfig:
         (3, 4, "auto", "ring", None),
         (6, 11, "implicit", "star", 3),
     )
+
+    def __post_init__(self) -> None:
+        _require_positive(self, "trials", "pairs")
 
     @classmethod
     def quick(cls, m: int, n: int, *, seed: int = 0) -> "StructureCampaignConfig":

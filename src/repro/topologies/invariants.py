@@ -3,21 +3,18 @@
 Every topology family registers an :class:`InvariantSpec` describing the
 structural facts its implementation is supposed to satisfy: the paper's
 degree formula, regularity, the parameter grids at which the facts are
-checked exhaustively, and the larger grids at which they are certified by
-the abstract bit-vector domain of
-:mod:`repro.devtools.reprolint.symexec`.  The specs are *data*: the
-verification engines that consume them live above this layer
-(``hyperbutterfly prove`` and the HB8xx reprolint rules), so declaring a
-spec never pulls in numpy, fastgraph, or devtools.
+checked exhaustively, and the larger grids at which the codec's
+``neighbors_block`` is run live over every rank.  The specs are *data*:
+the checker that consumes them (``hyperbutterfly prove``) lives above
+this layer, so declaring a spec never pulls in numpy, fastgraph, or
+devtools.
 
-Registrations are deliberately written as inline literal
-``register_invariants(InvariantSpec(...))`` calls in each family's module:
-the HB8xx rules read the constant fields straight from the AST, so the
-same declaration drives both the runtime prover and the static verifier.
+Registrations are written as inline ``register_invariants(InvariantSpec(...))``
+calls in each family's module, next to the class they describe.
 
 Degree formulas are strings over the spec's parameters (``"m + 4"``) so
-they stay legible to both consumers; :func:`eval_param_expr` evaluates
-them over a restricted arithmetic-only expression language.
+they read like the paper; :func:`eval_param_expr` evaluates them over a
+restricted arithmetic-only expression language.
 """
 
 from __future__ import annotations
@@ -47,8 +44,9 @@ class InvariantSpec:
     ``family`` is the topology class name — the same key the fastgraph
     codec registry uses, so the two registries can be joined.  ``small``
     lists parameter tuples (in ``params`` order) for exhaustive
-    enumeration; ``large`` lists tuples reserved for the abstract
-    bit-vector certificates where enumeration is out of reach.
+    enumeration; ``large`` lists tuples past enumeration, where ``prove``
+    runs the codec's ``neighbors_block`` over every rank and checks label
+    safety and (for regular families) the degree formula.
     """
 
     #: topology class name (codec-registry key)
@@ -59,7 +57,7 @@ class InvariantSpec:
     build: Callable[..., "Topology"] = field(compare=False)
     #: parameter tuples verified by exhaustive enumeration
     small: tuple[tuple[int, ...], ...] = ()
-    #: parameter tuples certified by the abstract bit-vector domain
+    #: parameter tuples checked live through the codec's ``neighbors_block``
     large: tuple[tuple[int, ...], ...] = ()
     #: exact degree of every vertex (regular families), expr over params
     degree: str | None = None
@@ -106,7 +104,7 @@ def register_invariants(spec: InvariantSpec) -> InvariantSpec:
     """Register (or replace) the invariant spec for ``spec.family``.
 
     Re-registration replaces silently so interactive reloads and test
-    doubles behave; the verification engines read whatever is current.
+    doubles behave; the checker reads whatever is current.
     """
     _SPECS[spec.family] = spec
     return spec

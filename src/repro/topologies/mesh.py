@@ -132,8 +132,8 @@ register_invariants(
         family="Mesh",
         params=("n1", "n2"),
         build=Mesh,
+        # no large grid: the open-mesh codec only ranks (no neighbors_block)
         small=((1, 1), (1, 4), (3, 3), (3, 4), (4, 5)),
-        large=((1024, 4096),),
         regular=False,
         degree_max="4",
         paper="Lemma 1",

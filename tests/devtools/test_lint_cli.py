@@ -106,7 +106,6 @@ class TestIntrospection:
             "HB5xx taint",
             "HB6xx numerics-flow",
             "HB7xx concurrency",
-            "HB8xx verification",
         ]
         rule_lines = [ln for ln in lines if ln.startswith("  ")]
         assert rule_lines and all("[  ok]" in ln for ln in rule_lines)

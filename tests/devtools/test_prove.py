@@ -1,10 +1,11 @@
 """Tests for the runtime prover behind ``hyperbutterfly prove``.
 
 Covers the three contract layers: per-family proving (clean families
-prove, deliberately broken fixture kernels produce concrete
-counterexample witnesses), the whole-registry ledger (deterministic,
-committed at the repo root, matches a fresh run), and the CLI surface
-(exit codes, JSON output, --family filtering).
+prove, deliberately broken fixture topologies and codecs produce
+concrete counterexample witnesses, at exhaustive and at live large
+points), the whole-registry ledger (deterministic, committed at the repo
+root, matches a fresh run, flags codec families with no spec), and the
+CLI surface (exit codes, JSON output, --family filtering).
 """
 
 from __future__ import annotations
@@ -12,16 +13,20 @@ from __future__ import annotations
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.devtools.reprolint.prove import (
     DEFAULT_MAX_BITS,
     INVARIANTS,
+    LARGE_NODE_CAP,
     LEDGER_PATH,
     prove,
     prove_family,
 )
+from repro.fastgraph import codecs
+from repro.topologies import invariants
 from repro.topologies.invariants import InvariantSpec
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -45,6 +50,36 @@ class _Ringlet:
 
     def neighbors(self, v):
         return [(v + 1) % self.k, (v - 1) % self.k]
+
+
+class _RingletCodec:
+    """The matching correct codec: identity ranks, successor/predecessor rows."""
+
+    def __init__(self, k):
+        self.k = k
+        self.num_nodes = k
+
+    def rank(self, label):
+        return label
+
+    def unrank(self, idx):
+        return idx
+
+    def supports_implicit(self):
+        return True
+
+    def neighbors_block(self, idx):
+        return np.column_stack([(idx + 1) % self.k, (idx - 1) % self.k])
+
+
+@pytest.fixture
+def ringlet_codec(monkeypatch):
+    """Register a codec class for ``_Ringlet`` for the test's duration."""
+
+    def register(codec_cls):
+        monkeypatch.setitem(codecs._REGISTRY, "_Ringlet", lambda t: codec_cls(t.k))
+
+    return register
 
 
 def _spec(build, **overrides) -> InvariantSpec:
@@ -146,6 +181,99 @@ class TestProveFamily:
         assert entry["points"]["exhaustive"] == []
         assert entry["points"]["out_of_cap"] == [[1 << 20]]
 
+    def test_clean_codec_proves_every_invariant(self, ringlet_codec):
+        ringlet_codec(_RingletCodec)
+        entry = prove_family(_spec(_Ringlet, large=((1 << 20,),)))
+        assert entry["points"]["large"] == [[1 << 20]]
+        for name in INVARIANTS:
+            assert entry["invariants"][name]["status"] == "proved", name
+        assert entry["invariants"]["label-safety"]["large_points"] == 1
+        assert entry["invariants"]["degree-formula"]["large_points"] == 1
+
+    def test_rank_collision_witness(self, ringlet_codec):
+        class _Folding(_RingletCodec):
+            def rank(self, label):
+                return label % (self.k - 1)
+
+        ringlet_codec(_Folding)
+        bij = prove_family(_spec(_Ringlet))["invariants"]["codec-bijectivity"]
+        assert bij["status"] == "failed"
+        assert bij["witness"]["kind"] == "rank-collision"
+        assert bij["witness"]["idx"] == 0
+
+    def test_round_trip_witness(self, ringlet_codec):
+        class _Shifted(_RingletCodec):
+            def unrank(self, idx):
+                return (idx + 1) % self.k
+
+        ringlet_codec(_Shifted)
+        bij = prove_family(_spec(_Ringlet))["invariants"]["codec-bijectivity"]
+        assert bij["status"] == "failed"
+        assert bij["witness"]["kind"] == "round-trip-broken"
+        assert bij["witness"]["unrank"] == "1"
+
+    def test_block_scalar_divergence_witness(self, ringlet_codec):
+        class _Swapped(_RingletCodec):
+            def neighbors_block(self, idx):
+                return super().neighbors_block(idx)[:, ::-1]
+
+        ringlet_codec(_Swapped)
+        agree = prove_family(_spec(_Ringlet))["invariants"]["scalar-block-agreement"]
+        assert agree["status"] == "failed"
+        assert agree["witness"]["kind"] == "block-scalar-divergence"
+        assert agree["witness"]["block_row"] == [4, 1]
+        assert agree["witness"]["scalar_ranks"] == [1, 4]
+
+    def test_out_of_range_rank_witness_at_live_large_point(self, ringlet_codec):
+        class _NoWrap(_RingletCodec):
+            def neighbors_block(self, idx):
+                return np.column_stack([idx + 1, (idx - 1) % self.k])
+
+        ringlet_codec(_NoWrap)
+        k = 1 << 20
+        entry = prove_family(_spec(_Ringlet, small=(), large=((k,),)))
+        safety = entry["invariants"]["label-safety"]
+        assert safety["status"] == "failed"
+        assert safety["witness"] == {
+            "params": [k],
+            "kind": "out-of-range-rank",
+            "idx": k - 1,
+            "entry": k,
+        }
+        # the same rows are still two wide with no padding
+        assert entry["invariants"]["degree-formula"]["status"] == "proved"
+
+    def test_padded_row_witness_at_live_large_point(self, ringlet_codec):
+        class _Padded(_RingletCodec):
+            def neighbors_block(self, idx):
+                rows = super().neighbors_block(idx)
+                rows[idx == self.k // 2, 1] = -1
+                return rows
+
+        ringlet_codec(_Padded)
+        k = 1 << 20
+        entry = prove_family(_spec(_Ringlet, small=(), large=((k,),)))
+        degree = entry["invariants"]["degree-formula"]
+        assert degree["status"] == "failed"
+        assert degree["witness"] == {
+            "params": [k],
+            "kind": "padded-row",
+            "idx": k // 2,
+        }
+        assert entry["invariants"]["label-safety"]["status"] == "proved"
+
+    def test_over_cap_large_point_is_not_run(self, ringlet_codec):
+        class _Untouchable(_RingletCodec):
+            def neighbors_block(self, idx):  # pragma: no cover — must not run
+                raise AssertionError("ran a large point past the cap")
+
+        ringlet_codec(_Untouchable)
+        over = LARGE_NODE_CAP + 1
+        entry = prove_family(_spec(_Ringlet, small=(), large=((over,),)))
+        assert entry["points"]["large"] == []
+        assert entry["points"]["out_of_cap"] == [[over]]
+        assert entry["invariants"]["label-safety"]["status"] == "skipped"
+
 
 class TestProveRegistry:
     @pytest.fixture(scope="class")
@@ -157,7 +285,7 @@ class TestProveRegistry:
         for family, entry in ledger["families"].items():
             for name in INVARIANTS:
                 status = entry["invariants"][name]["status"]
-                assert status in ("proved", "proved-abstract", "skipped"), (
+                assert status in ("proved", "skipped"), (
                     family,
                     name,
                     entry["invariants"][name],
@@ -176,13 +304,20 @@ class TestProveRegistry:
             for name in INVARIANTS:
                 assert inv[name]["status"] == "proved", (family, name)
 
-    def test_large_grids_certified_abstractly(self, ledger):
-        # HB(8,10) has 2.6M nodes — enumeration is out of reach, the
-        # abstract bit-vector certificate must cover it
+    def test_large_grids_checked_live(self, ledger):
+        # HB(8,10) has 2.6M nodes — past enumeration, inside the live cap;
+        # HB(5,16) has 33.5M nodes and is past both
         hb = ledger["families"]["HyperButterfly"]
-        assert [8, 10] in hb["points"]["abstract"]
-        assert hb["invariants"]["label-safety"]["abstract_points"] == 2
-        assert hb["invariants"]["degree-formula"]["abstract_points"] == 2
+        assert hb["points"]["large"] == [[8, 10]]
+        assert hb["points"]["out_of_cap"] == [[5, 16]]
+        assert hb["invariants"]["label-safety"]["large_points"] == 1
+        assert hb["invariants"]["degree-formula"]["large_points"] == 1
+        live = [
+            (family, point)
+            for family, entry in ledger["families"].items()
+            for point in entry["points"]["large"]
+        ]
+        assert len(live) == 8
 
     def test_family_filter_and_unknown_family(self, ledger):
         subset = prove(["Hypercube"])
@@ -220,7 +355,29 @@ class TestProveCLI:
         capsys.readouterr()
         payload = json.loads(out.read_text())
         assert payload["families"]["Cycle"]["invariants"]
-        assert payload["version"] == 1
+        assert payload["version"] == 2
+
+    def test_codec_without_spec_fails(self, monkeypatch, capsys):
+        # a two-family registry keeps the whole-registry run cheap
+        monkeypatch.setattr(
+            invariants, "_SPECS", {"Cycle": invariants.invariant_spec("Cycle")}
+        )
+        monkeypatch.setattr(
+            codecs,
+            "_REGISTRY",
+            {"Cycle": codecs._REGISTRY["Cycle"], "Phantom": lambda t: None},
+        )
+        ledger = prove()
+        phantom = ledger["families"]["Phantom"]["invariants"]
+        assert {inv["status"] for inv in phantom.values()} == {"failed"}
+        assert phantom["codec-bijectivity"]["witness"]["kind"] == (
+            "missing-invariant-spec"
+        )
+        assert ledger["summary"]["failed"] == len(INVARIANTS)
+        # a --family filter proves only what it names
+        assert list(prove(["Cycle"])["families"]) == ["Cycle"]
+        assert main(["prove"]) == 1
+        assert "Phantom" in capsys.readouterr().out
 
     def test_unknown_family_exits_two(self, capsys):
         rc = main(["prove", "--family", "NoSuchFamily"])

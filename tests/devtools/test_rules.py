@@ -68,7 +68,6 @@ class TestGenericFixtureContract:
                 "taint",
                 "numerics-flow",
                 "concurrency",
-                "verification",
             }
 
 

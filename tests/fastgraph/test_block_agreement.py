@@ -1,12 +1,11 @@
 """Property-grid agreement: ``neighbors_block`` vs ``Topology.neighbors``.
 
 The implicit BFS backend trusts ``NodeCodec.neighbors_block`` rows to be
-exactly the ranked scalar adjacency (padding aside) — the contract the
-HB805 rule checks statically and ``hyperbutterfly prove`` checks at its
-spec grids.  This test closes the remaining gap: it sweeps *every*
-registered codec family over its invariant-spec small grids at runtime,
-so a new codec cannot land without its vectorised kernel being held to
-the scalar one.
+exactly the ranked scalar adjacency (padding aside) — the contract
+``hyperbutterfly prove`` checks at its spec grids.  This test keeps the
+same contract inside the tier-1 suite: it sweeps *every* registered codec
+family over its invariant-spec small grids, so a new codec cannot land
+without its vectorised kernel being held to the scalar one.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import repro  # noqa: F401  — registers every family's invariant spec
 from repro.fastgraph.codecs import codec_for, registered_codec_families
 from repro.topologies.invariants import all_invariant_specs
 
-#: grids larger than this are covered by `hyperbutterfly prove` abstractly
+#: grids larger than this are left to `hyperbutterfly prove`
 NODE_CAP = 1 << 13
 
 

@@ -274,9 +274,16 @@ class TestBackendSelection:
         with pytest.raises(InvalidParameterError):
             fast.select_backend("sparse")
 
-    def test_threshold_env_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_IMPLICIT_THRESHOLD", "not-a-number")
+    def test_threshold_env_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_IMPLICIT_THRESHOLD", raising=False)
         assert implicit_threshold() == 1 << 22
+
+    @pytest.mark.parametrize("raw", ["not-a-number", "4e6"])
+    def test_threshold_env_garbage_raises(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_IMPLICIT_THRESHOLD", raw)
+        with pytest.raises(InvalidParameterError, match="IMPLICIT_THRESHOLD") as info:
+            implicit_threshold()
+        assert repr(raw) in str(info.value)
 
 
 class TestTopologyBackendKwarg:

@@ -6,7 +6,13 @@ import json
 
 import pytest
 
-from repro.faults.campaigns import CampaignConfig, run_campaign, write_campaign_json
+from repro.errors import InvalidParameterError
+from repro.faults.campaigns import (
+    CampaignConfig,
+    StructureCampaignConfig,
+    run_campaign,
+    write_campaign_json,
+)
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +86,16 @@ class TestShape:
                     "mean_stretch",
                     "disjoint_share",
                 }
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("config_cls", [CampaignConfig, StructureCampaignConfig])
+    @pytest.mark.parametrize("field", ["trials", "pairs"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_sample_counts_below_one_rejected(self, config_cls, field, value):
+        with pytest.raises(InvalidParameterError, match=f"{field} must be >= 1"):
+            config_cls(**{field: value})
+
+    def test_quick_configs_accept_one(self):
+        assert CampaignConfig(trials=1, pairs=1).trials == 1
+        assert StructureCampaignConfig(trials=1, pairs=1).pairs == 1

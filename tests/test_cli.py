@@ -200,9 +200,37 @@ class TestCommands:
         assert main(["metrics", "debruijn", "3"]) == 0
         assert "bfs-sweep" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("faults-campaign", "--trials", "0"),
+            ("structure-campaign", "--trials", "-1"),
+            ("faults-campaign", "--pairs", "0"),
+        ],
+    )
+    def test_campaign_rejects_empty_samples(
+        self, capsys, tmp_path, command, flag, value
+    ):
+        out_path = tmp_path / "bad.json"
+        argv = [command, "2", "3", "--quick", flag, value, "--output", str(out_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: error: ")
+        assert f"{flag[2:]} must be >= 1" in err
+        assert not out_path.exists()
+
+    def test_traffic_campaign_bad_families_is_a_cli_error(self, capsys, tmp_path):
+        out_path = tmp_path / "bad.json"
+        argv = ["traffic-campaign", "2", "3", "--quick", "--families", ","]
+        assert main(argv + ["--output", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("traffic-campaign: error: ")
+        assert not out_path.exists()
+
     def test_metrics_parameter_count_errors(self, capsys):
         assert main(["metrics", "hb", "2"]) == 2
-        assert "needs both" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("metrics: error: ") and "needs both" in err
         assert main(["metrics", "hypercube", "3", "4"]) == 2
         assert "single order" in capsys.readouterr().err
 
