@@ -43,7 +43,7 @@ from typing import Literal
 
 from repro._bits import set_bits
 from repro.core.hyperbutterfly import HBNode, HyperButterfly
-from repro.errors import RoutingError
+from repro.errors import InvalidParameterError, RoutingError
 from repro.routing.base import paths_internally_disjoint, validate_path
 from repro.routing.butterfly import butterfly_route_walk
 from repro.routing.flows import node_to_set_disjoint_paths, vertex_disjoint_paths
@@ -55,6 +55,8 @@ __all__ = [
     "disjoint_paths_with_info",
     "verify_disjoint_paths",
 ]
+
+_METHODS = ("auto", "constructive", "flow")
 
 
 def construction_case(u: HBNode, v: HBNode) -> int:
@@ -347,8 +349,15 @@ def disjoint_paths_with_info(
 
     ``info`` records the construction ``case`` (1/2/3), the ``method`` that
     produced the family (``"constructive"`` or ``"flow"``), and — when the
-    constructive skeleton was abandoned — the ``fallback_reason``.
+    constructive skeleton was abandoned — the ``fallback_reason``.  A
+    ``method`` outside ``"auto"``/``"constructive"``/``"flow"`` raises
+    :class:`InvalidParameterError`.
     """
+    if method not in _METHODS:
+        raise InvalidParameterError(
+            f"unknown disjoint-path method {method!r} "
+            "(expected 'auto', 'constructive' or 'flow')"
+        )
     hb.validate_node(u)
     hb.validate_node(v)
     case = construction_case(u, v)

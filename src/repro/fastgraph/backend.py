@@ -229,8 +229,10 @@ class FastGraph:
     ) -> int:
         """Max BFS distance without materialising a label dict.
 
-        On the implicit substrate this runs in ``O(num_nodes / 8)`` memory
-        — the per-source exact question that motivates the backend."""
+        On the implicit substrate this runs in ``O(num_nodes)`` bytes (a
+        packed visited bitset plus a one-byte-per-node mark scratch), never
+        ``O(edges)`` — the per-source exact question that motivates the
+        backend."""
         if self.select_backend(backend) == "implicit":
             from repro.fastgraph.implicit import implicit_source_stats
 
@@ -262,8 +264,8 @@ class FastGraph:
         nodes are never counted: a blocked ``source`` raises
         :class:`~repro.errors.InvalidLabelError`, as
         :meth:`~repro.topologies.base.Topology.bfs_distances` does.  On the
-        implicit substrate this runs in ``O(num_nodes / 8)`` memory,
-        keeping ``HB(9,11)``-class masked eccentricities in reach.
+        implicit substrate this runs in ``O(num_nodes)`` bytes, keeping
+        ``HB(9,11)``-class masked eccentricities in reach.
         """
         blocked = frozenset(blocked or ())
         if source in blocked:

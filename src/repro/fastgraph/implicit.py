@@ -10,23 +10,29 @@ frontier via :meth:`~repro.fastgraph.codecs.NodeCodec.neighbors_block`
 and discards it again.  Peak memory is
 
 * one packed :class:`Bitset` of visited nodes — ``num_nodes / 8`` bytes,
-  plus, on levels without attribution, one ``num_nodes / 8``-byte
-  snapshot of it per level,
+  plus, on levels without attribution, a ``num_nodes``-byte mark scratch
+  and one ``num_nodes / 8``-byte snapshot of the bitset per level,
 * the frontier rank array and a bounded ``slice × degree`` gather buffer
   (the frontier is expanded in slices of :func:`default_slice_nodes`
-  ranks), and
+  ranks),
+* for generator products (hyper-butterfly) the codec's cached factor
+  move tables (:meth:`~repro.fastgraph.codecs.ProductCodec.move_tables`)
+  — ``4·(m+4)·n·2^n`` bytes for the butterfly factor of ``HB(m,n)`` plus
+  ``8·(m+4)·2^m`` for the cube factor, and
 * the ``int32`` distance array *only when the caller asks for distances*
   (:func:`implicit_bfs_levels`); the sweep statistics kernels
   (:func:`implicit_source_stats`, :func:`implicit_sweep_chunk`) never
-  allocate per-node output and run in ``O(num_nodes / 8)`` memory.
+  allocate per-node output and run in ``O(num_nodes)`` bytes.
 
 Two level expansions share that layout:
 
 * **no attribution** (:func:`implicit_source_stats`,
   :func:`implicit_sweep_chunk`, dist-only :func:`implicit_bfs_levels`) —
-  snapshot the bitset words, mark every valid candidate, and read the
-  next frontier off the words that changed: ascending rank order with no
-  sort and no ``np.unique``;
+  store every valid candidate into the byte scratch (a gather-only
+  level: no scatter-OR per candidate), fold the scratch into the bitset
+  with one ``np.packbits`` per level, and read the next frontier off the
+  words that changed: ascending rank order with no sort and no
+  ``np.unique``;
 * **origins** (``want_parents`` / ``want_via``: the
   :class:`~repro.cayley.graph.DistanceOracle` fill and shortest paths) —
   test the candidates against the bitset, keep the first occurrence of
@@ -90,12 +96,21 @@ def numba_enabled() -> bool:
 
 def default_slice_nodes() -> int:
     """Frontier ranks expanded per gather — bounds the ``slice × degree``
-    scratch buffer (``REPRO_IMPLICIT_SLICE`` overrides, default 2^20)."""
-    try:
-        value = int(os.environ.get(_SLICE_ENV, _DEFAULT_SLICE))
-    except ValueError:
+    scratch buffer (``REPRO_IMPLICIT_SLICE`` overrides, default 2^20; a
+    value that is not a positive integer raises
+    :class:`InvalidParameterError`)."""
+    raw = os.environ.get(_SLICE_ENV)
+    if raw is None:
         return _DEFAULT_SLICE
-    return value if value >= 1 else _DEFAULT_SLICE
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise InvalidParameterError(
+            f"{_SLICE_ENV}={raw!r} is not a positive integer rank count"
+        )
+    return value
 
 
 if HAVE_NUMBA:
@@ -180,18 +195,25 @@ def _level(
 ) -> np.ndarray:
     """Expand one BFS level without attribution; returns the next frontier.
 
-    Every valid candidate of every slice is marked, visited or not
-    (re-marking a set bit is a no-op), and the fresh ranks are read off
-    the words that changed since a snapshot taken at level start.  That
-    read walks words and bits in rank order, so the next frontier comes
-    out ascending — the CSR kernel's ``np.unique`` frontier — with no sort.
+    Every valid candidate of every slice is marked, visited or not, by a
+    plain store into a one-byte-per-node scratch (duplicates just store
+    twice), so no scatter-OR runs per candidate.  The scratch is packed
+    and ORed into the bitset once per level, and the fresh ranks are read
+    off the words that changed.  That read walks words and bits in rank
+    order, so the next frontier comes out ascending — the CSR kernel's
+    ``np.unique`` frontier — with no sort.
     """
-    snapshot = bitset.words.copy()
+    # padded to whole words so the packed bytes view as the bitset's words
+    marks = np.zeros(bitset.words.size * 64, dtype=np.bool_)
     for lo in range(0, len(frontier), slice_nodes):
         flat = codec.neighbors_block(frontier[lo : lo + slice_nodes]).ravel()
         if bool((flat < 0).any()):
             flat = flat[flat >= 0]
-        bitset.set_bits(flat)
+        marks[flat] = True
+    # little-endian bits in little-endian words: rank r is bit r & 63 of word r >> 6
+    marked = np.packbits(marks, bitorder="little").view("<u8")
+    snapshot = bitset.words.copy()
+    bitset.words |= marked
     return bitset.new_since(snapshot)
 
 
@@ -314,7 +336,7 @@ def implicit_source_stats(
     forbidden: np.ndarray | None = None,
     slice_nodes: int | None = None,
 ) -> tuple[int, dict[int, int], int]:
-    """One exact BFS reduced on the fly — ``O(num_nodes / 8)`` memory.
+    """One exact BFS reduced on the fly — ``O(num_nodes)`` bytes of memory.
 
     Returns ``(eccentricity, depth_counts, reached)``: the max depth, the
     ``{depth >= 1: newly-visited count}`` histogram, and the number of

@@ -364,7 +364,7 @@ class StructureCampaignConfig:
     structure on ``HB(m, n)`` — ``source_sample=None`` is exact, an int
     samples (boundary + reservoir) for instances where exact sweeps are
     out of reach; ``backend="implicit"`` keeps ``>= 2^20``-node probes in
-    ``O(num_nodes / 8)`` memory per BFS.
+    ``O(num_nodes)`` bytes per BFS.
     """
 
     m: int = 3

@@ -34,7 +34,7 @@ On top of the abstraction:
   survivor source (exact); an integer samples that many seeded sources
   plus the (sorted, capped) structure boundary — the implicit backend
   keeps ``HB(9,11)``-class instances in reach because each masked BFS is
-  ``O(num_nodes / 8)`` memory.
+  ``O(num_nodes)`` bytes.
 * :func:`run_cascade` — a seeded cascading-failure engine: per epoch,
   every healthy boundary node of the failed region independently ignites
   a new structure with probability ``spread``; the trace lowers to a
@@ -452,7 +452,7 @@ def structure_fault_diameter(
     reservoir-sampled extra sources drawn with ``Random(seed)``; the
     result is then a certified lower bound.  ``backend`` pins the BFS
     substrate (``"implicit"`` keeps million-node instances in
-    ``O(num_nodes / 8)`` memory per BFS).
+    ``O(num_nodes)`` bytes per BFS).
     """
     if isinstance(structures, StructureFault):
         structures = [structures]

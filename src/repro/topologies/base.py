@@ -236,8 +236,8 @@ class Topology(ABC):
         """Eccentricity of ``v`` (max BFS distance; graph must be connected).
 
         ``backend`` as in :meth:`bfs_distances`; the implicit substrate
-        answers this per-source exact question in ``O(num_nodes / 8)``
-        memory, which is what makes it available past CSR scale.
+        answers this per-source exact question in ``O(num_nodes)``
+        bytes, which is what makes it available past CSR scale.
         """
         self.validate_node(v)
         fast = _fastgraph(self, backend)

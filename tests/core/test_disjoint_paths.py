@@ -12,7 +12,7 @@ from repro.core.disjoint_paths import (
     verify_disjoint_paths,
 )
 from repro.core.hyperbutterfly import HyperButterfly
-from repro.errors import RoutingError
+from repro.errors import InvalidParameterError, RoutingError
 from repro.routing.base import paths_internally_disjoint, validate_path
 
 
@@ -135,6 +135,14 @@ class TestFlowMethod:
             u, v = rng.sample(nodes, 2)
             family = disjoint_paths(hb23, u, v, method="flow")
             verify_disjoint_paths(hb23, u, v, family)
+
+    @pytest.mark.parametrize("method", ["global", "Flow", ""])
+    def test_unknown_method_rejected(self, hb23, method):
+        u, v = (0, (0, 0)), (1, (0, 0))
+        with pytest.raises(InvalidParameterError, match=repr(method)):
+            disjoint_paths(hb23, u, v, method=method)
+        with pytest.raises(InvalidParameterError, match="expected 'auto'"):
+            disjoint_paths_with_info(hb23, u, v, method=method)
 
     def test_corollary1_connectivity_exact(self, hb13):
         """Corollary 1: kappa(HB) = m + 4 — verified by exact max-flow."""

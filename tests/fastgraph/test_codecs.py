@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.hyperbutterfly import HyperButterfly
@@ -105,6 +106,64 @@ class TestGroupCodecs:
             pass
 
         assert codec_for_group(Weird()) is None
+
+
+def _per_generator_block(codec, idx):
+    """Reference product ``neighbors_block``: one ``apply_generator`` per
+    column, each splitting the rank into its factors."""
+    nr = codec.right.num_nodes
+    a, b = idx // nr, idx % nr
+    columns = [
+        codec.left.apply_generator(a, ga) * nr + codec.right.apply_generator(b, gb)
+        for ga, gb in codec.generators
+    ]
+    return np.column_stack(columns)
+
+
+@pytest.mark.parametrize("m, n", [(0, 3), (1, 3), (3, 4), (4, 5)])
+class TestProductMoveTables:
+    """The table-driven product ``neighbors_block`` (``left[a] + right[b]``)
+    against per-generator ``apply_generator``."""
+
+    def test_matches_apply_generator(self, m, n):
+        codec = codec_for(HyperButterfly(m, n))
+        idx = np.arange(codec.num_nodes, dtype=np.int64)
+        block = codec.neighbors_block(idx)
+        assert block.dtype == np.int64
+        assert np.array_equal(block, _per_generator_block(codec, idx))
+        # arbitrary order with repeats, as a BFS frontier slice is not
+        rng = np.random.default_rng(m * 10 + n)
+        some = rng.integers(0, codec.num_nodes, size=257)
+        assert np.array_equal(
+            codec.neighbors_block(some), _per_generator_block(codec, some)
+        )
+        assert codec.neighbors_block(idx[:0]).shape == (0, m + 4)
+
+    def test_table_layout(self, m, n):
+        codec = codec_for(HyperButterfly(m, n))
+        left, right = codec.move_tables()
+        nr = codec.right.num_nodes
+        assert left.shape == (1 << m, m + 4) and left.dtype == np.int64
+        assert right.shape == (nr, m + 4) and right.dtype == np.int32
+        assert not (left % nr).any()
+        # cube generators leave the butterfly factor alone: identity columns
+        for k, (ga, gb) in enumerate(codec.generators):
+            if gb == (0, 0):
+                assert np.array_equal(right[:, k], np.arange(nr))
+        assert codec.move_tables()[0] is left  # cached
+
+    def test_tables_follow_reassigned_generators(self, m, n):
+        """``DistanceOracle`` reassigns ``codec.generators`` after the codec
+        is built (and possibly used); the tables must follow."""
+        hb = HyperButterfly(m, n)
+        codec = codec_for_group(hb.group)
+        idx = np.arange(codec.num_nodes, dtype=np.int64)
+        family = tuple(hb.gens.generators)
+        for gens in (family, family[::-1], family[1:], family[:1] * 2, family):
+            codec.generators = gens
+            block = codec.neighbors_block(idx)
+            assert block.shape == (codec.num_nodes, len(gens))
+            assert np.array_equal(block, _per_generator_block(codec, idx))
 
 
 class TestRegistryOptIn:

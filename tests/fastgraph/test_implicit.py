@@ -18,10 +18,12 @@ import pytest
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.errors import InvalidLabelError, InvalidParameterError
 from repro.fastgraph.backend import FastGraph, get_fastgraph, implicit_threshold
-from repro.fastgraph.codecs import ButterflyElementCodec
+from repro.fastgraph.codecs import ButterflyElementCodec, NodeCodec
 from repro.fastgraph.implicit import (
     HAVE_NUMBA,
     Bitset,
+    _level,
+    _seed_bitset,
     default_slice_nodes,
     implicit_bfs_levels,
     implicit_source_stats,
@@ -121,6 +123,92 @@ class TestBitset:
         bits.set_bits(after)
         expected = np.setdiff1d(after, before)  # sorted, unique
         assert np.array_equal(bits.new_since(snapshot), expected)
+
+
+def _reference_level(codec, frontier, bitset, *, slice_nodes):
+    """The scatter-OR level: ``set_bits`` per slice, then ``new_since``."""
+    snapshot = bitset.words.copy()
+    for lo in range(0, len(frontier), slice_nodes):
+        flat = codec.neighbors_block(frontier[lo : lo + slice_nodes]).ravel()
+        bitset.set_bits(flat[flat >= 0])
+    return bitset.new_since(snapshot)
+
+
+class _TableCodec(NodeCodec):
+    """Implicit adjacency read off a fixed table (``-1`` = padding)."""
+
+    def __init__(self, table: np.ndarray) -> None:
+        self.num_nodes = table.shape[0]
+        self.table = table
+
+    def supports_implicit(self) -> bool:
+        return True
+
+    def neighbors_block(self, idx: np.ndarray) -> np.ndarray:
+        return self.table[idx]
+
+
+def _duplicate_heavy_codec(num_nodes: int, seed: int) -> _TableCodec:
+    """Width-6 rows over a few hot ranks (repeats within and across rows),
+    with padding and both ends of the rank range mixed in."""
+    rng = np.random.default_rng(seed)
+    hot = rng.integers(0, num_nodes, size=max(2, num_nodes // 8))
+    table = rng.choice(hot, size=(num_nodes, 6))
+    table[:, 0] = (np.arange(num_nodes) + 1) % num_nodes  # connects every rank
+    table[rng.random((num_nodes, 6)) < 0.15] = -1
+    table[0, 1:3] = [num_nodes - 1, 0]
+    return _TableCodec(table.astype(np.int64))
+
+
+class TestByteMarkedLevel:
+    """``_level`` (byte scratch + one packbits fold) against the
+    scatter-OR reference, level by level, with identical bitset words."""
+
+    @staticmethod
+    def _walk_both(codec, source, forbidden, slice_nodes):
+        fast = _seed_bitset(codec, source, forbidden)
+        ref = _seed_bitset(codec, source, forbidden)
+        frontier = np.array([source], dtype=np.int64)
+        while frontier.size:
+            got = _level(codec, frontier, fast, slice_nodes=slice_nodes)
+            want = _reference_level(codec, frontier, ref, slice_nodes=slice_nodes)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+            assert np.array_equal(fast.words, ref.words)
+            frontier = got
+
+    @pytest.mark.parametrize("num_nodes", [1, 2, 63, 64, 65, 127, 130, 1000])
+    @pytest.mark.parametrize("slice_nodes", [1, TINY_SLICE, 1 << 20])
+    def test_duplicate_heavy_tables(self, num_nodes, slice_nodes):
+        codec = _duplicate_heavy_codec(num_nodes, seed=num_nodes)
+        self._walk_both(codec, 0, None, slice_nodes)
+
+    @pytest.mark.parametrize("num_nodes", [65, 130, 1000])
+    def test_forbidden_bits_share_words_with_candidates(self, num_nodes):
+        codec = _duplicate_heavy_codec(num_nodes, seed=7)
+        # every other rank of the first and last words: each forbidden bit
+        # sits next to a candidate bit in the same uint64 word
+        last = num_nodes - 1
+        forbidden = np.array(
+            sorted({*range(1, 64, 2), *range(last - 1, max(last - 64, 0), -2)}),
+            dtype=np.int64,
+        )
+        for slice_nodes in (1, TINY_SLICE, 1 << 20):
+            self._walk_both(codec, 0, forbidden, slice_nodes)
+        bits = _seed_bitset(codec, 0, forbidden)
+        frontier = _level(codec, np.arange(num_nodes), bits, slice_nodes=TINY_SLICE)
+        assert frontier.size and not np.isin(frontier, forbidden).any()
+
+    @pytest.mark.parametrize("topology", GRID, ids=lambda t: t.name)
+    def test_grid_multi_slice_levels(self, topology):
+        fast = _fast(topology)
+        n = fast.codec.num_nodes
+        rng = np.random.default_rng(n)
+        forbidden = rng.choice(n, size=n // 5, replace=False)
+        source = int(np.setdiff1d(np.arange(n), forbidden)[0])
+        for mask in (None, forbidden[forbidden != source]):
+            for slice_nodes in (TINY_SLICE, 1 << 20):
+                self._walk_both(fast.codec, source, mask, slice_nodes)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -283,6 +371,19 @@ class TestBackendSelection:
         monkeypatch.setenv("REPRO_IMPLICIT_THRESHOLD", raw)
         with pytest.raises(InvalidParameterError, match="IMPLICIT_THRESHOLD") as info:
             implicit_threshold()
+        assert repr(raw) in str(info.value)
+
+    def test_slice_env_default_and_override(self, monkeypatch):
+        monkeypatch.delenv("REPRO_IMPLICIT_SLICE", raising=False)
+        assert default_slice_nodes() == 1 << 20
+        monkeypatch.setenv("REPRO_IMPLICIT_SLICE", "1000")
+        assert default_slice_nodes() == 1000
+
+    @pytest.mark.parametrize("raw", ["not-a-number", "4e6", "0", "-3", ""])
+    def test_slice_env_garbage_raises(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_IMPLICIT_SLICE", raw)
+        with pytest.raises(InvalidParameterError, match="IMPLICIT_SLICE") as info:
+            default_slice_nodes()
         assert repr(raw) in str(info.value)
 
 
