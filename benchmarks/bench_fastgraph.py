@@ -104,11 +104,11 @@ def test_exact_diameter_65k_under_budget(benchmark):
 
 def test_batched_all_eccentricities_hb23(benchmark, hb23):
     """Generic (non-transitive path) all-source eccentricities, batched."""
-    from repro.fastgraph.kernels import batched_eccentricities
+    from repro.fastgraph.parallel import parallel_sweep
 
     fg = get_fastgraph(hb23)
     ecc = benchmark.pedantic(
-        lambda: batched_eccentricities(fg.csr, batch=128, name=hb23.name),
+        lambda: parallel_sweep(fg.csr, name=hb23.name).eccentricities,
         rounds=1,
         iterations=1,
     )

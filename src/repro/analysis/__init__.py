@@ -4,7 +4,7 @@
   engine: exact diameter / average distance / full distance histogram of
   any Cartesian-product family by factor-histogram convolution.
 * :mod:`repro.analysis.metrics` — exact diameters (product decomposition,
-  vertex-transitive single-BFS, pooled all-sources sweep, iFUB fallback),
+  vertex-transitive single-BFS, pooled bit-parallel all-sources sweep),
   average distance, regularity.
 * :mod:`repro.analysis.formulas` — closed-form property formulas for the
   four families of Figure 1.

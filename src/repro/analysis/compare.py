@@ -153,8 +153,9 @@ def figure2_table(
     ``HD(6,8)`` (all ≈16384 processors).
 
     Numeric structure cells are exact.  Diameters are exact (single BFS for
-    the vertex-transitive ``HB``; iFUB for ``HD``) unless
-    ``exact_diameters=False`` (formula values, for quick runs).
+    the vertex-transitive ``HB``; product decomposition into factor
+    diameters for ``HD``) unless ``exact_diameters=False`` (formula
+    values, for quick runs).
     Fault tolerance is reported as the paper's formula value together with
     a sampled Menger certificate (``connectivity_pairs`` disjoint-path
     witnesses; see ``repro.faults.connectivity``); exact flow connectivity

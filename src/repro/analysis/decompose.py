@@ -102,13 +102,9 @@ def _allpairs_pair_histogram(topology: Topology) -> dict[int, int]:
     """Full all-ordered-pairs histogram for small irregular factors."""
     total = topology.num_nodes
     fast = get_fastgraph(topology, allow_enumeration=True)
-    counts: dict[int, int] | None = None
     if fast is not None:
-        try:
-            counts = fast.sweep(check_connected=False).histogram
-        except ImportError:
-            counts = None  # no scipy: per-source label BFS below
-    if counts is None:
+        counts = fast.sweep(check_connected=False).histogram
+    else:
         counts = {}
         for v in topology.nodes():
             for d in topology.bfs_distances(v).values():

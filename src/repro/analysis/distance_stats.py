@@ -8,8 +8,9 @@ cheapest first:
   exact distribution by factor-histogram convolution
   (:mod:`repro.analysis.decompose`) — no BFS over the product at all;
 * vertex-transitive families get it from one identity-rooted BFS;
-* irregular non-product families aggregate BFS from every node (batched
-  for large instances, optionally over a process pool with ``jobs``).
+* irregular non-product families aggregate BFS from every node (the
+  bit-parallel sweep kernel, optionally over a process pool with
+  ``jobs``).
 """
 
 from __future__ import annotations
@@ -69,13 +70,8 @@ def _generic_profile(
 ) -> dict[int, int]:
     fast = get_fastgraph(topology, backend=backend, allow_enumeration=True)
     if fast is not None:
-        try:
-            # reachable pairs only, like the label-BFS aggregation below
-            return fast.sweep(backend, jobs=jobs, check_connected=False).histogram
-        except ImportError:
-            if backend in ("csr", "implicit"):
-                raise  # pinned engine can't run: don't silently degrade
-            # no scipy: per-source label BFS below
+        # reachable pairs only, like the label-BFS aggregation below
+        return fast.sweep(backend, jobs=jobs, check_connected=False).histogram
     counts: dict[int, int] = {}
     for v in topology.nodes():
         for dist in topology.bfs_distances(v, backend="python").values():

@@ -10,11 +10,10 @@ Diameter:
   :attr:`repro.topologies.base.Topology.is_vertex_transitive`) need a
   **single BFS** — the eccentricity of any one vertex is the diameter;
 * irregular non-product topologies sweep all sources through
-  :meth:`repro.fastgraph.backend.FastGraph.sweep` (batched boolean BFS on
-  the CSR, or CSR-free implicit) — spread over a process pool with
-  ``jobs > 1`` — falling back
-  to networkx's bound-refining iFUB-style ``diameter(usebounds=True)``
-  when numpy/scipy are unavailable.
+  :meth:`repro.fastgraph.backend.FastGraph.sweep` (bit-parallel
+  multi-source BFS over CSR or CSR-free implicit rows), spread over a
+  process pool with ``jobs > 1``; with the fast backend off, every
+  source's label-BFS eccentricity is taken instead.
 
 Average distance is **exact at any scale** for product topologies (factor
 histogram convolution); for everything else it is exact below a node
@@ -27,8 +26,6 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from typing import Hashable
-
-import networkx as nx
 
 from repro.analysis.decompose import product_average_distance, product_diameter
 from repro.fastgraph.backend import get_fastgraph
@@ -65,35 +62,25 @@ def exact_diameter(
         if topology.is_vertex_transitive:
             anchor = next(iter(topology.nodes()))
             return topology.eccentricity(anchor, backend=backend)
-    try:
-        return _batched_bfs_diameter(topology, jobs=jobs, backend=backend)
-    except ImportError:
-        graph = topology.to_networkx()
-        return int(nx.diameter(graph, usebounds=True))
+    return _batched_bfs_diameter(topology, jobs=jobs, backend=backend)
 
 
 def _batched_bfs_diameter(
-    topology: Topology,
-    *,
-    batch: int = 128,
-    jobs: int = 1,
-    backend: str | None = None,
+    topology: Topology, *, jobs: int = 1, backend: str | None = None
 ) -> int:
-    """All-eccentricities diameter via the batched boolean BFS kernel.
+    """All-eccentricities diameter via the bit-parallel sweep kernel.
 
     Any topology qualifies: registered codecs give a vectorized CSR build,
     everything else gets an enumeration codec.  ``jobs > 1`` runs the
     sweep on a process pool (chunked sources, deterministic reduction —
     the result is bit-identical for any job count); the implicit substrate
     (resolved or pinned by ``backend``) sweeps CSR-free through the same
-    chunk/reduce path.  Raises ``ImportError`` when numpy/scipy are
-    unavailable so callers can fall back to networkx.
+    chunk kernel.  With no fast backend (``backend="python"`` or
+    ``REPRO_FASTGRAPH=0``) each source's label-BFS eccentricity is taken.
     """
     fast = get_fastgraph(topology, backend=backend, allow_enumeration=True)
     if fast is not None:
-        return fast.sweep(backend, jobs=jobs, batch=batch).diameter()
-    if backend != "python":
-        raise ImportError("fast graph backend unavailable")
+        return fast.sweep(backend, jobs=jobs).diameter()
     return max(topology.eccentricity(v, backend="python") for v in topology.nodes())
 
 

@@ -6,10 +6,10 @@ library uses, and the only code that resolves a ``backend=`` name:
 * unknown names raise :class:`~repro.errors.InvalidParameterError`;
 * ``"python"`` returns ``None`` — the caller runs its label BFS;
 * otherwise it returns the memoized :class:`FastGraph` when the family
-  has a registered codec and numpy is importable, else ``None`` (the
+  has a registered codec and the backend is enabled, else ``None`` (the
   caller falls back to its label BFS) — except that a pinned
-  ``"csr"``/``"implicit"`` raises instead, naming the cause: fastgraph
-  disabled or numpy missing, or no codec for the family.
+  ``"csr"``/``"implicit"`` raises instead, naming the cause:
+  ``REPRO_FASTGRAPH=0``, or no codec for the family.
 
 Call sites branch only on "``FastGraph`` or label BFS" and pass
 ``backend`` on to the :class:`FastGraph` method, whose
@@ -18,7 +18,7 @@ Call sites branch only on "``FastGraph`` or label BFS" and pass
 A :class:`FastGraph` carries **two** array substrates and picks per call:
 
 * ``csr`` — materialized ``O(edges)`` adjacency; fastest per BFS once
-  built, required for the batched boolean multi-source kernels.
+  built.
 * ``implicit`` — no adjacency at all; each frontier is expanded directly
   from the packed integer ranks via the codec's ``neighbors_block``
   (:mod:`repro.fastgraph.implicit`), so memory is ``O(frontier)`` and
@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
 
 from repro.errors import DisconnectedError, InvalidLabelError, InvalidParameterError
 
-if TYPE_CHECKING:  # runtime imports stay lazy (numpy optional, cycle-free)
+if TYPE_CHECKING:  # runtime imports stay lazy (cycle-free)
     import numpy as np
 
     from repro.fastgraph.codecs import NodeCodec
@@ -65,17 +65,9 @@ _THRESHOLD_ENV = "REPRO_IMPLICIT_THRESHOLD"
 _DEFAULT_THRESHOLD = 1 << 22
 
 
-def _numpy_ok() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 def enabled() -> bool:
     """Whether the fast backend is globally enabled."""
-    return os.environ.get("REPRO_FASTGRAPH", "1") != "0" and _numpy_ok()
+    return os.environ.get("REPRO_FASTGRAPH", "1") != "0"
 
 
 def implicit_threshold() -> int:
@@ -352,7 +344,6 @@ class FastGraph:
         backend: str | None = None,
         *,
         jobs: int = 1,
-        batch: int = 128,
         check_connected: bool = True,
     ) -> SweepResult:
         """All-sources eccentricities + distance histogram.
@@ -370,7 +361,6 @@ class FastGraph:
         return parallel_sweep(
             payload,
             jobs=jobs,
-            batch=batch,
             check_connected=check_connected,
             name=self.topology.name,
         )
@@ -453,7 +443,7 @@ def get_fastgraph(
         reason = (
             f"{topology.name} has no fastgraph codec"
             if on
-            else "fastgraph is disabled or numpy is missing"
+            else "fastgraph is disabled by REPRO_FASTGRAPH=0"
         )
         raise InvalidParameterError(
             f"{reason}; cannot pin backend={backend!r} (use backend='python')"

@@ -90,16 +90,15 @@ class NodeCodec:
 
         Column ``i`` of a Cayley codec's table is generator ``i`` applied to
         every vertex — the column order matches ``self.generators`` so BFS
-        parent columns double as generator indices for the oracle.
+        parent columns double as generator indices for the oracle.  It is
+        :meth:`neighbors_block` over every rank, so a product codec builds
+        it from its cached factor move tables.
         """
         if self.generators is None:
             return None
         import numpy as np
 
-        if not self.generators:
-            return np.zeros((self.num_nodes, 0), dtype=np.int64)
-        idx = np.arange(self.num_nodes, dtype=np.int64)
-        return np.column_stack([self.apply_generator(idx, s) for s in self.generators])
+        return self.neighbors_block(np.arange(self.num_nodes, dtype=np.int64))
 
     # Vectorized group arithmetic ------------------------------------------
 

@@ -24,7 +24,8 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -64,16 +65,24 @@ class CSRAdjacency:
             return None
         return self.indices.reshape(self.num_nodes, self.uniform_degree)
 
-    def to_scipy(self) -> Any:
-        """The adjacency as a ``scipy.sparse.csr_matrix`` of uint8 ones
-        (``Any``: scipy is an optional dependency imported lazily)."""
-        from scipy import sparse
+    def neighbors_block(self, idx: np.ndarray) -> np.ndarray:
+        """``(len(idx), max degree)`` ranked neighbors of ``idx``, padded
+        with ``-1`` — the row contract of
+        :meth:`~repro.fastgraph.codecs.NodeCodec.neighbors_block`, so the
+        sweep kernel reads a CSR and a codec alike."""
+        table = self.table()
+        return (self._padded_table if table is None else table)[idx]
 
-        n = self.num_nodes
-        return sparse.csr_matrix(
-            (np.ones(self.num_arcs, dtype=np.uint8), self.indices, self.indptr),
-            shape=(n, n),
-        )
+    @cached_property
+    def _padded_table(self) -> np.ndarray:
+        """Irregular rows left-aligned in a ``-1``-filled table, built once."""
+        degrees = np.diff(self.indptr)
+        width = int(degrees.max()) if degrees.size else 0
+        table = np.full((self.num_nodes, width), -1, dtype=self.indices.dtype)
+        rows = np.repeat(np.arange(self.num_nodes), degrees)
+        cols = np.arange(self.num_arcs) - np.repeat(self.indptr[:-1], degrees)
+        table[rows, cols] = self.indices
+        return table
 
 
 def cache_dir() -> str:

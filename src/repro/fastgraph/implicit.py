@@ -20,14 +20,18 @@ and discards it again.  Peak memory is
   — ``4·(m+4)·n·2^n`` bytes for the butterfly factor of ``HB(m,n)`` plus
   ``8·(m+4)·2^m`` for the cube factor, and
 * the ``int32`` distance array *only when the caller asks for distances*
-  (:func:`implicit_bfs_levels`); the sweep statistics kernels
-  (:func:`implicit_source_stats`, :func:`implicit_sweep_chunk`) never
-  allocate per-node output and run in ``O(num_nodes)`` bytes.
+  (:func:`implicit_bfs_levels`); the per-source statistics kernel
+  (:func:`implicit_source_stats`) never allocates per-node output and
+  runs in ``O(num_nodes)`` bytes.
+
+All-sources sweeps do not run here: the bit-parallel chunk kernel
+:func:`repro.fastgraph.kernels.sweep_chunk` reads the same
+``neighbors_block`` rows, for a codec and a CSR alike.
 
 Two level expansions share that layout:
 
-* **no attribution** (:func:`implicit_source_stats`,
-  :func:`implicit_sweep_chunk`, dist-only :func:`implicit_bfs_levels`) —
+* **no attribution** (:func:`implicit_source_stats`, dist-only
+  :func:`implicit_bfs_levels`) —
   store every valid candidate into the byte scratch (a gather-only
   level: no scatter-OR per candidate), fold the scratch into the bitset
   with one ``np.packbits`` per level, and read the next frontier off the
@@ -70,7 +74,6 @@ __all__ = [
     "Bitset",
     "implicit_bfs_levels",
     "implicit_source_stats",
-    "implicit_sweep_chunk",
 ]
 
 #: whether the optional jit is importable — the numpy path is the reference
@@ -354,34 +357,3 @@ def implicit_source_stats(
             break
         depth_counts[len(depth_counts) + 1] = int(frontier.size)
     return len(depth_counts), depth_counts, 1 + sum(depth_counts.values())
-
-
-def implicit_sweep_chunk(
-    codec: NodeCodec,
-    chunk: np.ndarray,
-    *,
-    slice_nodes: int | None = None,
-) -> tuple[np.ndarray, dict[int, int], bool]:
-    """Per-source BFS over the ``chunk`` source ranks, reduced like
-    :func:`repro.fastgraph.kernels.sweep_chunk`.
-
-    Returns ``(eccentricities, depth_counts, all_visited)`` with the same
-    contract as the CSR chunk kernel, so
-    :mod:`repro.fastgraph.parallel` reduces both payload kinds through
-    one code path and the results are bit-identical for any job count.
-    Unlike the CSR kernel there is no batched matrix product — each
-    source costs one full implicit BFS — but there is also no ``O(edges)``
-    adjacency to build or ship to workers.
-    """
-    eccentricities = np.zeros(len(chunk), dtype=np.int64)
-    depth_counts: dict[int, int] = {}
-    all_visited = True
-    for i, source in enumerate(chunk):
-        ecc, counts, reached = implicit_source_stats(
-            codec, int(source), slice_nodes=slice_nodes
-        )
-        eccentricities[i] = ecc
-        for depth, newly in counts.items():
-            depth_counts[depth] = depth_counts.get(depth, 0) + newly
-        all_visited = all_visited and reached == codec.num_nodes
-    return eccentricities, depth_counts, all_visited

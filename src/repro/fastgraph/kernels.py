@@ -1,41 +1,38 @@
-"""Array-backed BFS kernels over :class:`~repro.fastgraph.csr.CSRAdjacency`.
+"""Array-backed BFS kernels over dense node ranks.
 
-Three kernels cover every BFS the library runs:
+Two kernels cover every CSR BFS the library runs and every all-sources
+sweep:
 
-* :func:`bfs_levels` — single-source level/parent arrays using frontier
-  arrays instead of a dict+deque; supports blocked-node masks and early
-  exit at a target.  One numpy pass per BFS level.
-* :func:`batched_eccentricities` — multi-source boolean BFS, ``batch``
-  sources at a time, as sparse-matrix × dense-boolean products (the
-  generalisation of the one-off ``_batched_bfs_diameter`` that used to
-  live in :mod:`repro.analysis.metrics`).
-* :func:`distance_histogram` — the same sweep accumulating per-depth
-  newly-visited counts, i.e. the all-ordered-pairs distance histogram.
-
-Both sweeps share :func:`sweep_chunk`, the one-chunk inner kernel that
-:mod:`repro.fastgraph.parallel` also runs inside pool workers — serial
-and pooled sweeps reduce the same per-chunk results, so they are
-bit-identical for any job count.
+* :func:`bfs_levels` — single-source level/parent arrays over a
+  :class:`~repro.fastgraph.csr.CSRAdjacency`, using frontier arrays
+  instead of a dict+deque; supports blocked-node masks and early exit at
+  a target.  One numpy pass per BFS level.
+* :func:`sweep_chunk` — a multi-source bit-parallel BFS (MS-BFS; Then et
+  al., "The More the Merrier: Efficient Multi-Source Graph Traversal",
+  VLDB 2014) from one chunk of sources.  Every node holds one ``uint64``
+  word per 64 sources, and a level ORs the frontier words of each node's
+  neighbors.  It reads adjacency only through ``neighbors_block`` rows
+  padded with ``-1``, which a CSR and an implicit codec both provide, so
+  one kernel serves both sweep payloads.  :mod:`repro.fastgraph.parallel`
+  runs it in-process or inside pool workers; serial and pooled sweeps
+  reduce the same per-chunk results, so they are bit-identical for any
+  job count.
 
 All distances are ``int32`` with ``-1`` meaning unreached.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
-from repro.errors import DisconnectedError
+from repro.fastgraph.codecs import NodeCodec
 from repro.fastgraph.csr import CSRAdjacency
 
-__all__ = [
-    "bfs_levels",
-    "path_from_parents",
-    "sweep_chunk",
-    "batched_eccentricities",
-    "distance_histogram",
-]
+__all__ = ["bfs_levels", "path_from_parents", "sweep_chunk"]
+
+#: bytes of one gathered ``frontier[rows]`` block (``slice · width · words
+#: · 8``); bounds a sweep level's scratch whatever the graph size
+_GATHER_BYTES = 1 << 24
 
 
 def bfs_levels(
@@ -102,82 +99,59 @@ def path_from_parents(parents: np.ndarray, source: int, target: int) -> list[int
 
 
 def sweep_chunk(
-    adjacency: Any, total: int, chunk: np.ndarray
+    rows: CSRAdjacency | NodeCodec, chunk: np.ndarray
 ) -> tuple[np.ndarray, dict[int, int], bool]:
-    """One batched boolean BFS from the ``chunk`` source ranks.
+    """One multi-source bit-parallel BFS from the distinct ``chunk`` ranks.
 
-    The shared inner kernel of every all-sources sweep — serial
-    (:func:`batched_eccentricities`, :func:`distance_histogram`) and
-    process-pooled (:mod:`repro.fastgraph.parallel`) — so the pooled
-    reduction is bit-identical to the serial loop by construction.
+    Source ``i`` of the chunk owns bit ``i & 63`` of word ``i >> 6`` in
+    every node's row.  A level pulls, for each node, the OR of its
+    neighbors' frontier rows and keeps the bits not yet seen; popcounts
+    of those bits are the level's new pairs, and an OR over all nodes
+    names the sources whose BFS advanced.  ``rows.neighbors_block`` is
+    read in slices of ranks sized from :data:`_GATHER_BYTES`; a ``-1``
+    padding entry gathers the extra all-zero row ``num_nodes``.
 
     Returns ``(eccentricities, depth_counts, all_visited)``:
     per-source eccentricities (``int64``, aligned with ``chunk``),
     ``{depth >= 1: newly-visited count}`` summed over the chunk's sources,
     and whether every BFS in the chunk reached the whole graph.
     """
+    total = rows.num_nodes
     width = len(chunk)
-    visited = np.zeros((total, width), dtype=bool)
-    visited[chunk, np.arange(width)] = True
-    frontier = visited.copy()
-    depth = 0
+    words = (width + 63) >> 6
+    lanes = np.arange(width)
+    # row ``total`` is never written, so it stays the all-zero padding row
+    seen = np.zeros((total + 1, words), dtype=np.uint64)
+    seen[chunk, lanes >> 6] = np.uint64(1) << (lanes & 63).astype(np.uint64)
+    frontier = seen.copy()
+    degree = rows.neighbors_block(chunk[:1]).shape[1]
+    step = max(1, _GATHER_BYTES // (8 * words * max(degree, 1)))
     ecc = np.zeros(width, dtype=np.int64)
     depth_counts: dict[int, int] = {}
-    while frontier.any():
-        # int32, not uint8: @ accumulates in the operand dtype, and a node
-        # whose frontier in-degree is a multiple of 256 would wrap to 0
-        # and read as unreached (HB605)
-        reached = (adjacency @ frontier.astype(np.int32)) > 0
-        frontier = reached & ~visited
-        visited |= frontier
-        depth += 1
-        newly = int(frontier.sum())
-        if newly:
-            depth_counts[depth] = newly
-            ecc[frontier.any(axis=0)] = depth
-    return ecc, depth_counts, bool(visited.all())
-
-
-def batched_eccentricities(
-    csr: CSRAdjacency,
-    *,
-    sources: np.ndarray | None = None,
-    batch: int = 128,
-    check_connected: bool = True,
-    name: str = "graph",
-) -> np.ndarray:
-    """Eccentricity of each source (default: all) via batched boolean BFS.
-
-    Runs BFS from ``batch`` sources at a time as sparse × dense-boolean
-    products — roughly two orders of magnitude faster than per-source
-    Python BFS at the 16k-node Figure 2 scale, and exact.
-    """
-    adjacency = csr.to_scipy()
-    total = csr.num_nodes
-    if sources is None:
-        sources = np.arange(total, dtype=np.int64)
-    eccentricities = np.empty(len(sources), dtype=np.int64)
-    for start in range(0, len(sources), batch):
-        chunk = sources[start : start + batch]
-        ecc, _, all_visited = sweep_chunk(adjacency, total, chunk)
-        if check_connected and not all_visited:
-            raise DisconnectedError(f"{name} is disconnected")
-        eccentricities[start : start + len(chunk)] = ecc
-    return eccentricities
-
-
-def distance_histogram(csr: CSRAdjacency, *, batch: int = 128) -> dict[int, int]:
-    """``{distance: ordered-pair count}`` over all reachable ordered pairs.
-
-    Includes the ``distance == 0`` diagonal, mirroring the aggregation of
-    per-source BFS dictionaries it replaces.
-    """
-    adjacency = csr.to_scipy()
-    total = csr.num_nodes
-    counts: dict[int, int] = {0: total}
-    for start in range(0, total, batch):
-        chunk = np.arange(start, min(start + batch, total), dtype=np.int64)
-        _, depth_counts, _ = sweep_chunk(adjacency, total, chunk)
-        for depth, newly in depth_counts.items():
-            counts[depth] = counts.get(depth, 0) + newly
-    return dict(sorted(counts.items()))
+    while True:
+        pulled = np.zeros_like(seen)
+        for lo in range(0, total, step):
+            block = rows.neighbors_block(
+                np.arange(lo, min(lo + step, total), dtype=np.int64)
+            )
+            out = pulled[lo : lo + len(block)]
+            for column in block.T:
+                out |= np.take(frontier, column, axis=0)
+        pulled &= ~seen
+        # dtype pinned: a bare .sum() accumulates in the platform integer
+        newly = int(np.bitwise_count(pulled).sum(dtype=np.int64))
+        if not newly:
+            break
+        depth = len(depth_counts) + 1
+        depth_counts[depth] = newly
+        advanced = np.bitwise_or.reduce(pulled, axis=0)
+        # little-endian bytes, little-endian bits: column i is source i
+        hit = np.unpackbits(
+            advanced.astype("<u8", copy=False).view(np.uint8), bitorder="little"
+        )[:width]
+        ecc[hit.astype(bool)] = depth
+        seen |= pulled
+        frontier = pulled
+    # each (source, node) pair is counted once, at the depth it is reached
+    all_visited = width + sum(depth_counts.values()) == width * total
+    return ecc, depth_counts, all_visited

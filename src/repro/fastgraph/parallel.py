@@ -2,26 +2,23 @@
 
 The chunked sweep is embarrassingly parallel across source chunks, but a
 single Python process keeps the kernels on one core.  This module spreads
-the chunks over a :class:`~concurrent.futures.ProcessPoolExecutor` and is
-**payload-aware** — the first argument picks the worker substrate:
-
-* a :class:`~repro.fastgraph.csr.CSRAdjacency` ships its ``(indptr,
-  indices)`` arrays **once per worker** (pool ``initializer``, not once
-  per chunk); workers rebuild the scipy adjacency lazily and run the
-  batched boolean kernel (:func:`repro.fastgraph.kernels.sweep_chunk`);
-* a :class:`~repro.fastgraph.codecs.NodeCodec` with implicit adjacency
-  ships only the codec itself — a few integers, the whole "spec" of the
-  family — and workers expand frontiers CSR-free
-  (:func:`repro.fastgraph.implicit.implicit_sweep_chunk`).  Nothing
-  ``O(edges)`` ever crosses a process boundary, which is what lets
-  multi-source sweeps run at scales where no CSR fits.
+the chunks over a :class:`~concurrent.futures.ProcessPoolExecutor`.  The
+payload is either a :class:`~repro.fastgraph.csr.CSRAdjacency` or a
+:class:`~repro.fastgraph.codecs.NodeCodec` with implicit adjacency, and
+both run the same chunk kernel
+(:func:`repro.fastgraph.kernels.sweep_chunk`), which reads only their
+``neighbors_block`` rows.  The pool initializer ships the payload **once
+per worker**, not once per chunk: CSR arrays, or for a codec just a few
+integers — the whole "spec" of the family — so nothing ``O(edges)``
+crosses a process boundary and multi-source sweeps run at scales where
+no CSR fits.
 
 Chunk boundaries are a pure function of ``(num_sources, batch)`` and the
 reduction (``max`` over eccentricities via order-preserving concatenation,
 integer ``+`` over histogram counts) is associative and order-preserved by
 ``executor.map`` — the result is **bit-identical** for any ``jobs`` value
 *and* for either payload kind, including the in-process ``jobs=1`` path,
-which runs the very same chunk kernels without a pool.
+which runs the very same chunk kernel without a pool.
 
 The pool pins an explicit multiprocessing start method (``spawn`` unless
 overridden via ``start_method=`` or ``$REPRO_POOL_START_METHOD``) instead
@@ -57,6 +54,9 @@ START_METHOD_ENV = "REPRO_POOL_START_METHOD"
 #: a sweep substrate: materialized CSR arrays, or a tiny picklable codec
 SweepPayload = Union[CSRAdjacency, NodeCodec]
 
+#: sources per chunk: 1024 sources are 16 ``uint64`` words per node
+DEFAULT_BATCH = 1024
+
 #: per-worker state, populated by the pool initializer (fork or spawn safe)
 _state: dict[str, Any] = {}
 
@@ -91,65 +91,23 @@ def resolve_start_method(start_method: str | None = None) -> str:
     return start_method or os.environ.get(START_METHOD_ENV) or "spawn"
 
 
-def _init_worker_csr(
-    indptr: np.ndarray, indices: np.ndarray, uniform_degree: int | None
-) -> None:
-    """Rebuild the CSR once per worker; the scipy matrix is built lazily."""
+def _init_worker(payload: SweepPayload) -> None:
+    """Store the payload once per worker — the only state a worker needs."""
     install_errstate_from_env()  # sanitizer trap survives spawn
-    _state["csr"] = CSRAdjacency(
-        indptr=indptr, indices=indices, uniform_degree=uniform_degree
-    )
-    _state["adjacency"] = None
-    _state["codec"] = None
-
-
-def _init_worker_implicit(codec: NodeCodec) -> None:
-    """Store the codec spec — the only state an implicit worker needs."""
-    install_errstate_from_env()  # sanitizer trap survives spawn
-    _state["codec"] = codec
-    _state["csr"] = None
+    _state["payload"] = payload  # reprolint: disable=HB702 -- the initializer's one write: each worker's read-only payload, identical in every worker
 
 
 def _run_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, dict[int, int], bool]:
-    """Worker body: sweep one chunk against the worker-cached substrate."""
+    """Worker body: sweep one chunk against the worker's payload."""
     lo, hi = bounds
-    chunk = np.arange(lo, hi, dtype=np.int64)
-    codec: NodeCodec | None = _state.get("codec")
-    if codec is not None:
-        from repro.fastgraph.implicit import implicit_sweep_chunk
-
-        return implicit_sweep_chunk(codec, chunk)
-    csr: CSRAdjacency = _state["csr"]
-    if _state["adjacency"] is None:
-        # per-worker lazy cache: the scipy build is deterministic and the
-        # mutation never leaves the child, so chunk results are unaffected
-        _state["adjacency"] = csr.to_scipy()  # reprolint: disable=HB702 -- worker-local memoization of a pure function of initializer state
-    return sweep_chunk(_state["adjacency"], csr.num_nodes, chunk)
-
-
-def _run_chunks_inline(
-    payload: SweepPayload, bounds: list[tuple[int, int]]
-) -> list[tuple[np.ndarray, dict[int, int], bool]]:
-    """The ``jobs=1`` reference path — same chunk kernels, no pool."""
-    if isinstance(payload, NodeCodec):
-        from repro.fastgraph.implicit import implicit_sweep_chunk
-
-        return [
-            implicit_sweep_chunk(payload, np.arange(lo, hi, dtype=np.int64))
-            for lo, hi in bounds
-        ]
-    adjacency = payload.to_scipy()
-    return [
-        sweep_chunk(adjacency, payload.num_nodes, np.arange(lo, hi, dtype=np.int64))
-        for lo, hi in bounds
-    ]
+    return sweep_chunk(_state["payload"], np.arange(lo, hi, dtype=np.int64))
 
 
 def parallel_sweep(
     payload: SweepPayload,
     *,
     jobs: int = 1,
-    batch: int = 128,
+    batch: int = DEFAULT_BATCH,
     check_connected: bool = True,
     name: str = "graph",
     start_method: str | None = None,
@@ -159,9 +117,10 @@ def parallel_sweep(
     ``payload`` selects the substrate (CSR arrays or an implicit codec —
     see the module docstring); ``jobs=1`` runs the chunk loop in-process
     (no pool, no pickling) and is the reference the pooled paths must
-    match bit-for-bit.  ``start_method`` pins the pool's multiprocessing
-    context (default: :func:`resolve_start_method` — spawn unless
-    ``$REPRO_POOL_START_METHOD`` overrides it).
+    match bit-for-bit.  ``batch`` sources share one chunk, cut by
+    :func:`source_chunks`.  ``start_method`` pins the pool's
+    multiprocessing context (default: :func:`resolve_start_method` —
+    spawn unless ``$REPRO_POOL_START_METHOD`` overrides it).
     """
     if jobs < 1:
         raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
@@ -175,21 +134,18 @@ def parallel_sweep(
     total = payload.num_nodes
     bounds = source_chunks(total, batch)
     if jobs == 1 or len(bounds) <= 1:
-        results = _run_chunks_inline(payload, bounds)
+        results = [
+            sweep_chunk(payload, np.arange(lo, hi, dtype=np.int64))
+            for lo, hi in bounds
+        ]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        if isinstance(payload, NodeCodec):
-            initializer: Any = _init_worker_implicit
-            initargs: tuple[Any, ...] = (payload,)
-        else:
-            initializer = _init_worker_csr
-            initargs = (payload.indptr, payload.indices, payload.uniform_degree)
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(bounds)),
             mp_context=multiprocessing.get_context(resolve_start_method(start_method)),
-            initializer=initializer,
-            initargs=initargs,
+            initializer=_init_worker,
+            initargs=(payload,),
         ) as pool:
             # map preserves submission order -> deterministic reduction
             results = list(pool.map(_run_chunk, bounds))

@@ -5,7 +5,7 @@ hashable labels and adjacency is computed from the label, never stored.
 This keeps construction ``O(1)`` and lets algorithms work on instances far
 larger than what an explicit adjacency structure would allow, while
 ``to_networkx()`` materialises an explicit graph when a global analysis
-works on networkx (iFUB diameter, isomorphism checks, bisection).
+works on networkx (isomorphism checks, bisection).
 """
 
 from __future__ import annotations

@@ -11,15 +11,16 @@ from repro.analysis.distance_stats import (
 )
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.fastgraph.backend import get_fastgraph
-from repro.fastgraph.kernels import distance_histogram
+from repro.fastgraph.parallel import DEFAULT_BATCH
 from repro.topologies.debruijn import DeBruijn
 from repro.topologies.hypercube import Hypercube
 from repro.topologies.hyperdebruijn import HyperDeBruijn
 from repro.topologies.mesh import Mesh
 from repro.topologies.mesh_of_trees import MeshOfTrees
+from tests.fastgraph._reference_sweep import reference_sweep
 
-#: ``(topology, jobs, backend)`` inputs of the all-sources sweep; the
-#: ``jobs=2`` rows have more than one 128-source chunk, so they really pool
+#: ``(topology, jobs, backend)`` inputs of the all-sources sweep; these
+#: ``jobs=2`` rows fit one chunk and take the in-process shortcut
 SWEEPS = [
     (HyperDeBruijn(1, 3), 1, None),
     (HyperDeBruijn(2, 6), 2, "implicit"),
@@ -27,6 +28,12 @@ SWEEPS = [
     (DeBruijn(4), 1, "implicit"),
     (Mesh(3, 4), 1, "csr"),
     (MeshOfTrees(8, 8), 1, None),
+]
+
+#: ``jobs=2`` rows spanning at least two default chunks, so they really pool
+POOLED_SWEEPS = [
+    (HyperDeBruijn(4, 7), 2, "implicit"),
+    (HyperButterfly(3, 5), 2, "csr"),
 ]
 
 
@@ -52,13 +59,16 @@ class TestProfiles:
 
         assert _transitive_profile(hb13) == _generic_profile(hb13)
 
-    @pytest.mark.parametrize("case", SWEEPS, ids=sweep_id)
+    @pytest.mark.parametrize("case", SWEEPS + POOLED_SWEEPS, ids=sweep_id)
     def test_generic_sweep_matches_kernel_reference(self, case):
         topology, jobs, backend = case
         csr = get_fastgraph(topology, allow_enumeration=True).csr
-        assert distance_histogram(csr) == pair_distance_counts(
+        assert reference_sweep(csr)[1] == pair_distance_counts(
             topology, force_generic=True, jobs=jobs, backend=backend
         )
+
+    def test_pooled_rows_span_two_chunks(self):
+        assert all(t.num_nodes > DEFAULT_BATCH for t, _, _ in POOLED_SWEEPS)
 
     def test_histogram_sums_to_one(self, hb23):
         p = distance_profile(hb23)

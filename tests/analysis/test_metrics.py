@@ -8,16 +8,17 @@ import pytest
 from repro.analysis.metrics import average_distance, degree_profile, exact_diameter
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.fastgraph.backend import get_fastgraph
-from repro.fastgraph.kernels import batched_eccentricities
+from repro.fastgraph.parallel import DEFAULT_BATCH
 from repro.topologies.butterfly_cayley import CayleyButterfly
 from repro.topologies.debruijn import DeBruijn
 from repro.topologies.hypercube import Hypercube
 from repro.topologies.hyperdebruijn import HyperDeBruijn
 from repro.topologies.mesh import Mesh
 from repro.topologies.mesh_of_trees import MeshOfTrees
+from tests.fastgraph._reference_sweep import reference_sweep
 
-#: ``(topology, jobs, backend)`` inputs of the all-sources sweep; the
-#: ``jobs=2`` rows have more than one 128-source chunk, so they really pool
+#: ``(topology, jobs, backend)`` inputs of the all-sources sweep; these
+#: ``jobs=2`` rows fit one chunk and take the in-process shortcut
 SWEEPS = [
     (HyperDeBruijn(1, 4), 1, None),
     (HyperDeBruijn(1, 4), 1, "implicit"),
@@ -26,6 +27,13 @@ SWEEPS = [
     (HyperButterfly(1, 3), 1, "implicit"),
     (Mesh(4, 5), 1, "csr"),
     (MeshOfTrees(8, 8), 2, None),
+]
+
+#: ``jobs=2`` rows spanning at least two default chunks, so they really pool
+POOLED_SWEEPS = [
+    (HyperDeBruijn(4, 7), 2, "csr"),
+    (DeBruijn(11), 2, "implicit"),
+    (MeshOfTrees(32, 32), 2, None),
 ]
 
 
@@ -50,14 +58,17 @@ class TestExactDiameter:
         hd = HyperDeBruijn(1, 4)
         assert exact_diameter(hd, force_generic=True) == nx.diameter(hd.to_networkx())
 
-    @pytest.mark.parametrize("case", SWEEPS, ids=sweep_id)
+    @pytest.mark.parametrize("case", SWEEPS + POOLED_SWEEPS, ids=sweep_id)
     def test_generic_sweep_matches_kernel_reference(self, case):
         topology, jobs, backend = case
         csr = get_fastgraph(topology, allow_enumeration=True).csr
-        reference = int(batched_eccentricities(csr, name=topology.name).max())
+        reference = int(reference_sweep(csr)[0].max())
         assert reference == exact_diameter(
             topology, force_generic=True, jobs=jobs, backend=backend
         )
+
+    def test_pooled_rows_span_two_chunks(self):
+        assert all(t.num_nodes > DEFAULT_BATCH for t, _, _ in POOLED_SWEEPS)
 
     def test_hb_diameter_formula(self, hb24):
         assert exact_diameter(hb24) == hb24.diameter_formula()

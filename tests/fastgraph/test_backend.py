@@ -20,7 +20,7 @@ from repro.core.hyperbutterfly import HyperButterfly
 from repro.errors import InvalidParameterError
 from repro.fastgraph import get_fastgraph
 from repro.fastgraph.backend import FastGraph
-from repro.fastgraph.kernels import batched_eccentricities, distance_histogram
+from repro.fastgraph.parallel import parallel_sweep
 from repro.faults.connectivity import connected_under_faults
 from repro.faults.structures import star_structure, structure_fault_diameter
 from repro.topologies.butterfly import WrappedButterfly
@@ -108,7 +108,7 @@ class TestFastMatchesPython:
 
     def test_batched_eccentricities_match_per_source(self, topology):
         fg = get_fastgraph(topology)
-        ecc = batched_eccentricities(fg.csr, batch=32, name=topology.name)
+        ecc = parallel_sweep(fg.csr, batch=32, name=topology.name).eccentricities
         for idx in range(0, topology.num_nodes, max(1, topology.num_nodes // 5)):
             source = fg.unrank(idx)
             expected = max(topology._bfs_distances_python(source, frozenset()).values())
@@ -126,7 +126,8 @@ class TestFastMatchesPython:
         for v in topology.nodes():
             for d in topology._bfs_distances_python(v, frozenset()).values():
                 counts[d] = counts.get(d, 0) + 1
-        assert distance_histogram(fg.csr) == dict(sorted(counts.items()))
+        histogram = parallel_sweep(fg.csr, check_connected=False).histogram
+        assert histogram == dict(sorted(counts.items()))
 
 
 class TestBlockedSemantics:
@@ -276,7 +277,7 @@ class TestBackendResolution:
             pin, cause = "implicit", "needs a group codec and an enabled fast backend"
         else:
             pin, cause = "csr", {
-                "disabled": "fastgraph is disabled or numpy is missing",
+                "disabled": "fastgraph is disabled by REPRO_FASTGRAPH=0",
                 "codecless": r"MT\(2,2\) has no fastgraph codec",
             }.get(case)
             if case == "codecless" and entry in ENUMERATING:

@@ -7,10 +7,24 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.hyperbutterfly import HyperButterfly
 from repro.fastgraph import codec_for
 from repro.fastgraph.csr import build_csr, cache_path
+from repro.topologies.butterfly_cayley import CayleyButterfly
 from repro.topologies.debruijn import DeBruijn
 from repro.topologies.hypercube import Hypercube
+from tests.fastgraph._reference_sweep import to_scipy
+
+#: generator codecs whose CSR comes from ``NodeCodec.neighbor_table``
+GENERATOR_FAMILIES = [
+    HyperButterfly(0, 3),
+    HyperButterfly(1, 3),
+    HyperButterfly(2, 3),
+    HyperButterfly(3, 4),
+    HyperButterfly(4, 5),
+    HyperButterfly(4, 7),
+    CayleyButterfly(4),
+]
 
 
 class TestBuildRoutes:
@@ -30,9 +44,21 @@ class TestBuildRoutes:
         assert sorted(set(int(x) for x in degrees)) == [2, 3, 4]
         assert int(degrees.sum()) == 2 * d.num_edges
 
+    @pytest.mark.parametrize("topology", GENERATOR_FAMILIES, ids=lambda t: t.name)
+    def test_generator_build_matches_per_generator_columns(self, topology):
+        # column k of the table is generator k applied to every rank
+        codec = codec_for(topology)
+        ranks = np.arange(codec.num_nodes, dtype=np.int64)
+        reference = np.column_stack(
+            [codec.apply_generator(ranks, gen) for gen in codec.generators]
+        )
+        csr = build_csr(topology, codec)
+        assert csr.uniform_degree == len(codec.generators)
+        assert np.array_equal(csr.indices, reference.ravel())
+
     def test_scipy_export_symmetric(self):
         h = Hypercube(3)
-        mat = build_csr(h, codec_for(h)).to_scipy()
+        mat = to_scipy(build_csr(h, codec_for(h)))
         assert (mat != mat.T).nnz == 0
 
 

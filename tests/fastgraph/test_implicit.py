@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.errors import InvalidLabelError, InvalidParameterError
+from repro.fastgraph import kernels
 from repro.fastgraph.backend import FastGraph, get_fastgraph, implicit_threshold
 from repro.fastgraph.codecs import ButterflyElementCodec, NodeCodec
 from repro.fastgraph.implicit import (
@@ -27,7 +28,6 @@ from repro.fastgraph.implicit import (
     default_slice_nodes,
     implicit_bfs_levels,
     implicit_source_stats,
-    implicit_sweep_chunk,
     numba_enabled,
 )
 from repro.fastgraph.kernels import bfs_levels, sweep_chunk
@@ -39,6 +39,7 @@ from repro.topologies.hypercube import Hypercube
 from repro.topologies.hyperdebruijn import HyperDeBruijn
 from repro.topologies.mesh import Mesh, Torus
 from repro.topologies.tree import CompleteBinaryTree
+from tests.fastgraph._reference_sweep import _reference_sweep_chunk
 
 #: every implicit-capable family, small enough for exhaustive comparison
 GRID = [
@@ -312,12 +313,15 @@ class TestImplicitMatchesCSR:
                 d: int(c) for d, c in enumerate(counts) if c
             }
 
-    def test_sweep_chunk_identical(self, topology):
+    def test_sweep_chunk_identical(self, topology, monkeypatch):
+        # codec rows through the shared sweep kernel, gathered in slices
+        # of TINY_SLICE ranks at degree 4 (one word per node for 12 sources)
+        monkeypatch.setattr(kernels, "_GATHER_BYTES", 8 * TINY_SLICE * 4)
         fast = _fast(topology)
         n = fast.codec.num_nodes
         chunk = np.arange(min(n, 12), dtype=np.int64)
-        ref = sweep_chunk(fast.csr.to_scipy(), n, chunk)
-        got = implicit_sweep_chunk(fast.codec, chunk, slice_nodes=TINY_SLICE)
+        ref = _reference_sweep_chunk(fast.csr, chunk)
+        got = sweep_chunk(fast.codec, chunk)
         assert np.array_equal(got[0], ref[0])
         assert got[1] == ref[1]
         assert got[2] == ref[2]

@@ -1,4 +1,4 @@
-"""Process-pool sweep tests: bit-identical to the serial kernels.
+"""Process-pool sweep tests: bit-identical to the serial reference.
 
 The pooled sweep is only admissible because its reduction is provably
 order-independent — these tests pin that the result is *exactly* the
@@ -15,7 +15,6 @@ from repro.analysis.metrics import exact_diameter
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.errors import DisconnectedError, InvalidParameterError
 from repro.fastgraph.backend import get_fastgraph
-from repro.fastgraph.kernels import batched_eccentricities, distance_histogram
 from repro.fastgraph.parallel import (
     START_METHOD_ENV,
     SweepResult,
@@ -25,6 +24,7 @@ from repro.fastgraph.parallel import (
 )
 from repro.topologies.debruijn import DeBruijn
 from repro.topologies.mesh import Mesh
+from tests.fastgraph._reference_sweep import reference_sweep
 
 
 class TestSourceChunks:
@@ -46,17 +46,15 @@ class TestDeterminism:
 
     @pytest.fixture(scope="class")
     def serial(self, csr):
-        return (
-            batched_eccentricities(csr, name="HB(2,3)"),
-            distance_histogram(csr),
-        )
+        return reference_sweep(csr)
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_matches_serial_kernels_for_any_job_count(
         self, csr, serial, jobs
     ):
         ecc, hist = serial
-        result = parallel_sweep(csr, jobs=jobs, name="HB(2,3)")
+        # 16-source chunks, so jobs > 1 really runs a pool
+        result = parallel_sweep(csr, jobs=jobs, batch=16, name="HB(2,3)")
         assert np.array_equal(result.eccentricities, ecc)
         assert result.histogram == hist
         assert result.diameter() == int(ecc.max())
