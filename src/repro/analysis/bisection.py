@@ -19,10 +19,10 @@ layout area grows as the square of the bisection).  This module provides:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import networkx as nx
+import numpy as np
 
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.errors import InvalidParameterError
@@ -65,8 +65,6 @@ def spectral_lower_bound(topology: Topology) -> float:
     if n < 3:
         return 0.0
     if n <= 600:
-        import numpy as np
-
         lap = nx.laplacian_matrix(graph).toarray().astype(float)
         eigenvalues = np.linalg.eigvalsh(lap)
         lam2 = float(eigenvalues[1])

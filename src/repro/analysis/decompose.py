@@ -28,6 +28,8 @@ from __future__ import annotations
 from math import comb
 from typing import Callable
 
+import numpy as np
+
 from repro.errors import DisconnectedError
 from repro.fastgraph.backend import get_fastgraph
 from repro.topologies.base import Topology
@@ -76,8 +78,6 @@ def _transitive_pair_histogram(topology: Topology) -> dict[int, int]:
     total = topology.num_nodes
     fast = get_fastgraph(topology)
     if fast is not None:
-        import numpy as np
-
         dist = fast.distances_array(anchor)
         if int((dist < 0).sum()):
             raise DisconnectedError(

@@ -16,12 +16,10 @@ pairs.  The paper leans on exactly this (Remark 7) to reduce routing in
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Hashable, Iterator
+from typing import Hashable, Iterator
 
 import networkx as nx
-
-if TYPE_CHECKING:  # numpy stays a lazy import at runtime
-    import numpy as np
+import numpy as np
 
 from repro.cayley.group import DirectProductGroup, Group, GeneratorSet
 from repro.errors import InvalidLabelError, InvalidParameterError
@@ -295,8 +293,6 @@ class DistanceOracle:
         Built once per oracle and cached; both arrays are read-only so
         no caller can corrupt the cache.
         """
-        import numpy as np
-
         if self._left is not None and self._right is not None:
             raise InvalidParameterError(
                 "product oracle has no single word table; use factor_split()"
@@ -385,8 +381,6 @@ class DistanceOracle:
                     hist[d1 + d2] = hist.get(d1 + d2, 0) + c1 * c2
             return dict(sorted(hist.items()))
         if self._dist_arr is not None:
-            import numpy as np
-
             counts = np.bincount(self._dist_arr[self._dist_arr >= 0])
             return {d: int(c) for d, c in enumerate(counts) if c}
         hist = {}

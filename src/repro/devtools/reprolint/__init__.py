@@ -9,13 +9,14 @@ inline suppression (``# reprolint: disable=HB101 -- why``), a baseline
 for grandfathered findings, and a per-rule fixture self-test.
 
 Beyond per-file rules, the engine builds a whole-program view
-(:mod:`repro.devtools.reprolint.project`): a module import graph, symbol
-tables, and a conservative call graph.  The HB4xx block enforces the
-layer DAG and flags import cycles and dead exports; the HB5xx block
-traces unseeded RNG construction interprocedurally to public APIs.  The
-dynamic complement is ``hyperbutterfly sanitize``
-(:mod:`repro.devtools.sanitize`), which A/B-runs JSON-emitting targets
-under two ``PYTHONHASHSEED`` values.
+(:mod:`repro.devtools.reprolint.project`): a module import graph and
+symbol tables, from which the HB4xx block enforces the layer DAG and
+flags import cycles and dead exports.  The rule set is cut to the
+defects no cheaper check catches (the catch matrix in
+``docs/architecture.md``): exact results are pinned by the tests and
+``hyperbutterfly prove``, and ``hyperbutterfly sanitize``
+(:mod:`repro.devtools.sanitize`) A/B-runs JSON-emitting targets under two
+``PYTHONHASHSEED`` values and under a numpy overflow trap.
 
 Programmatic use::
 

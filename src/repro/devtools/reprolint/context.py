@@ -1,18 +1,67 @@
-"""Per-file and whole-project views handed to lint rules."""
+"""Per-file and whole-project views handed to lint rules, and the AST
+name helpers (:func:`dotted_name`, :class:`ImportMap`) rules resolve
+calls with."""
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import PurePosixPath
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, Iterable, TypeVar
 
 from repro.devtools.reprolint.findings import Finding, Severity
 from repro.devtools.reprolint.suppressions import SuppressionIndex, scan_suppressions
 
 if TYPE_CHECKING:  # deferred: project.py needs rules.base which needs us
-    from repro.devtools.reprolint.dataflow import ProjectDataflow
     from repro.devtools.reprolint.project import ProjectGraph
+
+T = TypeVar("T")
+
+
+def dotted_name(node: ast.AST) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+class ImportMap:
+    """Resolves local aliases back to canonical module / symbol paths.
+
+    ``import numpy as np`` maps ``np`` → ``numpy``; ``from numpy import
+    random as nprand`` maps ``nprand`` → ``numpy.random``; ``from random
+    import choice`` maps ``choice`` → ``random.choice``.  Used by rules to
+    recognise calls like ``np.random.shuffle`` regardless of aliasing.
+    """
+
+    def __init__(self, nodes: Iterable[ast.AST]) -> None:
+        self.aliases: dict[str, str] = {}
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    local = alias.asname or alias.name.split(".")[0]
+                    # `import a.b` binds `a`; `import a.b as c` binds full path
+                    target = alias.name if alias.asname else alias.name.split(".")[0]
+                    self.aliases[local] = target
+            elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    self.aliases[local] = f"{node.module}.{alias.name}"
+
+    def resolve(self, node: ast.AST) -> str | None:
+        """Canonical dotted path of a Name/Attribute chain, or ``None``."""
+        dotted = dotted_name(node)
+        if dotted is None:
+            return None
+        head, _, rest = dotted.partition(".")
+        canonical_head = self.aliases.get(head, head)
+        return f"{canonical_head}.{rest}" if rest else canonical_head
 
 
 @dataclass
@@ -24,6 +73,7 @@ class FileContext:
     tree: ast.Module
     lines: list[str] = field(default_factory=list)
     suppressions: SuppressionIndex = field(default_factory=SuppressionIndex)
+    _memo: dict[str, Any] = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_source(cls, path: str, text: str) -> "FileContext":
@@ -36,6 +86,25 @@ class FileContext:
             lines=lines,
             suppressions=scan_suppressions(lines),
         )
+
+    # -- views shared by every rule ------------------------------------------
+
+    @cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of the tree in :func:`ast.walk` order, walked once."""
+        return list(ast.walk(self.tree))
+
+    @cached_property
+    def imports(self) -> ImportMap:
+        """The file's alias map, built once for all rules."""
+        return ImportMap(self.nodes)
+
+    def memo(self, key: str, build: Callable[[], T]) -> T:
+        """``build()`` once per file, so rules share a derived view."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        result: T = self._memo[key]
+        return result
 
     # -- path classification ------------------------------------------------
 
@@ -109,9 +178,6 @@ class ProjectContext:
 
     files: list[FileContext]
     _graph: "ProjectGraph | None" = field(default=None, repr=False, compare=False)
-    _dataflow: "ProjectDataflow | None" = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def library_files(self) -> list[FileContext]:
@@ -131,12 +197,3 @@ class ProjectContext:
 
             self._graph = ProjectGraph(self.files)
         return self._graph
-
-    @property
-    def dataflow(self) -> "ProjectDataflow":
-        """The dtype dataflow cache, built lazily on first access."""
-        if self._dataflow is None:
-            from repro.devtools.reprolint.dataflow import ProjectDataflow
-
-            self._dataflow = ProjectDataflow(self)
-        return self._dataflow

@@ -1,23 +1,14 @@
-"""Whole-program views: import graph, symbol tables, conservative call graph.
+"""Whole-program views: the import graph and per-module symbol tables.
 
-PR 3's rules judge one file at a time, so an unseeded RNG constructed in
-``simulation/`` and consumed in ``faults/campaigns.py`` — or ``topologies/``
-growing an import on ``simulation/`` — is invisible to them.  This module
-builds the cross-file structures the HB4xx (architecture) and HB5xx
-(determinism taint) rule blocks need:
+Per-file rules cannot see that ``topologies/`` grew an import on
+``simulation/``, or that two modules import each other.  This module
+builds the cross-file structures the HB4xx (architecture) rules need:
 
 * a **module-level import graph** over every linted file, with each edge
   classified as *eager* (executed at import time), *deferred* (inside a
   function body) or *type-checking-only* (under ``if TYPE_CHECKING:``);
-* **per-module symbol tables** — top-level definitions, ``__all__``
-  declarations, and import aliases (so re-exports through package
-  ``__init__`` files resolve back to the defining module);
-* a **conservative call graph** keyed by dotted function name
-  (``repro.faults.model.random_node_faults``,
-  ``repro.core.resilient.ResilientRouter.route``).  Only calls the AST can
-  resolve statically are recorded (local names, imported names,
-  ``self``-method calls); everything else is dropped, so reachability
-  queries under-approximate call edges but every recorded edge is real.
+* **per-module symbol tables** — top-level definitions and ``__all__``
+  declarations.
 
 The graph is built lazily by :class:`~repro.devtools.reprolint.context.
 ProjectContext` the first time a project rule asks for it, so per-file
@@ -31,11 +22,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.devtools.reprolint.context import FileContext
-from repro.devtools.reprolint.rules.base import ImportMap
 
 __all__ = [
     "ImportEdge",
-    "FunctionInfo",
     "ModuleInfo",
     "ProjectGraph",
     "LAYERS",
@@ -76,9 +65,6 @@ _LAYER_TITLES = {
     5: "cli/viz",
 }
 
-#: modules whose functions count as CLI entry points for liveness/taint
-_ENTRYPOINT_SUFFIXES = ("cli", "__main__")
-
 
 def layer_of(module: str) -> int | None:
     """Layer index of a dotted ``repro`` module, or ``None`` if unmapped."""
@@ -109,18 +95,6 @@ class ImportEdge:
 
 
 @dataclass
-class FunctionInfo:
-    """One function or method, with its statically-resolvable call sites."""
-
-    dotted: str  # e.g. repro.faults.model.random_node_faults
-    module: str
-    lineno: int
-    node: ast.FunctionDef | ast.AsyncFunctionDef
-    #: resolved dotted callee names with call-site line numbers
-    calls: list[tuple[str, int]] = field(default_factory=list)
-
-
-@dataclass
 class ModuleInfo:
     """Symbol table of one linted module."""
 
@@ -130,14 +104,6 @@ class ModuleInfo:
     all_names: list[str] | None = None
     #: top-level *definitions* (def/class/assignment) — not import aliases
     public_defs: dict[str, int] = field(default_factory=dict)
-    #: top-level import aliases: local name -> canonical dotted target
-    import_aliases: dict[str, str] = field(default_factory=dict)
-    #: functions and methods defined here, keyed by local qualname
-    functions: dict[str, FunctionInfo] = field(default_factory=dict)
-
-    @property
-    def is_entrypoint(self) -> bool:
-        return self.name.split(".")[-1] in _ENTRYPOINT_SUFFIXES
 
 
 def _declared_all(tree: ast.Module) -> list[str] | None:
@@ -182,19 +148,16 @@ def _resolve_relative(module: str, raw: str | None, level: int) -> str | None:
 
 
 class ProjectGraph:
-    """Import graph + symbol tables + call graph over the linted files."""
+    """Import graph + symbol tables over the linted files."""
 
     def __init__(self, files: Iterable[FileContext]) -> None:
         self.modules: dict[str, ModuleInfo] = {}
         self.edges: list[ImportEdge] = []
-        self.functions: dict[str, FunctionInfo] = {}
-        self._callers: dict[str, list[tuple[str, int]]] = {}
         for ctx in files:
             if ctx.module_name:
                 self.modules[ctx.module_name] = ModuleInfo(ctx.module_name, ctx)
         for info in self.modules.values():
             self._scan_module(info)
-        self._build_call_graph()
 
     # -- construction -------------------------------------------------------
 
@@ -209,16 +172,10 @@ class ProjectGraph:
         info.all_names = _declared_all(tree)
         self._scan_imports(info, tree.body, eager=True, type_checking=False)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
                 info.public_defs.setdefault(node.name, node.lineno)
-                self._add_function(info, node, qual=node.name)
-            elif isinstance(node, ast.ClassDef):
-                info.public_defs.setdefault(node.name, node.lineno)
-                for item in node.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        self._add_function(
-                            info, item, qual=f"{node.name}.{item.name}"
-                        )
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
@@ -227,22 +184,6 @@ class ProjectGraph:
                 node.target, ast.Name
             ):
                 info.public_defs.setdefault(node.target.id, node.lineno)
-
-    def _add_function(
-        self,
-        info: ModuleInfo,
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-        *,
-        qual: str,
-    ) -> None:
-        fn = FunctionInfo(
-            dotted=f"{info.name}.{qual}",
-            module=info.name,
-            lineno=node.lineno,
-            node=node,
-        )
-        info.functions[qual] = fn
-        self.functions[fn.dotted] = fn
 
     def _scan_imports(
         self,
@@ -259,11 +200,6 @@ class ProjectGraph:
                     dst = self._known_module(alias.name)
                     if dst is not None:
                         self._add_edge(info, dst, node.lineno, eager, type_checking)
-                    if eager and not type_checking:
-                        local = (alias.asname or alias.name).split(".")[0]
-                        info.import_aliases.setdefault(
-                            local, alias.name if alias.asname else local
-                        )
             elif isinstance(node, ast.ImportFrom):
                 target = _resolve_relative(info.name, node.module, node.level)
                 if target is None:
@@ -275,11 +211,6 @@ class ProjectGraph:
                         dst = self._known_module(target)
                     if dst is not None and target != "__future__":
                         self._add_edge(info, dst, node.lineno, eager, type_checking)
-                    if eager and not type_checking and target != "__future__":
-                        info.import_aliases.setdefault(
-                            alias.asname or alias.name,
-                            f"{target}.{alias.name}",
-                        )
             elif isinstance(node, ast.If):
                 guarded = _is_type_checking_test(node.test)
                 self._scan_imports(
@@ -321,79 +252,6 @@ class ProjectGraph:
             self.edges.append(
                 ImportEdge(info.name, dst, lineno, eager=eager, type_checking=tc)
             )
-
-    # -- call graph ---------------------------------------------------------
-
-    def _build_call_graph(self) -> None:
-        for info in self.modules.values():
-            imports = ImportMap(info.ctx.tree)
-            for qual, fn in info.functions.items():
-                self._scan_calls(info, imports, qual, fn)
-        for fn in self.functions.values():
-            for callee, lineno in fn.calls:
-                self._callers.setdefault(callee, []).append((fn.dotted, lineno))
-
-    def _scan_calls(
-        self, info: ModuleInfo, imports: ImportMap, qual: str, fn: FunctionInfo
-    ) -> None:
-        class_prefix = qual.rsplit(".", 1)[0] if "." in qual else None
-        for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = self._resolve_call(info, imports, class_prefix, node.func)
-            if resolved is not None:
-                fn.calls.append((resolved, node.lineno))
-
-    def _resolve_call(
-        self,
-        info: ModuleInfo,
-        imports: ImportMap,
-        class_prefix: str | None,
-        func: ast.expr,
-    ) -> str | None:
-        # self.method() / cls.method() within the same class
-        if (
-            class_prefix is not None
-            and isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id in ("self", "cls")
-        ):
-            candidate = f"{info.name}.{class_prefix}.{func.attr}"
-            if candidate in self.functions:
-                return candidate
-            return None
-        # plain local name
-        if isinstance(func, ast.Name):
-            local = f"{info.name}.{func.id}"
-            if local in self.functions:
-                return local
-        # imported / dotted name
-        canonical = imports.resolve(func)
-        if canonical is not None:
-            return self.resolve_function(canonical)
-        return None
-
-    def resolve_function(self, dotted: str, *, _depth: int = 0) -> str | None:
-        """Resolve ``dotted`` to a known function, following re-exports."""
-        if _depth > 8:
-            return None
-        if dotted in self.functions:
-            return dotted
-        # follow one re-export hop: longest module prefix, then its alias
-        parts = dotted.split(".")
-        for cut in range(len(parts) - 1, 0, -1):
-            module = ".".join(parts[:cut])
-            info = self.modules.get(module)
-            if info is None:
-                continue
-            head, rest = parts[cut], parts[cut + 1 :]
-            target = info.import_aliases.get(head)
-            if target is None:
-                return None
-            return self.resolve_function(
-                ".".join([target, *rest]), _depth=_depth + 1
-            )
-        return None
 
     # -- queries ------------------------------------------------------------
 
@@ -454,78 +312,3 @@ class ProjectGraph:
                     if len(component) > 1:
                         sccs.append(sorted(component))
         return sorted(sccs)
-
-    def public_functions(self) -> dict[str, str]:
-        """Functions on the public surface: ``{dotted: why}``.
-
-        A function is public when its name appears in its own module's
-        ``__all__``, when a package ``__init__`` re-exports it through its
-        ``__all__``, or when it is defined in a CLI entry-point module.
-        """
-        public: dict[str, str] = {}
-        for info in self.modules.values():
-            if info.is_entrypoint:
-                for fn in info.functions.values():
-                    public.setdefault(fn.dotted, f"CLI entry point {info.name}")
-                continue
-            if info.all_names is None:
-                continue
-            for name in info.all_names:
-                local = info.functions.get(name)
-                if local is not None:
-                    public.setdefault(
-                        local.dotted, f"__all__ of {info.name}"
-                    )
-                    continue
-                target = info.import_aliases.get(name)
-                if target is not None:
-                    resolved = self.resolve_function(target)
-                    if resolved is not None:
-                        public.setdefault(resolved, f"__all__ of {info.name}")
-                # __all__-listed classes: every method is reachable
-                if local is None and name in info.public_defs:
-                    prefix = f"{info.name}.{name}."
-                    for fn in self.functions.values():
-                        if fn.dotted.startswith(prefix):
-                            public.setdefault(
-                                fn.dotted, f"__all__ of {info.name}"
-                            )
-        return public
-
-    def callers_of(self, dotted: str) -> list[tuple[str, int]]:
-        """``(caller, call lineno)`` pairs for a function."""
-        return list(self._callers.get(dotted, ()))
-
-    def reverse_reachable(self, roots: Iterable[str]) -> dict[str, tuple[str, int]]:
-        """All functions that can transitively call one of ``roots``.
-
-        Returns ``{function: (callee-it-calls-on-the-path, lineno)}`` so a
-        witness call chain can be rebuilt by walking the map.
-        """
-        parent: dict[str, tuple[str, int]] = {}
-        frontier = [r for r in roots if r in self.functions]
-        seen = set(frontier)
-        while frontier:
-            nxt: list[str] = []
-            for callee in frontier:
-                for caller, lineno in self.callers_of(callee):
-                    if caller not in seen:
-                        seen.add(caller)
-                        parent[caller] = (callee, lineno)
-                        nxt.append(caller)
-            frontier = nxt
-        return parent
-
-    def call_chain(
-        self, start: str, targets: set[str], parent: dict[str, tuple[str, int]]
-    ) -> list[str]:
-        """Witness chain ``start -> ... -> target`` from a reverse BFS map."""
-        chain = [start]
-        current = start
-        while current not in targets:
-            step = parent.get(current)
-            if step is None:
-                break
-            current = step[0]
-            chain.append(current)
-        return chain

@@ -206,7 +206,7 @@ class DeadExportRule(ProjectRule):
             return
         referenced: set[str] = set()
         for fctx in ctx.files:
-            for node in ast.walk(fctx.tree):
+            for node in fctx.nodes:
                 if isinstance(node, ast.Name):
                     referenced.add(node.id)
                 elif isinstance(node, ast.Attribute):

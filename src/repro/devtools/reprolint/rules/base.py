@@ -1,4 +1,4 @@
-"""Rule base classes and shared AST helpers.
+"""Rule base classes.
 
 Every rule declares:
 
@@ -22,7 +22,6 @@ contracts such as registry completeness).  Project-rule fixtures are
 
 from __future__ import annotations
 
-import ast
 from abc import ABC, abstractmethod
 from typing import Iterator, Mapping
 
@@ -33,8 +32,6 @@ __all__ = [
     "Rule",
     "FileRule",
     "ProjectRule",
-    "ImportMap",
-    "dotted_name",
 ]
 
 
@@ -54,8 +51,8 @@ class Rule(ABC):
             "2": "contracts",
             "3": "numerics",
             "4": "architecture",
-            "5": "taint",
-            "6": "numerics-flow",
+            "5": "seeding",
+            "6": "dtypes",
             "7": "concurrency",
         }.get(block, "other")
 
@@ -82,48 +79,3 @@ class ProjectRule(Rule):
     @abstractmethod
     def check_project(self, ctx: ProjectContext) -> Iterator[Finding]:
         """Yield findings over the whole project."""
-
-
-def dotted_name(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-class ImportMap:
-    """Resolves local aliases back to canonical module / symbol paths.
-
-    ``import numpy as np`` maps ``np`` → ``numpy``; ``from numpy import
-    random as nprand`` maps ``nprand`` → ``numpy.random``; ``from random
-    import choice`` maps ``choice`` → ``random.choice``.  Used by rules to
-    recognise calls like ``np.random.shuffle`` regardless of aliasing.
-    """
-
-    def __init__(self, tree: ast.Module) -> None:
-        self.aliases: dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    # `import a.b` binds `a`; `import a.b as c` binds full path
-                    target = alias.name if alias.asname else alias.name.split(".")[0]
-                    self.aliases[local] = target
-            elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    self.aliases[local] = f"{node.module}.{alias.name}"
-
-    def resolve(self, node: ast.AST) -> str | None:
-        """Canonical dotted path of a Name/Attribute chain, or ``None``."""
-        dotted = dotted_name(node)
-        if dotted is None:
-            return None
-        head, _, rest = dotted.partition(".")
-        canonical_head = self.aliases.get(head, head)
-        return f"{canonical_head}.{rest}" if rest else canonical_head

@@ -1,24 +1,19 @@
 """Concurrency / fork-safety rules (HB7xx).
 
 ``fastgraph/parallel.py`` promises bit-identical pooled sweeps for any
-job count.  That promise survives only while the pool discipline holds:
-payloads must pickle (spawn workers re-import, they do not inherit
-closures), workers must not mutate module globals (mutations stay in the
-child and silently diverge from the parent under fork, or vanish under
-spawn), executors must be closed deterministically, fork-inherited RNG
-state must never be shared across workers (every child would replay the
-same stream), and the start method itself must be pinned — fork and
-spawn schedule differently and default differently per platform.
+job count.  Unpicklable payloads and workers that read a module-level
+RNG break that promise loudly: the pool tests fail.  These rules keep
+the hazards no test run can see:
 
-Five rules, all file-scoped and library-only:
-
-* HB701 — pool payloads (map/submit targets, initializers) must be
-  statically picklable: no lambdas, no nested functions;
-* HB702 — worker functions must not mutate module-level state;
+* HB702 — worker functions must not mutate module-level state (the
+  write stays in the child and diverges from the parent's copy);
 * HB703 — executors/pools must be closed via a context manager;
-* HB704 — worker functions must not read module-level RNG instances
-  (fork-inherited generator state replays identically in every child);
-* HB705 — process pools must pin an explicit ``mp_context``.
+* HB705 — process pools must pin an explicit ``mp_context`` (fork and
+  spawn default differently per platform).
+
+All three are file-scoped and library-only, and share one pool scan per
+file (:meth:`FileContext.memo <repro.devtools.reprolint.context.
+FileContext.memo>`).
 """
 
 from __future__ import annotations
@@ -30,13 +25,11 @@ from typing import Iterator
 from repro.devtools.reprolint.context import FileContext
 from repro.devtools.reprolint.findings import Finding
 from repro.devtools.reprolint.registry import register_rule
-from repro.devtools.reprolint.rules.base import FileRule, ImportMap
+from repro.devtools.reprolint.rules.base import FileRule
 
 __all__ = [
-    "PicklablePoolPayloadRule",
     "WorkerGlobalMutationRule",
     "ExecutorContextRule",
-    "ForkSharedRNGRule",
     "ExplicitMpContextRule",
 ]
 
@@ -75,17 +68,6 @@ _SUBMIT_METHODS = frozenset(
     }
 )
 
-#: constructors of live RNG state (sharing one across forks replays it)
-_RNG_CONSTRUCTORS = frozenset(
-    {
-        "random.Random",
-        "random.SystemRandom",
-        "numpy.random.default_rng",
-        "numpy.random.RandomState",
-        "numpy.random.Generator",
-    }
-)
-
 #: methods that mutate their receiver in place
 _MUTATING_METHODS = frozenset(
     {
@@ -108,10 +90,10 @@ _MUTATING_METHODS = frozenset(
 class _PoolScan:
     """Everything the HB7xx rules need to know about one file's pools."""
 
-    imports: ImportMap
-    parents: dict[int, ast.AST] = field(default_factory=dict)
     #: pool constructor calls: (call node, canonical name)
     constructors: list[tuple[ast.Call, str]] = field(default_factory=list)
+    #: ids of the constructor calls opened by a ``with`` item
+    with_opened: set[int] = field(default_factory=set)
     #: local names bound to a pool (with ... as p / p = Executor())
     pool_names: set[str] = field(default_factory=set)
     #: payload expressions handed to pools: (expr, how it got there)
@@ -120,12 +102,8 @@ class _PoolScan:
     top_functions: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = field(
         default_factory=dict
     )
-    #: names of functions defined inside another function
-    nested_functions: set[str] = field(default_factory=set)
     #: module-level assigned data names (mutation targets for HB702)
     module_names: set[str] = field(default_factory=set)
-    #: module-level names holding live RNG instances
-    rng_names: set[str] = field(default_factory=set)
 
     def submitted_workers(self) -> dict[str, ast.FunctionDef | ast.AsyncFunctionDef]:
         """Top-level functions that run inside pool workers."""
@@ -137,52 +115,45 @@ class _PoolScan:
 
 
 def _scan(ctx: FileContext) -> _PoolScan:
-    scan = _PoolScan(imports=ImportMap(ctx.tree))
-    for parent in ast.walk(ctx.tree):
-        for child in ast.iter_child_nodes(parent):
-            scan.parents[id(child)] = parent
+    return ctx.memo("pool_scan", lambda: _build_scan(ctx))
 
+
+def _build_scan(ctx: FileContext) -> _PoolScan:
+    scan = _PoolScan()
     for node in ctx.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scan.top_functions[node.name] = node
-            for inner in ast.walk(node):
-                if (
-                    isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and inner is not node
-                ):
-                    scan.nested_functions.add(inner.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = (
                 node.targets if isinstance(node, ast.Assign) else [node.target]
             )
-            value = node.value
             for target in targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                scan.module_names.add(target.id)
-                if isinstance(value, ast.Call):
-                    canonical = scan.imports.resolve(value.func)
-                    if canonical in _RNG_CONSTRUCTORS:
-                        scan.rng_names.add(target.id)
+                if isinstance(target, ast.Name):
+                    scan.module_names.add(target.id)
 
-    for node in ast.walk(ctx.tree):
+    # breadth-first: a `with` item or an assignment is seen before the
+    # constructor call it holds, and before the calls of the block below it
+    bound: dict[int, list[ast.expr]] = {}
+    for node in ctx.nodes:
+        if isinstance(node, ast.withitem):
+            scan.with_opened.add(id(node.context_expr))
+            if node.optional_vars is not None:
+                bound[id(node.context_expr)] = [node.optional_vars]
+            continue
+        if isinstance(node, ast.Assign):
+            bound[id(node.value)] = node.targets
+            continue
         if not isinstance(node, ast.Call):
             continue
-        canonical = scan.imports.resolve(node.func)
+        canonical = ctx.imports.resolve(node.func)
         if canonical in _ALL_POOLS:
             scan.constructors.append((node, canonical))
             for kw in node.keywords:
                 if kw.arg == "initializer":
                     scan.payloads.append((kw.value, "initializer"))
-            parent = scan.parents.get(id(node))
-            if isinstance(parent, ast.withitem) and isinstance(
-                parent.optional_vars, ast.Name
-            ):
-                scan.pool_names.add(parent.optional_vars.id)
-            elif isinstance(parent, ast.Assign):
-                for target in parent.targets:
-                    if isinstance(target, ast.Name):
-                        scan.pool_names.add(target.id)
+            for target in bound.get(id(node), ()):
+                if isinstance(target, ast.Name):
+                    scan.pool_names.add(target.id)
         elif (
             isinstance(node.func, ast.Attribute)
             and node.func.attr in _SUBMIT_METHODS
@@ -192,63 +163,6 @@ def _scan(ctx: FileContext) -> _PoolScan:
         ):
             scan.payloads.append((node.args[0], node.func.attr))
     return scan
-
-
-@register_rule
-class PicklablePoolPayloadRule(FileRule):
-    rule_id = "HB701"
-    title = "pool payloads must be statically picklable"
-    rationale = (
-        "spawn-started workers re-import the module and unpickle the "
-        "payload; lambdas and nested functions don't pickle, so the pool "
-        "dies with PicklingError only on platforms whose default start "
-        "method is spawn (macOS, Windows) — define worker functions at "
-        "module top level"
-    )
-
-    fixture_hits = (
-        "from concurrent.futures import ProcessPoolExecutor\n"
-        "\n"
-        "def sweep(bounds):\n"
-        "    def chunk(b):\n"
-        "        return b * 2\n"
-        "    with ProcessPoolExecutor() as pool:\n"
-        "        return list(pool.map(chunk, bounds))\n"
-    )
-    fixture_clean = (
-        "from concurrent.futures import ProcessPoolExecutor\n"
-        "\n"
-        "def chunk(b):\n"
-        "    return b * 2\n"
-        "\n"
-        "def sweep(bounds):\n"
-        "    with ProcessPoolExecutor() as pool:\n"
-        "        return list(pool.map(chunk, bounds))\n"
-    )
-
-    def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.is_library:
-            return
-        scan = _scan(ctx)
-        for payload, how in scan.payloads:
-            if isinstance(payload, ast.Lambda):
-                yield ctx.finding(
-                    self.rule_id,
-                    payload,
-                    f"lambda as a pool {how} payload cannot pickle under "
-                    "the spawn start method; use a module-level function",
-                )
-            elif (
-                isinstance(payload, ast.Name)
-                and payload.id in scan.nested_functions
-            ):
-                yield ctx.finding(
-                    self.rule_id,
-                    payload,
-                    f"nested function {payload.id!r} as a pool {how} "
-                    "payload cannot pickle under the spawn start method; "
-                    "move it to module top level",
-                )
 
 
 @register_rule
@@ -381,8 +295,7 @@ class ExecutorContextRule(FileRule):
             return
         scan = _scan(ctx)
         for call, canonical in scan.constructors:
-            parent = scan.parents.get(id(call))
-            if isinstance(parent, ast.withitem):
+            if id(call) in scan.with_opened:
                 continue
             yield ctx.finding(
                 self.rule_id,
@@ -391,64 +304,6 @@ class ExecutorContextRule(FileRule):
                 "block; worker shutdown is then nondeterministic — use "
                 "`with ...(...) as pool:`",
             )
-
-
-@register_rule
-class ForkSharedRNGRule(FileRule):
-    rule_id = "HB704"
-    title = "workers must not read fork-inherited RNG state"
-    rationale = (
-        "under fork every worker inherits a byte-identical copy of a "
-        "module-level Random/Generator — all children replay the same "
-        "stream, which silently correlates 'independent' trials (and "
-        "under spawn the module-level instance is re-seeded differently "
-        "per worker); derive a per-task seed and construct the RNG inside "
-        "the worker"
-    )
-
-    fixture_hits = (
-        "import random\n"
-        "from concurrent.futures import ProcessPoolExecutor\n"
-        "\n"
-        "_rng = random.Random(0)\n"
-        "\n"
-        "def chunk(b):\n"
-        "    return _rng.random() * b\n"
-        "\n"
-        "def sweep(bounds):\n"
-        "    with ProcessPoolExecutor() as pool:\n"
-        "        return list(pool.map(chunk, bounds))\n"
-    )
-    fixture_clean = (
-        "import random\n"
-        "from concurrent.futures import ProcessPoolExecutor\n"
-        "\n"
-        "def chunk(b):\n"
-        "    rng = random.Random(b)\n"
-        "    return rng.random() * b\n"
-        "\n"
-        "def sweep(bounds):\n"
-        "    with ProcessPoolExecutor() as pool:\n"
-        "        return list(pool.map(chunk, bounds))\n"
-    )
-
-    def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.is_library:
-            return
-        scan = _scan(ctx)
-        if not scan.rng_names:
-            return
-        for name, fn in scan.submitted_workers().items():
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Name) and node.id in scan.rng_names:
-                    yield ctx.finding(
-                        self.rule_id,
-                        node,
-                        f"worker {name!r} reads module-level RNG "
-                        f"{node.id!r}: forked workers replay the same "
-                        "stream; construct the RNG inside the worker from "
-                        "a per-task seed",
-                    )
 
 
 @register_rule

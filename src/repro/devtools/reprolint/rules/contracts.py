@@ -12,10 +12,10 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.devtools.reprolint.context import FileContext, ProjectContext
+from repro.devtools.reprolint.context import FileContext, ProjectContext, dotted_name
 from repro.devtools.reprolint.findings import Finding
 from repro.devtools.reprolint.registry import register_rule
-from repro.devtools.reprolint.rules.base import FileRule, ProjectRule, dotted_name
+from repro.devtools.reprolint.rules.base import FileRule, ProjectRule
 
 __all__ = [
     "CodecRegistrationRule",
@@ -25,7 +25,7 @@ __all__ = [
 
 
 def _class_defs(ctx: FileContext) -> Iterator[ast.ClassDef]:
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.ClassDef):
             yield node
 
@@ -100,7 +100,7 @@ class CodecRegistrationRule(ProjectRule):
         for fctx in ctx.library_files:
             for node in _class_defs(fctx):
                 classes[node.name] = (fctx, node, _base_names(node))
-            for call in ast.walk(fctx.tree):
+            for call in fctx.nodes:
                 if not isinstance(call, ast.Call):
                     continue
                 callee = dotted_name(call.func)
@@ -185,7 +185,7 @@ class ErrorHierarchyRule(FileRule):
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.is_library:
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
             exc = node.exc

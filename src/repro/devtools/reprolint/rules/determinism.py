@@ -3,9 +3,10 @@
 Every artefact this repo emits — BENCH JSON files, campaign curves, figure
 tables — must be byte-reproducible from a seed, because the paper's claims
 (degree ``m+4`` regularity, ``m+3`` fault tolerance, Figure 1/2 numbers)
-are verified by diffing regenerated outputs.  These rules ban the three
-classic leaks: ambient RNG state, wall-clock reads, and unordered-set
-iteration feeding serialisation.
+are verified by diffing regenerated outputs.  These rules ban the
+classic leaks: ambient RNG state, wall-clock reads, unordered-set
+iteration feeding serialisation, unseedable entropy, and (HB502)
+generators seeded from the wall clock.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterator
 from repro.devtools.reprolint.context import FileContext
 from repro.devtools.reprolint.findings import Finding
 from repro.devtools.reprolint.registry import register_rule
-from repro.devtools.reprolint.rules.base import FileRule, ImportMap
+from repro.devtools.reprolint.rules.base import FileRule
 
 __all__ = [
     "UnseededRandomRule",
@@ -24,6 +25,7 @@ __all__ = [
     "JsonSortKeysRule",
     "SetIterationOrderRule",
     "EntropySourceRule",
+    "WallClockSeedRule",
 ]
 
 #: constructors on the random / numpy.random modules that take a seed and
@@ -36,6 +38,19 @@ _SEEDABLE_CONSTRUCTORS = {
     "numpy.random.SeedSequence",
     "numpy.random.PCG64",
     "numpy.random.Philox",
+}
+
+#: clock reads that make a seed unrecordable (HB502)
+_WALL_CLOCK_SEEDS = {
+    "time.time",
+    "time.time_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.datetime.today",
 }
 
 
@@ -73,8 +88,8 @@ class UnseededRandomRule(FileRule):
     )
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = ImportMap(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        imports = ctx.imports
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             canonical = imports.resolve(node.func)
@@ -123,8 +138,8 @@ class WallClockRule(FileRule):
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.is_library:
             return
-        imports = ImportMap(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        imports = ctx.imports
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             canonical = imports.resolve(node.func)
@@ -158,8 +173,8 @@ class JsonSortKeysRule(FileRule):
     )
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = ImportMap(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        imports = ctx.imports
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             canonical = imports.resolve(node.func)
@@ -221,7 +236,7 @@ class SetIterationOrderRule(FileRule):
         )
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.For) and self._is_fresh_set(node.iter):
                 yield ctx.finding(
                     self.rule_id,
@@ -280,8 +295,8 @@ class EntropySourceRule(FileRule):
     )
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = ImportMap(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        imports = ctx.imports
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             canonical = imports.resolve(node.func)
@@ -296,3 +311,56 @@ class EntropySourceRule(FileRule):
                     f"{canonical}() is unseedable entropy; derive values from "
                     f"the experiment seed",
                 )
+
+
+@register_rule
+class WallClockSeedRule(FileRule):
+    rule_id = "HB502"
+    title = "no wall-clock-seeded generators"
+    rationale = (
+        "seeding from time.time()/datetime.now() records the seed nowhere, "
+        "so a failing campaign, test, or benchmark run can never be "
+        "replayed; unlike HB102 this applies outside library code too — a "
+        "flaky time-seeded test is exactly as undebuggable as a "
+        "time-seeded benchmark"
+    )
+
+    fixture_hits = (
+        "import random\n"
+        "import time\n"
+        "rng = random.Random(time.time())\n"
+    )
+    fixture_clean = (
+        "import random\n"
+        "rng = random.Random(12345)\n"
+    )
+
+    @staticmethod
+    def _seed_exprs(node: ast.Call) -> Iterator[ast.expr]:
+        yield from node.args
+        for kw in node.keywords:
+            if kw.arg in ("seed", "x"):
+                yield kw.value
+
+    def check_file(self, ctx: FileContext) -> Iterator[Finding]:
+        imports = ctx.imports
+        for node in ctx.nodes:
+            if not isinstance(node, ast.Call):
+                continue
+            canonical = imports.resolve(node.func)
+            if canonical not in _SEEDABLE_CONSTRUCTORS:
+                continue
+            for seed in self._seed_exprs(node):
+                for sub in ast.walk(seed):
+                    if (
+                        isinstance(sub, ast.Call)
+                        and imports.resolve(sub.func) in _WALL_CLOCK_SEEDS
+                    ):
+                        yield ctx.finding(
+                            self.rule_id,
+                            node,
+                            f"{canonical}() seeded from the wall clock; the "
+                            f"effective seed is unrecorded, so the run can "
+                            f"never be replayed — use an explicit constant "
+                            f"or derived seed",
+                        )

@@ -4,7 +4,9 @@ The analysis layer compares measured quantities (mean stretch, delivery
 ratios, bisection bounds) against the paper's closed forms.  Exact
 ``==``/``!=`` on float arithmetic is how those comparisons silently rot
 across numpy versions and platforms — require ``math.isclose`` or an
-explicit tolerance instead.
+explicit tolerance instead.  HB604 keeps platform-width integer dtypes
+(``np.intp``, ``dtype=int``) out of the packed-label kernels and the
+artefacts they feed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,11 @@ from repro.devtools.reprolint.findings import Finding
 from repro.devtools.reprolint.registry import register_rule
 from repro.devtools.reprolint.rules.base import FileRule
 
-__all__ = ["FloatLiteralEqualityRule", "DivisionEqualityRule"]
+__all__ = [
+    "FloatLiteralEqualityRule",
+    "DivisionEqualityRule",
+    "PlatformWidthDTypeRule",
+]
 
 
 def _compare_sides(node: ast.Compare) -> Iterator[tuple[ast.cmpop, ast.expr, ast.expr]]:
@@ -62,7 +68,7 @@ class FloatLiteralEqualityRule(FileRule):
     )
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             for op, lhs, rhs in _compare_sides(node):
@@ -102,7 +108,7 @@ class DivisionEqualityRule(FileRule):
         return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             for op, lhs, rhs in _compare_sides(node):
@@ -116,3 +122,74 @@ class DivisionEqualityRule(FileRule):
                         "cross-multiplied integers or use math.isclose",
                     )
                     break
+
+
+@register_rule
+class PlatformWidthDTypeRule(FileRule):
+    rule_id = "HB604"
+    title = "no platform-width dtypes in library code"
+    rationale = (
+        "np.int_/np.intp/np.uint/np.uintp (and dtype=int) resolve to "
+        "whatever width the platform's C toolchain picked — artefacts, "
+        "codecs, and on-disk caches written with them are not portable "
+        "and silently change meaning across platforms; always spell the "
+        "width (np.int64, np.uint64, ...)"
+    )
+
+    _PLATFORM = frozenset(
+        {
+            "numpy.int_",
+            "numpy.intp",
+            "numpy.intc",
+            "numpy.uint",
+            "numpy.uintp",
+            "numpy.uintc",
+            "numpy.long",
+            "numpy.ulong",
+            "numpy.longlong",
+            "numpy.ulonglong",
+        }
+    )
+
+    fixture_hits = (
+        "import numpy as np\n"
+        "\n"
+        "def persist(n: int) -> np.ndarray:\n"
+        "    return np.zeros(n, dtype=np.intp)\n"
+    )
+    fixture_clean = (
+        "import numpy as np\n"
+        "\n"
+        "def persist(n: int) -> np.ndarray:\n"
+        "    return np.zeros(n, dtype=np.int64)\n"
+    )
+
+    def check_file(self, ctx: FileContext) -> Iterator[Finding]:
+        if not ctx.is_library:
+            return
+        imports = ctx.imports
+        for node in ctx.nodes:
+            if isinstance(node, (ast.Attribute, ast.Name)):
+                canonical = imports.resolve(node)
+                if canonical in self._PLATFORM:
+                    yield ctx.finding(
+                        self.rule_id,
+                        node,
+                        f"{canonical.rsplit('.', 1)[-1]} is a platform-width "
+                        "alias; spell the width explicitly (np.int64, "
+                        "np.uint64, ...)",
+                    )
+            elif isinstance(node, ast.Call):
+                for kw in node.keywords:
+                    if (
+                        kw.arg == "dtype"
+                        and isinstance(kw.value, ast.Name)
+                        and kw.value.id == "int"
+                        and imports.resolve(kw.value) == "int"
+                    ):
+                        yield ctx.finding(
+                            self.rule_id,
+                            node,
+                            "dtype=int means the platform default integer; "
+                            "spell the width explicitly (np.int64)",
+                        )

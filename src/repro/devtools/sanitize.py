@@ -1,8 +1,8 @@
 """Dynamic determinism sanitizer: ``hyperbutterfly sanitize``.
 
-Static taint (reprolint HB5xx) over-approximates — it cannot see through
-dynamic dispatch, C extensions, or hash-order leaks that only manifest at
-runtime.  This module closes the loop dynamically: it runs a JSON-emitting
+Static rules cannot see through dynamic dispatch, C extensions, or
+hash-order leaks that only manifest at runtime.  This module checks the
+artefacts themselves: it runs a JSON-emitting
 target command **twice in subprocesses under different
 ``PYTHONHASHSEED`` values** and structurally diffs the two artefacts.  Any
 divergence means some output is a function of Python's per-process hash
@@ -17,9 +17,12 @@ Default targets:
   artefact CI smokes;
 * a fastgraph metrics dump on HB(2,3) (:func:`metrics_probe` run via
   ``python -c``), covering the analysis/fastgraph layers;
-* the metrics CLI on HB(2,3) with ``--force-bfs --jobs 2``, covering the
-  process-pool sweep path end to end (chunked reduction must not leak
-  pool scheduling into the artefact).
+* the metrics CLI on HB(3,5) with ``--force-bfs --jobs 2``, on the CSR
+  and on the implicit payload, covering the process-pool sweep path end
+  to end (chunked reduction must not leak pool scheduling into the
+  artefact).  HB(3,5) has 1,280 nodes, more than one
+  :data:`~repro.fastgraph.parallel.DEFAULT_BATCH` chunk, so the pool
+  really starts.
 
 A target writes its artefact to the path substituted for ``{out}`` in its
 argv; a target with no ``{out}`` placeholder must print JSON on stdout.
@@ -32,7 +35,8 @@ and every pool-worker initializer install the trap via
 overflow/invalid warnings that are silently swallowed in stock runs
 become hard failures (and the trapped artefact must still be bit-identical
 to the clean one).  Array *integer* wraparound stays silent by numpy
-design — that class is covered statically by reprolint HB605.
+design — that class is caught by the tests that pin the sweep's
+histograms and eccentricities.
 
 Exit codes mirror ``lint``: ``0`` reproducible, ``1`` divergent (first
 divergent JSON path reported) or overflow trapped, ``2`` the sanitizer
@@ -130,16 +134,16 @@ def default_targets() -> list[SanitizeTarget]:
             argv=(py, "-c", _PROBE_SNIPPET.format(out="{out}")),
         ),
         SanitizeTarget(
-            name="metrics-cli-hb23",
+            name="metrics-cli-hb35",
             argv=(
-                py, "-m", "repro", "metrics", "hb", "2", "3",
+                py, "-m", "repro", "metrics", "hb", "3", "5",
                 "--force-bfs", "--jobs", "2", "--output", "{out}",
             ),
         ),
         SanitizeTarget(
-            name="metrics-cli-implicit-hb23",
+            name="metrics-cli-implicit-hb35",
             argv=(
-                py, "-m", "repro", "metrics", "hb", "2", "3",
+                py, "-m", "repro", "metrics", "hb", "3", "5",
                 "--backend", "implicit", "--force-bfs", "--jobs", "2",
                 "--output", "{out}",
             ),

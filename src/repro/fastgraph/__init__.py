@@ -9,10 +9,9 @@ for the process-pool all-sources sweep (either substrate), and
 :mod:`repro.fastgraph.backend` for the per-topology integration point
 (:func:`get_fastgraph`).
 
-Only the numpy-optional modules are re-exported here; the numpy-eager
-ones (``csr``, ``kernels``, ``implicit``, ``parallel``) are imported
-lazily by their consumers so ``import repro.fastgraph`` works without
-numpy.
+Only the backend and the codec registry are re-exported here; ``csr``,
+``kernels``, ``implicit`` and ``parallel`` are imported by their
+consumers.  numpy (>= 2.0) is a hard requirement of every module.
 
 The "Fast backend" section of ``docs/architecture.md`` documents when the
 backend engages and when pure-Python label BFS remains in charge.

@@ -44,11 +44,11 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
 
+import numpy as np
+
 from repro.errors import DisconnectedError, InvalidLabelError, InvalidParameterError
 
 if TYPE_CHECKING:  # runtime imports stay lazy (cycle-free)
-    import numpy as np
-
     from repro.fastgraph.codecs import NodeCodec
     from repro.fastgraph.csr import CSRAdjacency
     from repro.fastgraph.parallel import SweepResult
@@ -155,8 +155,6 @@ class FastGraph:
     ) -> np.ndarray | None:
         if not blocked:
             return None
-        import numpy as np
-
         mask = np.zeros(self.codec.num_nodes, dtype=bool)
         has_node = self.topology.has_node
         for label in blocked:
@@ -171,8 +169,6 @@ class FastGraph:
         ``O(num_nodes)`` (the implicit substrate's memory contract)."""
         if not blocked:
             return None
-        import numpy as np
-
         has_node = self.topology.has_node
         ranks = [self.codec.rank(v) for v in blocked if has_node(v)]
         return np.array(sorted(ranks), dtype=np.int64) if ranks else None
@@ -210,8 +206,6 @@ class FastGraph:
     ) -> dict[Hashable, int]:
         """Distance dict keyed by label — drop-in for the pure-Python BFS."""
         dist = self.distances_array(source, blocked=blocked, backend=backend)
-        import numpy as np
-
         unrank = self.codec.unrank
         reached = np.nonzero(dist >= 0)[0]
         return {unrank(int(i)): int(dist[i]) for i in reached}
@@ -295,8 +289,6 @@ class FastGraph:
 
             _, depth_counts, _ = implicit_source_stats(self.codec, self.rank(source))
             return {0: 1, **depth_counts}
-        import numpy as np
-
         dist = self.distances_array(source, backend="csr")
         return {
             d: int(c) for d, c in enumerate(np.bincount(dist[dist >= 0])) if c
@@ -373,8 +365,6 @@ class FastGraph:
         if not (self.topology.has_node(u) and self.topology.has_node(v)):
             return False
         if self.select_backend(backend, probe=True) == "implicit":
-            import numpy as np
-
             row = self.codec.neighbors_block(
                 np.array([self.rank(u)], dtype=np.int64)
             )[0]

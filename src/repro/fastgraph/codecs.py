@@ -30,12 +30,11 @@ codec never imports topology modules (no import cycles) and any external
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable
+
+import numpy as np
 
 from repro.errors import InvalidLabelError
-
-if TYPE_CHECKING:  # numpy stays a lazy import at runtime
-    import numpy as np
 
 __all__ = [
     "NodeCodec",
@@ -96,8 +95,6 @@ class NodeCodec:
         """
         if self.generators is None:
             return None
-        import numpy as np
-
         return self.neighbors_block(np.arange(self.num_nodes, dtype=np.int64))
 
     # Vectorized group arithmetic ------------------------------------------
@@ -147,8 +144,6 @@ class NodeCodec:
         """
         if self.generators is None:
             raise NotImplementedError
-        import numpy as np
-
         if not self.generators:
             return np.zeros((len(idx), 0), dtype=np.int64)
         return np.column_stack([self.apply_generator(idx, s) for s in self.generators])
@@ -308,15 +303,11 @@ class ProductCodec(NodeCodec):
         return self.left.supports_group_ops() and self.right.supports_group_ops()
 
     def inverse_block(self, idx: np.ndarray) -> np.ndarray:
-        import numpy as np
-
         nr = self.right.num_nodes
         a, b = np.divmod(idx, nr)
         return self.left.inverse_block(a) * nr + self.right.inverse_block(b)
 
     def multiply_block(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        import numpy as np
-
         nr = self.right.num_nodes
         al, ar = np.divmod(a, nr)
         bl, br = np.divmod(b, nr)
@@ -330,8 +321,6 @@ class ProductCodec(NodeCodec):
         rt = self.right.neighbor_table()
         if lt is None or rt is None:
             return None
-        import numpy as np
-
         nl, nr = self.left.num_nodes, self.right.num_nodes
         a = np.repeat(np.arange(nl, dtype=np.int64), nr)
         b = np.tile(np.arange(nr, dtype=np.int64), nl)
@@ -359,8 +348,6 @@ class ProductCodec(NodeCodec):
         — :class:`~repro.cayley.graph.DistanceOracle` reassigns it to the
         oracle's own generator order.
         """
-        import numpy as np
-
         gens = self.generators
         if self._moves is None or self._moves[0] != gens:
             nl, nr = self.left.num_nodes, self.right.num_nodes
@@ -376,8 +363,6 @@ class ProductCodec(NodeCodec):
         return self._moves[1], self._moves[2]
 
     def neighbors_block(self, idx: np.ndarray) -> np.ndarray:
-        import numpy as np
-
         if self.generators:
             left_moves, right_moves = self.move_tables()
             a, b = np.divmod(idx, self.right.num_nodes)
@@ -424,16 +409,12 @@ class WrappedButterflyCodec(PairRadixCodec):
         self.n = n
 
     def neighbor_table(self) -> np.ndarray:
-        import numpy as np
-
         return self.neighbors_block(np.arange(self.num_nodes, dtype=np.int64))
 
     def supports_implicit(self) -> bool:
         return True
 
     def neighbors_block(self, idx: np.ndarray) -> np.ndarray:
-        import numpy as np
-
         n = self.n
         w, level = np.divmod(idx, n)
         up = (level + 1) % n
@@ -466,8 +447,6 @@ class DeBruijnCodec(IntRangeCodec):
         return True
 
     def neighbors_block(self, idx: np.ndarray) -> np.ndarray:
-        import numpy as np
-
         word_mask = (1 << self.n) - 1
         # candidate order mirrors DeBruijn.neighbors: shift-left b=0,1 then
         # shift-right b=0,1, each kept only if new w.r.t. v and predecessors
@@ -496,16 +475,12 @@ class CycleCodec(IntRangeCodec):
         self.k = k
 
     def neighbor_table(self) -> np.ndarray:
-        import numpy as np
-
         return self.neighbors_block(np.arange(self.k, dtype=np.int64))
 
     def supports_implicit(self) -> bool:
         return True
 
     def neighbors_block(self, idx: np.ndarray) -> np.ndarray:
-        import numpy as np
-
         return np.column_stack([(idx + 1) % self.k, (idx - 1) % self.k])
 
 
@@ -518,16 +493,12 @@ class TorusCodec(PairRadixCodec):
         self.n2 = n2
 
     def neighbor_table(self) -> np.ndarray:
-        import numpy as np
-
         return self.neighbors_block(np.arange(self.num_nodes, dtype=np.int64))
 
     def supports_implicit(self) -> bool:
         return True
 
     def neighbors_block(self, idx: np.ndarray) -> np.ndarray:
-        import numpy as np
-
         i, j = np.divmod(idx, self.n2)
         return np.column_stack(
             [

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from repro.errors import InvalidParameterError
 
 __all__ = ["ERRSTATE_ENV", "install_errstate_from_env"]
@@ -37,8 +39,6 @@ def install_errstate_from_env() -> bool:
     spec = os.environ.get(ERRSTATE_ENV, "").strip()
     if not spec:
         return False
-    import numpy as np
-
     kwargs: dict[str, str] = {}
     for part in spec.split(","):
         key, _, action = part.strip().partition("=")

@@ -20,21 +20,18 @@ integer ``+`` over histogram counts) is associative and order-preserved by
 *and* for either payload kind, including the in-process ``jobs=1`` path,
 which runs the very same chunk kernel without a pool.
 
-The pool pins an explicit multiprocessing start method (``spawn`` unless
-overridden via ``start_method=`` or ``$REPRO_POOL_START_METHOD``) instead
-of inheriting the platform default: fork and spawn workers see different
-module state, and a sweep must not change meaning between Linux and
-macOS.  Workers carry no state besides what the initializer ships, so
-fork and spawn are bit-identical — also pinned by the tests.
+The pool pins the ``spawn`` start method instead of inheriting the
+platform default: fork and spawn workers see different module state, and
+a sweep must not change meaning between Linux and macOS.  Spawned workers
+carry no state besides what the initializer ships.
 
-Determinism for any job count, both payloads, and both start methods is
-pinned by ``tests/fastgraph/test_parallel.py``.
+Determinism for any job count and both payloads is pinned by
+``tests/fastgraph/test_parallel.py``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 from dataclasses import dataclass
 from typing import Any, Union
 
@@ -46,10 +43,7 @@ from repro.fastgraph.csr import CSRAdjacency
 from repro.fastgraph.guard import install_errstate_from_env
 from repro.fastgraph.kernels import sweep_chunk
 
-__all__ = ["SweepResult", "parallel_sweep", "source_chunks", "resolve_start_method"]
-
-#: start-method override honoured when ``start_method=None`` is passed
-START_METHOD_ENV = "REPRO_POOL_START_METHOD"
+__all__ = ["SweepResult", "parallel_sweep", "source_chunks"]
 
 #: a sweep substrate: materialized CSR arrays, or a tiny picklable codec
 SweepPayload = Union[CSRAdjacency, NodeCodec]
@@ -57,7 +51,7 @@ SweepPayload = Union[CSRAdjacency, NodeCodec]
 #: sources per chunk: 1024 sources are 16 ``uint64`` words per node
 DEFAULT_BATCH = 1024
 
-#: per-worker state, populated by the pool initializer (fork or spawn safe)
+#: per-worker state, populated by the pool initializer
 _state: dict[str, Any] = {}
 
 
@@ -81,16 +75,6 @@ def source_chunks(total: int, batch: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + batch, total)) for lo in range(0, total, batch)]
 
 
-def resolve_start_method(start_method: str | None = None) -> str:
-    """The pool start method: explicit arg, else env override, else spawn.
-
-    ``spawn`` is the deliberate default — it behaves identically on every
-    platform and inherits no live parent state, so a sweep cannot change
-    meaning between Linux (fork default) and macOS/Windows (spawn).
-    """
-    return start_method or os.environ.get(START_METHOD_ENV) or "spawn"
-
-
 def _init_worker(payload: SweepPayload) -> None:
     """Store the payload once per worker — the only state a worker needs."""
     install_errstate_from_env()  # sanitizer trap survives spawn
@@ -110,7 +94,6 @@ def parallel_sweep(
     batch: int = DEFAULT_BATCH,
     check_connected: bool = True,
     name: str = "graph",
-    start_method: str | None = None,
 ) -> SweepResult:
     """All-sources eccentricities + distance histogram, ``jobs`` processes.
 
@@ -118,9 +101,7 @@ def parallel_sweep(
     see the module docstring); ``jobs=1`` runs the chunk loop in-process
     (no pool, no pickling) and is the reference the pooled paths must
     match bit-for-bit.  ``batch`` sources share one chunk, cut by
-    :func:`source_chunks`.  ``start_method`` pins the pool's
-    multiprocessing context (default: :func:`resolve_start_method` —
-    spawn unless ``$REPRO_POOL_START_METHOD`` overrides it).
+    :func:`source_chunks`.
     """
     if jobs < 1:
         raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
@@ -143,7 +124,7 @@ def parallel_sweep(
 
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(bounds)),
-            mp_context=multiprocessing.get_context(resolve_start_method(start_method)),
+            mp_context=multiprocessing.get_context("spawn"),
             initializer=_init_worker,
             initargs=(payload,),
         ) as pool:

@@ -212,7 +212,7 @@ def random_node_faults(
 
     Sampling delegates to :func:`sample_nodes`.  Without an explicit
     ``rng`` a fixed-seed ``Random(0)`` is used so the default is
-    reproducible (reprolint HB501).
+    reproducible.
     """
     rng = rng or random.Random(0)
     return FaultSet(topology, sample_nodes(topology, count, rng=rng, exclude=exclude))

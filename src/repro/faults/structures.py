@@ -371,7 +371,7 @@ def random_structures(
     Centers are reservoir-sampled over the node iterator (never touching
     ``exclude``); structures may overlap away from their centers — the
     union lowering handles that.  Without an explicit ``rng`` a fixed-seed
-    ``Random(0)`` keeps the default reproducible (reprolint HB501).
+    ``Random(0)`` keeps the default reproducible.
     """
     rng = rng or random.Random(0)
     centers = sample_nodes(topology, count, rng=rng, exclude=exclude)

@@ -48,14 +48,14 @@ import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Hashable
 
+import numpy as np
+
 from repro.errors import InvalidParameterError, SimulationError
 from repro.simulation.linkconfig import LinkConfig
 from repro.simulation.stats import LatencyStats
 from repro.simulation.workloads import TrafficMatrix
 
-if TYPE_CHECKING:  # numpy stays a lazy import at runtime
-    import numpy as np
-
+if TYPE_CHECKING:
     from repro.faults.dynamic import FaultSchedule
     from repro.fastgraph.codecs import NodeCodec
 
@@ -137,8 +137,6 @@ class RouteBlock:
 def _validated(
     codec: NodeCodec, sources: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
     src = np.asarray(sources, dtype=np.int64)
     dst = np.asarray(targets, dtype=np.int64)
     if len(src) != len(dst):
@@ -157,8 +155,6 @@ def _expand_gen_matrix(
     lengths: np.ndarray,
 ) -> np.ndarray:
     """Turn per-flow generator words into per-flow node-rank hop arrays."""
-    import numpy as np
-
     flows, max_len = gen_mat.shape
     hops = np.full((flows, max_len), -1, dtype=np.int64)
     cur = sources.astype(np.int64, copy=True)
@@ -186,8 +182,6 @@ def _cayley_routes(
     flow's generator word, and applying the word columns in bulk produces
     the hop matrix.  Matches ``DistanceOracle.shortest_path`` row for row.
     """
-    import numpy as np
-
     from repro.fastgraph.codecs import codec_for
 
     group = getattr(topology, "group", None)
@@ -256,8 +250,6 @@ def _ecube_leg(
 ) -> np.ndarray:
     """Scatter ascending-bit e-cube hops into per-flow rows; returns the
     corrected cube words, advancing ``counts`` in place."""
-    import numpy as np
-
     cur = h.copy()
     for i in range(bits):
         rows = np.flatnonzero(((cur ^ h2) >> i) & 1)
@@ -284,8 +276,6 @@ def _hyperdebruijn_routes(
     never revisits a word, and never needs the self-loop/loop-erasure
     repairs of the scalar path — the whole leg vectorizes.
     """
-    import numpy as np
-
     from repro.fastgraph.codecs import codec_for
 
     codec = codec_for(topology)
@@ -342,8 +332,6 @@ def _hypercube_routes(
     topology: Any, sources: np.ndarray, targets: np.ndarray
 ) -> RouteBlock | None:
     """Ascending-bit e-cube routes on ``H_m`` — pure bit scatter."""
-    import numpy as np
-
     from repro.fastgraph.codecs import codec_for
 
     codec = codec_for(topology)
@@ -377,8 +365,6 @@ def _generic_routes(
     topology: Any, sources: np.ndarray, targets: np.ndarray
 ) -> RouteBlock:
     """Per-unique-pair python BFS fallback — any topology, small scale."""
-    import numpy as np
-
     from repro.fastgraph.codecs import EnumerationCodec, codec_for
 
     codec = codec_for(topology)
@@ -473,8 +459,6 @@ class FlowResult:
 
     def drop_counts(self) -> dict[str, int]:
         """Drop totals by reason string, zero-count reasons omitted."""
-        import numpy as np
-
         counts = np.bincount(self.drop_code, minlength=len(DROP_REASONS))
         return {
             DROP_REASONS[c]: int(counts[c])
@@ -484,8 +468,6 @@ class FlowResult:
 
     def delivered_curve(self) -> np.ndarray:
         """Deliveries per tick (throughput timeline) via ``np.bincount``."""
-        import numpy as np
-
         done = self.delivered_at[self.delivered_at >= 0]
         if not len(done):
             return np.zeros(0, dtype=np.int64)
@@ -494,8 +476,6 @@ class FlowResult:
 
 def _in_sorted(table: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Vectorized membership of ``values`` in a sorted int array."""
-    import numpy as np
-
     if table.size == 0:
         return np.zeros(len(values), dtype=bool)
     pos = np.minimum(np.searchsorted(table, values), table.size - 1)
@@ -524,8 +504,6 @@ class FlowEngine:
         schedule: FaultSchedule | None = None,
         ttl: int | None = None,
     ) -> None:
-        import numpy as np
-
         self.topology = topology
         self.traffic = traffic
         self.routes = (
@@ -653,8 +631,6 @@ class FlowEngine:
                 self._links_dirty = True
 
     def _faulty_link_ids(self) -> np.ndarray:
-        import numpy as np
-
         if self._links_dirty:
             self._faulty_links = np.asarray(
                 sorted(self._link_depth), dtype=np.int64
@@ -679,8 +655,6 @@ class FlowEngine:
         self.drop_at[flow_ids] = tick
 
     def _step(self, ids: np.ndarray, tick: int) -> None:
-        import numpy as np
-
         n = self._num_nodes
         pos = self._pos[ids]
         cur = self._cur[ids]
@@ -799,8 +773,6 @@ class FlowEngine:
         self, *, until: int | None = None, max_ticks: int | None = None
     ) -> "FlowEngine":
         """Process arrival ticks in order until the network drains."""
-        import numpy as np
-
         while self._heap:
             tick = self._heap[0]
             if until is not None and tick > until:

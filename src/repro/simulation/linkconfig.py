@@ -22,12 +22,11 @@ engine stays exactly replayable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import InvalidParameterError
-
-if TYPE_CHECKING:  # numpy stays a lazy import at runtime
-    import numpy as np
 
 __all__ = ["LinkClass", "LinkConfig"]
 
@@ -91,8 +90,6 @@ class LinkConfig:
         route hop with generator index ``-1`` (builders that do not label
         hops) indexes the default — the flow engine relies on that layout.
         """
-        import numpy as np
-
         names = list(gen_names or ())
         lat = np.empty(len(names) + 1, dtype=np.int64)
         cap = np.empty(len(names) + 1, dtype=np.int64)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 __all__ = ["LatencyStats"]
 
 
@@ -57,8 +59,6 @@ class LatencyStats:
         undelivered flow; pass the true count when some are still in
         flight (e.g. a truncated run).
         """
-        import numpy as np
-
         inject = np.asarray(inject_at, dtype=np.int64)
         done_at = np.asarray(delivered_at, dtype=np.int64)
         hop_arr = np.asarray(hops, dtype=np.int64)

@@ -27,11 +27,11 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator
 
+import numpy as np
+
 from repro.errors import InvalidParameterError
 
-if TYPE_CHECKING:  # numpy stays a lazy import at runtime
-    import numpy as np
-
+if TYPE_CHECKING:
     from repro.fastgraph.codecs import NodeCodec
 
 __all__ = [
@@ -82,8 +82,6 @@ class TrafficMatrix:
         targets: np.ndarray,
         inject_at: np.ndarray | None = None,
     ) -> "TrafficMatrix":
-        import numpy as np
-
         src = np.asarray(sources, dtype=np.int64)
         dst = np.asarray(targets, dtype=np.int64)
         if inject_at is None:
@@ -99,8 +97,6 @@ class TrafficMatrix:
         codec: NodeCodec,
     ) -> "TrafficMatrix":
         """Rank a legacy ``[(source, target), ...]`` pair list."""
-        import numpy as np
-
         listed = list(pairs)
         src = np.fromiter(
             (codec.rank(s) for s, _ in listed), dtype=np.int64, count=len(listed)
@@ -165,8 +161,6 @@ def _wrapped_butterfly_view(codec: Any) -> AddressView:
     n = codec.n
 
     def split(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        import numpy as np
-
         word, level = np.divmod(idx, n)
         return word, level
 
@@ -184,16 +178,12 @@ def _product_view(codec: Any) -> AddressView | None:
     # lost) and the right address to occupy a clean bit field
     if codec.left.num_nodes != 1 << left.bits:
         return None
-    import numpy as np
-
     if left.split(np.zeros(1, dtype=np.int64))[1] is not None:
         return None
     rbits = right.bits
     nr = codec.right.num_nodes
 
     def split(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        import numpy as np
-
         a, b = np.divmod(idx, nr)
         raddr, raux = right.split(b)
         return (left.split(a)[0] << rbits) | raddr, raux
@@ -248,8 +238,6 @@ def uniform_pairs(
     position-for-position the same draws the legacy list-based generator
     made, so ranked output unranks to the legacy output for every seed.
     """
-    import numpy as np
-
     if count < 0:
         raise InvalidParameterError("count must be >= 0")
     if num_nodes < 2:
@@ -278,8 +266,6 @@ def derangement_pairs(
     terminates after one pass; the price is a slight distribution skew
     away from uniform-over-derangements, irrelevant for load benchmarks.
     """
-    import numpy as np
-
     if num_nodes < 2:
         raise InvalidParameterError("need at least two nodes")
     rng = random.Random(seed)
@@ -311,8 +297,6 @@ def hotspot_pairs(
     then one ``random()`` gate per flow), so ranked output unranks to the
     legacy output for every seed.
     """
-    import numpy as np
-
     if not 0.0 <= hot_fraction <= 1.0:
         raise InvalidParameterError("hot_fraction must be in [0, 1]")
     if not 0 <= hotspot < num_nodes:
@@ -351,8 +335,6 @@ def incast_pairs(
     ranks are a seeded sample, and flow ``i`` targets sink ``i mod sinks``
     from a uniformly drawn non-sink source.
     """
-    import numpy as np
-
     if count < 0:
         raise InvalidParameterError("count must be >= 0")
     if not 1 <= sinks < num_nodes:
@@ -391,8 +373,6 @@ def bit_reversal_pairs(topology: Any) -> tuple[np.ndarray, np.ndarray]:
     with levels preserved — the canonical worst case for level-structured
     networks, identical pair set to the legacy label-level generator.
     """
-    import numpy as np
-
     view = _require_view(topology)
     from repro.fastgraph.codecs import codec_for
 
@@ -414,8 +394,6 @@ def transpose_pairs(topology: Any) -> tuple[np.ndarray, np.ndarray]:
     classic matrix-transpose permutation for even address widths and
     generalizes it for odd ones.
     """
-    import numpy as np
-
     view = _require_view(topology)
     from repro.fastgraph.codecs import codec_for
 
@@ -439,8 +417,6 @@ def tornado_pairs(num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     identically on every family, which keeps cross-network load curves
     comparable.
     """
-    import numpy as np
-
     if num_nodes < 2:
         raise InvalidParameterError("need at least two nodes")
     ranks = np.arange(num_nodes, dtype=np.int64)
@@ -456,8 +432,6 @@ def translation_pairs(
     legacy "half-way" element (antipodal cube word, half butterfly
     rotation) on hyper-butterflies; elsewhere it must be given explicitly.
     """
-    import numpy as np
-
     from repro.fastgraph.codecs import codec_for
 
     codec = codec_for(topology)
@@ -488,8 +462,6 @@ def translation_pairs(
 
 def paced_arrivals(count: int, *, per_tick: int) -> np.ndarray:
     """Deterministic constant-rate arrivals: ``per_tick`` flows per tick."""
-    import numpy as np
-
     if per_tick < 1:
         raise InvalidParameterError("per_tick must be >= 1")
     if count < 0:
@@ -512,8 +484,6 @@ def bursty_arrivals(
     (geometric sojourns — the discrete two-state Markov-modulated process
     standard in interconnect studies).  Seeded and deterministic.
     """
-    import numpy as np
-
     if per_tick < 1:
         raise InvalidParameterError("per_tick must be >= 1")
     if on_mean < 1.0 or off_mean < 1.0:
@@ -546,8 +516,6 @@ def _tile_pairs(
     src: np.ndarray, dst: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Repeat a fixed pattern in whole waves until ``count`` flows."""
-    import numpy as np
-
     if len(src) == 0:
         raise InvalidParameterError("pattern has no flows to tile")
     waves = -(-count // len(src))
@@ -562,8 +530,6 @@ def _family_uniform(topology: Any, num_nodes: int, count: int, seed: int) -> tup
 
 
 def _family_permutation(topology: Any, num_nodes: int, count: int, seed: int) -> tuple:
-    import numpy as np
-
     waves = -(-count // num_nodes)
     srcs = []
     dsts = []

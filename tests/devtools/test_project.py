@@ -1,4 +1,4 @@
-"""Unit tests for the whole-program graph behind the HB4xx/HB5xx rules."""
+"""Unit tests for the whole-program graph behind the HB4xx rules."""
 
 from __future__ import annotations
 
@@ -93,110 +93,6 @@ class TestImportGraph:
             }
         )
         assert graph.import_cycles() == []
-
-
-class TestCallGraph:
-    SOURCES = {
-        "src/repro/low.py": (
-            "__all__ = []\n"
-            "def helper():\n"
-            "    return 1\n"
-        ),
-        "src/repro/mid.py": (
-            "from repro.low import helper\n"
-            "__all__ = ['work']\n"
-            "def work():\n"
-            "    return helper()\n"
-        ),
-        "src/repro/cli.py": (
-            "from repro.mid import work\n"
-            "def main():\n"
-            "    return work()\n"
-        ),
-    }
-
-    def test_edges_resolved_through_imports(self):
-        graph = _graph(self.SOURCES)
-        assert ("repro.low.helper", 4) in graph.functions["repro.mid.work"].calls
-        assert ("repro.mid.work", 3) in graph.functions["repro.cli.main"].calls
-
-    def test_callers_of(self):
-        graph = _graph(self.SOURCES)
-        callers = [c for c, _ in graph.callers_of("repro.low.helper")]
-        assert callers == ["repro.mid.work"]
-
-    def test_reverse_reachability_with_witness_chain(self):
-        graph = _graph(self.SOURCES)
-        parent = graph.reverse_reachable(["repro.low.helper"])
-        assert set(parent) == {"repro.mid.work", "repro.cli.main"}
-        chain = graph.call_chain(
-            "repro.cli.main", {"repro.low.helper"}, parent
-        )
-        assert chain == ["repro.cli.main", "repro.mid.work", "repro.low.helper"]
-
-    def test_self_method_calls(self):
-        graph = _graph(
-            {
-                "src/repro/obj.py": (
-                    "class Box:\n"
-                    "    def inner(self):\n"
-                    "        return 1\n"
-                    "    def outer(self):\n"
-                    "        return self.inner()\n"
-                )
-            }
-        )
-        assert ("repro.obj.Box.inner", 5) in graph.functions[
-            "repro.obj.Box.outer"
-        ].calls
-
-    def test_unresolvable_calls_are_dropped(self):
-        graph = _graph(
-            {
-                "src/repro/dyn.py": (
-                    "def f(cb):\n"
-                    "    return cb() + str(3).upper()\n"
-                )
-            }
-        )
-        assert graph.functions["repro.dyn.f"].calls == []
-
-
-class TestPublicSurface:
-    def test_all_and_reexport_and_entrypoint(self):
-        graph = _graph(
-            {
-                "src/repro/impl.py": (
-                    "__all__ = ['api']\n"
-                    "def api():\n"
-                    "    return 1\n"
-                    "def private():\n"
-                    "    return 2\n"
-                ),
-                "src/repro/__init__.py": (
-                    "from repro.impl import api\n"
-                    "__all__ = ['api']\n"
-                ),
-                "src/repro/cli.py": "def main():\n    return 0\n",
-            }
-        )
-        public = graph.public_functions()
-        assert "repro.impl.api" in public
-        assert "repro.cli.main" in public
-        assert "repro.impl.private" not in public
-
-    def test_all_listed_class_exposes_methods(self):
-        graph = _graph(
-            {
-                "src/repro/box.py": (
-                    "__all__ = ['Box']\n"
-                    "class Box:\n"
-                    "    def get(self):\n"
-                    "        return 1\n"
-                )
-            }
-        )
-        assert "repro.box.Box.get" in graph.public_functions()
 
 
 class TestRealCodebase:

@@ -65,8 +65,8 @@ class TestGenericFixtureContract:
                 "contracts",
                 "numerics",
                 "architecture",
-                "taint",
-                "numerics-flow",
+                "seeding",
+                "dtypes",
                 "concurrency",
             }
 
@@ -382,70 +382,6 @@ class TestDeadExport:
             },
         )
         assert findings == []
-
-
-class TestUnseededTaint:
-    def test_interprocedural_chain_to_public_api(self):
-        findings = _lint_project(
-            "HB501",
-            {
-                "src/repro/faults/helper.py": (
-                    "import random\n"
-                    "__all__ = []\n"
-                    "def make_rng():\n"
-                    "    return random.Random()\n"
-                ),
-                "src/repro/faults/api.py": (
-                    "from repro.faults.helper import make_rng\n"
-                    "__all__ = ['campaign']\n"
-                    "def campaign():\n"
-                    "    return make_rng().random()\n"
-                ),
-            },
-        )
-        assert len(findings) == 1
-        assert findings[0].path == "src/repro/faults/helper.py"
-        assert "campaign" in findings[0].message
-
-    def test_private_unreachable_construction_not_flagged(self):
-        findings = _lint_project(
-            "HB501",
-            {
-                "src/repro/faults/helper.py": (
-                    "import random\n"
-                    "__all__ = []\n"
-                    "def _scratch():\n"
-                    "    return random.Random()\n"
-                ),
-            },
-        )
-        assert findings == []
-
-    def test_seeded_construction_is_clean(self):
-        findings = _lint_project(
-            "HB501",
-            {
-                "src/repro/faults/api.py": (
-                    "import random\n"
-                    "__all__ = ['campaign']\n"
-                    "def campaign(seed):\n"
-                    "    return random.Random(seed).random()\n"
-                ),
-            },
-        )
-        assert findings == []
-
-    def test_module_level_construction_flagged(self):
-        findings = _lint_project(
-            "HB501",
-            {
-                "src/repro/faults/helper.py": (
-                    "import random\n"
-                    "_RNG = random.Random()\n"
-                ),
-            },
-        )
-        assert len(findings) == 1
 
 
 class TestWallClockSeed:

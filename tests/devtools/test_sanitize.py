@@ -1,7 +1,7 @@
 """Tests for the dynamic determinism sanitizer (PYTHONHASHSEED A/B runs).
 
 The subprocess tests use tiny ``python -c`` targets rather than the stock
-HB(2,3) targets so the suite stays fast; the stock targets themselves are
+targets so the suite stays fast; the stock targets themselves are
 exercised by the CI smoke step (``hyperbutterfly sanitize``).
 """
 
@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from repro.core.hyperbutterfly import HyperButterfly
 from repro.devtools.sanitize import (
     OVERFLOW_ERRSTATE,
     SanitizeError,
@@ -24,6 +25,7 @@ from repro.devtools.sanitize import (
     structural_diff,
 )
 from repro.fastgraph.guard import ERRSTATE_ENV
+from repro.fastgraph.parallel import DEFAULT_BATCH
 
 
 class TestStructuralDiff:
@@ -197,8 +199,8 @@ class TestDefaultTargets:
             "structure-campaign-hb23",
             "traffic-campaign-hb23",
             "fastgraph-metrics-hb23",
-            "metrics-cli-hb23",
-            "metrics-cli-implicit-hb23",
+            "metrics-cli-hb35",
+            "metrics-cli-implicit-hb35",
         }
         traffic = targets["traffic-campaign-hb23"]
         assert "traffic-campaign" in traffic.argv
@@ -209,14 +211,17 @@ class TestDefaultTargets:
         structure = targets["structure-campaign-hb23"]
         assert "structure-campaign" in structure.argv
         assert not structure.uses_stdout
-        pooled = targets["metrics-cli-hb23"]
-        assert "--jobs" in pooled.argv  # exercises the process-pool sweep
-        assert not pooled.uses_stdout
-        implicit = targets["metrics-cli-implicit-hb23"]
+        pooled = targets["metrics-cli-hb35"]
+        implicit = targets["metrics-cli-implicit-hb35"]
         # the CSR-free substrate, pooled: pins the codec-payload A/B path
         assert "implicit" in implicit.argv
-        assert "--jobs" in implicit.argv
-        assert not implicit.uses_stdout
+        for target in (pooled, implicit):
+            assert not target.uses_stdout
+            argv = list(target.argv)
+            assert argv[argv.index("--jobs") + 1] == "2"
+            # more sources than one chunk, or parallel_sweep never starts a pool
+            m, n = (int(a) for a in argv[argv.index("hb") + 1 : argv.index("hb") + 3])
+            assert HyperButterfly(m, n).num_nodes > DEFAULT_BATCH
 
     def test_metrics_probe_payload(self, tmp_path):
         out = tmp_path / "metrics.json"

@@ -5,8 +5,9 @@ frontier.astype(np.uint8)``; the product accumulates in the operands'
 promoted dtype, so a node whose in-degree *from the current frontier* is
 a multiple of 256 summed to exactly 0 and silently read as unreached
 (surfacing as a spurious ``DisconnectedError`` or a wrong eccentricity).
-Found by reprolint HB605.  The bit-parallel kernel ORs source bits and
-has no counter to wrap; the same star-bridge graph keeps it honest.
+Found by reprolint's former narrow-accumulator rule (HB605).  The
+bit-parallel kernel ORs source bits and has no counter to wrap; the same
+star-bridge graph keeps it honest.
 """
 
 from __future__ import annotations

@@ -15,16 +15,18 @@ from repro.analysis.metrics import exact_diameter
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.errors import DisconnectedError, InvalidParameterError
 from repro.fastgraph.backend import get_fastgraph
-from repro.fastgraph.parallel import (
-    START_METHOD_ENV,
-    SweepResult,
-    parallel_sweep,
-    resolve_start_method,
-    source_chunks,
-)
+from repro.fastgraph.parallel import SweepResult, parallel_sweep, source_chunks
 from repro.topologies.debruijn import DeBruijn
 from repro.topologies.mesh import Mesh
 from tests.fastgraph._reference_sweep import reference_sweep
+
+
+def _assert_result_dtypes(result: SweepResult) -> None:
+    """Exact widths: equality checks alone pass an ``int8`` eccentricity array."""
+    assert result.eccentricities.dtype == np.int64
+    assert all(
+        type(d) is int and type(c) is int for d, c in result.histogram.items()
+    )
 
 
 class TestSourceChunks:
@@ -55,6 +57,7 @@ class TestDeterminism:
         ecc, hist = serial
         # 16-source chunks, so jobs > 1 really runs a pool
         result = parallel_sweep(csr, jobs=jobs, batch=16, name="HB(2,3)")
+        _assert_result_dtypes(result)
         assert np.array_equal(result.eccentricities, ecc)
         assert result.histogram == hist
         assert result.diameter() == int(ecc.max())
@@ -77,24 +80,12 @@ class TestDeterminism:
 
 
 class TestStartMethod:
-    """The pool pins an explicit start method; fork and spawn agree."""
+    """The pool pins the spawn start method; spawned workers match serial."""
 
-    def test_default_is_spawn(self, monkeypatch):
-        monkeypatch.delenv(START_METHOD_ENV, raising=False)
-        assert resolve_start_method() == "spawn"
-
-    def test_env_override_and_explicit_arg_win(self, monkeypatch):
-        monkeypatch.setenv(START_METHOD_ENV, "fork")
-        assert resolve_start_method() == "fork"
-        assert resolve_start_method("forkserver") == "forkserver"
-
-    @pytest.mark.parametrize("start_method", ["spawn", "fork"])
-    def test_start_methods_are_bit_identical_to_serial(self, start_method):
+    def test_spawn_pool_is_bit_identical_to_serial(self):
         csr = get_fastgraph(HyperButterfly(2, 3)).csr
         serial = parallel_sweep(csr, jobs=1, batch=16, name="HB(2,3)")
-        pooled = parallel_sweep(
-            csr, jobs=2, batch=16, name="HB(2,3)", start_method=start_method
-        )
+        pooled = parallel_sweep(csr, jobs=2, batch=16, name="HB(2,3)")
         assert np.array_equal(pooled.eccentricities, serial.eccentricities)
         assert pooled.histogram == serial.histogram
 
@@ -141,6 +132,7 @@ class TestPayloadKinds:
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_codec_payload_matches_csr_payload(self, fast, csr_reference, jobs):
         result = parallel_sweep(fast.codec, jobs=jobs, batch=16, name="HB(2,3)")
+        _assert_result_dtypes(result)
         assert np.array_equal(
             result.eccentricities, csr_reference.eccentricities
         )

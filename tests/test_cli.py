@@ -239,7 +239,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "faults-campaign-hb23" in out
         assert "fastgraph-metrics-hb23" in out
-        assert "metrics-cli-hb23" in out
+        assert "metrics-cli-hb35" in out
 
     def test_sanitize_custom_deterministic_command(self, capsys):
         import sys
