@@ -44,7 +44,7 @@ from typing import Literal
 from repro._bits import set_bits
 from repro.core.hyperbutterfly import HBNode, HyperButterfly
 from repro.errors import InvalidParameterError, RoutingError
-from repro.routing.base import paths_internally_disjoint, validate_path
+from repro.routing.base import paths_internally_disjoint
 from repro.routing.butterfly import butterfly_route_walk
 from repro.routing.flows import node_to_set_disjoint_paths, vertex_disjoint_paths
 from repro.routing.hypercube import hypercube_disjoint_paths, hypercube_route
@@ -175,6 +175,8 @@ class _Case3Builder:
         # repair resources (chosen in _plan_repairs)
         self.h_fresh: int | None = None  # h'' for the dist-1 repair
         self.b_fresh: tuple[int, int] | None = None  # b''' for the adjacency repair
+        # cube-first fly segments, one BFS per distinct collision-block set
+        self.segments_by_blocks: dict[frozenset, list | None] = {}
 
     # -- planning ---------------------------------------------------------
 
@@ -256,15 +258,22 @@ class _Case3Builder:
             copy for copy, segment in self.cube_segments if hi in segment
         )
 
+    def _fly_segment(self, blocks: frozenset) -> list | None:
+        """Shortest ``b → b'`` butterfly route avoiding ``blocks``, one BFS
+        per distinct block set (most cube-first paths share the empty one)."""
+        if blocks not in self.segments_by_blocks:
+            self.segments_by_blocks[blocks] = self.hb.butterfly.bfs_shortest_path(
+                self.b, self.b2, blocked=blocks
+            )
+        return self.segments_by_blocks[blocks]
+
     def _build_cube_first(self) -> list[list[HBNode]]:
         hb = self.hb
         fly_segments: dict[int, list] = {}
         for i, hi in enumerate(self.h_neighbors):
             if i == self.i_star:
                 continue
-            seg = hb.butterfly.bfs_shortest_path(
-                self.b, self.b2, blocked=self._fly_collision_blocks(hi)
-            )
+            seg = self._fly_segment(self._fly_collision_blocks(hi))
             if seg is None:
                 raise RoutingError(
                     "butterfly copy disconnected under collision avoidance"
@@ -288,9 +297,7 @@ class _Case3Builder:
         for i, hi in enumerate(self.h_neighbors):
             if i == self.i_star:
                 # u → (h', b) → (h'', b) → fly route in copy h'' → (h'', b') → v
-                seg = hb.butterfly.bfs_shortest_path(
-                    self.b, self.b2, blocked=self._fly_collision_blocks(self.h_fresh)
-                )
+                seg = self._fly_segment(self._fly_collision_blocks(self.h_fresh))
                 if seg is None:
                     raise RoutingError(
                         "repair copy disconnected under collision avoidance"
@@ -328,12 +335,32 @@ def verify_disjoint_paths(
     hb: HyperButterfly, u: HBNode, v: HBNode, paths: list[list[HBNode]]
 ) -> None:
     """Raise :class:`RoutingError` unless ``paths`` is a valid Theorem 5
-    family: ``m + 4`` simple ``u → v`` paths, internally disjoint."""
+    family: ``m + 4`` simple ``u → v`` paths, internally disjoint.
+
+    The checks are :func:`~repro.routing.base.validate_path`'s, but each
+    distinct vertex is validated once and each hop is then an O(1)
+    :meth:`HyperButterfly.adjacent` test.
+    """
     expected = hb.m + 4
     if len(paths) != expected:
         raise RoutingError(f"expected {expected} paths, got {len(paths)}")
+    seen: set = set()
     for path in paths:
-        validate_path(hb, path, source=u, target=v, simple=True)
+        if not path:
+            raise RoutingError("empty path")
+        for x in path:
+            if x not in seen:
+                hb.validate_node(x)
+                seen.add(x)
+        if path[0] != u:
+            raise RoutingError(f"path starts at {path[0]!r}, expected {u!r}")
+        if path[-1] != v:
+            raise RoutingError(f"path ends at {path[-1]!r}, expected {v!r}")
+        for a, b in zip(path, path[1:], strict=False):
+            if not hb.adjacent(a, b):
+                raise RoutingError(f"{a!r} -> {b!r} is not an edge of {hb.name}")
+        if len(set(path)) != len(path):
+            raise RoutingError("path revisits a vertex")
     if not paths_internally_disjoint(paths):
         raise RoutingError("paths are not internally disjoint")
 

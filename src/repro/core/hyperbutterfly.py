@@ -63,6 +63,7 @@ class HyperButterfly(Topology):
         self.fly_group = ButterflyGroup(n)
         self.group = DirectProductGroup(self.cube_group, self.fly_group)
         self.gens = self._build_generators()
+        self._fly_steps = frozenset(self.fly_group.butterfly_generators())
         self.cayley = CayleyGraph(self.group, self.gens)
 
         # factor topologies, exposed for copy-level algorithms
@@ -127,6 +128,25 @@ class HyperButterfly(Topology):
     def neighbors(self, v: HBNode) -> list[HBNode]:
         self.validate_node(v)
         return self.gens.neighbors(v)
+
+    def has_edge(self, u: HBNode, v: HBNode) -> bool:
+        """Whether ``{u, v}`` is an edge, in O(1) without listing neighbours.
+
+        A hypercube edge keeps ``b`` and flips one bit of ``h``; a butterfly
+        edge keeps ``h`` and moves ``b`` by one of the 4 factor generators,
+        i.e. ``b⁻¹·b'`` is one of them.  Raises :class:`InvalidLabelError`
+        for a bad ``u`` and answers ``False`` for a non-node ``v``, as the
+        neighbour scan does.
+        """
+        self.validate_node(u)
+        return self.has_node(v) and self.adjacent(u, v)
+
+    def adjacent(self, u: HBNode, v: HBNode) -> bool:
+        """:meth:`has_edge` for two labels already known to be nodes."""
+        (h, b), (h2, b2) = u, v
+        if b == b2:
+            return (h ^ h2).bit_count() == 1
+        return h == h2 and self.fly_group.quotient(b, b2) in self._fly_steps
 
     # Definition 4: edge/neighbor classification ------------------------------
 

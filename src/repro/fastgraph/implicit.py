@@ -64,7 +64,7 @@ import os
 
 import numpy as np
 
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, ReproError
 from repro.fastgraph.codecs import NodeCodec
 
 __all__ = [
@@ -283,6 +283,17 @@ def _seed_bitset(
     return bitset
 
 
+def _check_depth(codec: NodeCodec, depth: int) -> None:
+    """A BFS from one source has at most ``num_nodes - 1`` non-empty levels;
+    a deeper one means the visited set stopped recording visits, and would
+    otherwise never end."""
+    if depth >= codec.num_nodes:
+        raise ReproError(
+            f"BFS reached level {depth} on {codec.num_nodes} nodes: "
+            "the visited set is not recording visits"
+        )
+
+
 def implicit_bfs_levels(
     codec: NodeCodec,
     source: int,
@@ -328,6 +339,8 @@ def implicit_bfs_levels(
                 parents[frontier] = origins
             if via is not None:
                 via[frontier] = columns
+        if frontier.size:
+            _check_depth(codec, depth)
         dist[frontier] = depth
     return dist, parents, via
 
@@ -356,4 +369,5 @@ def implicit_source_stats(
         if not frontier.size:
             break
         depth_counts[len(depth_counts) + 1] = int(frontier.size)
+        _check_depth(codec, len(depth_counts))
     return len(depth_counts), depth_counts, 1 + sum(depth_counts.values())

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import sys
+
 import networkx as nx
 import pytest
 
 from repro.core.disjoint_paths import (
+    _Case3Builder,
     construction_case,
     disjoint_paths,
     disjoint_paths_with_info,
     verify_disjoint_paths,
 )
 from repro.core.hyperbutterfly import HyperButterfly
-from repro.errors import InvalidParameterError, RoutingError
+from repro.errors import InvalidLabelError, InvalidParameterError, RoutingError
 from repro.routing.base import paths_internally_disjoint, validate_path
+from tests.routing import _reference_menger
 
 
 class TestCaseClassification:
@@ -163,3 +167,109 @@ class TestVerifier:
         tampered[0] = tampered[1]  # duplicate path => shared interiors
         with pytest.raises(RoutingError):
             verify_disjoint_paths(hb23, u, v, tampered)
+
+
+class TestVerifierChecks:
+    """Every check of the per-path validation survives the O(1) hop test."""
+
+    U, V = (0, (0, 0)), (3, (2, 0b010))
+
+    def _family(self, hb23):
+        return [list(p) for p in disjoint_paths(hb23, self.U, self.V)]
+
+    @pytest.mark.parametrize(
+        ("tamper", "error", "match"),
+        [
+            (lambda p: p.clear(), RoutingError, "empty path"),
+            (lambda p: p.insert(1, (9, (0, 0))), InvalidLabelError, "not a node"),
+            (lambda p: p.insert(0, (1, (0, 0))), RoutingError, "path starts at"),
+            (lambda p: p.append((1, (0, 0))), RoutingError, "path ends at"),
+            (lambda p: p.pop(1), RoutingError, "is not an edge"),
+            (lambda p: p.insert(2, p[1]), RoutingError, "is not an edge"),
+        ],
+    )
+    def test_tampered_path_rejected(self, hb23, tamper, error, match):
+        family = self._family(hb23)
+        longest = max(family, key=len)
+        tamper(longest)
+        with pytest.raises(error, match=match):
+            verify_disjoint_paths(hb23, self.U, self.V, family)
+
+    def test_revisit_rejected(self, hb23):
+        family = self._family(hb23)
+        path = max(family, key=len)
+        path[3:3] = [path[1], path[2]]  # a -> b -> a -> b: every hop an edge
+        with pytest.raises(RoutingError, match="revisits a vertex"):
+            verify_disjoint_paths(hb23, self.U, self.V, family)
+
+    def test_valid_family_accepted(self, hb23):
+        verify_disjoint_paths(hb23, self.U, self.V, self._family(hb23))
+
+
+class TestSolverAndSegmentReuse:
+    def test_families_identical_with_the_reference_solver(self, monkeypatch, rng):
+        """The int-native Menger solver builds every family, corners and
+        global fallbacks included, exactly as the dict-based one did."""
+        pairs = []
+        for hb in (HyperButterfly(1, 3), HyperButterfly(2, 3), HyperButterfly(3, 4)):
+            nodes = list(hb.nodes())
+            u = nodes[0]
+            pairs += [(hb, u, v) for v in hb.neighbors(u)]
+            corners = [
+                (h[0], b[1])
+                for h in hb.hypercube_neighbors(u)
+                for b in hb.butterfly_neighbors(u)
+            ]
+            pairs += [(hb, u, v) for v in corners]
+            pairs += [(hb, *rng.sample(nodes, 2)) for _ in range(15)]
+        got = [disjoint_paths_with_info(hb, u, v) for hb, u, v in pairs]
+        module = sys.modules[_Case3Builder.__module__]
+        monkeypatch.setattr(
+            module, "vertex_disjoint_paths", _reference_menger.vertex_disjoint_paths
+        )
+        monkeypatch.setattr(
+            module,
+            "node_to_set_disjoint_paths",
+            _reference_menger.node_to_set_disjoint_paths,
+        )
+        want = [disjoint_paths_with_info(hb, u, v) for hb, u, v in pairs]
+        assert got == want
+        assert {info["method"] for _, info in got} == {"constructive", "flow"}
+
+    @pytest.mark.parametrize(
+        ("u", "v"),
+        [
+            ((0, (0, 0)), (0b0011, (2, 0b1001))),  # generic
+            ((0, (0, 0)), (0b0001, (2, 0b1001))),  # dist(h, h') = 1
+            ((0, (0, 0)), (0b0110, (1, 0b0000))),  # b' adjacent to b
+        ],
+    )
+    def test_cube_first_segments_once_per_block_set(self, monkeypatch, u, v):
+        hb = HyperButterfly(4, 4)
+        calls = []
+        bfs = hb.butterfly.bfs_shortest_path
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["blocked"])
+            return bfs(*args, **kwargs)
+
+        monkeypatch.setattr(hb.butterfly, "bfs_shortest_path", counting)
+        builder = _Case3Builder(hb, u, v)
+        family = builder.build()
+        verify_disjoint_paths(hb, u, v, family)
+        words = [
+            builder.h_fresh if i == builder.i_star else hi
+            for i, hi in enumerate(builder.h_neighbors)
+        ]
+        block_sets = [builder._fly_collision_blocks(hi) for hi in words]
+        assert sorted(map(sorted, calls)) == sorted(map(sorted, set(block_sets)))
+        assert len(calls) < len(block_sets)  # cube words off every segment share one
+
+        # one BFS per cube-first path gives the same family
+        per_path = _Case3Builder(hb, u, v)
+        monkeypatch.setattr(
+            per_path,
+            "_fly_segment",
+            lambda blocks: bfs(per_path.b, per_path.b2, blocked=blocks),
+        )
+        assert per_path.build() == family

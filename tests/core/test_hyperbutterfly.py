@@ -8,6 +8,7 @@ import pytest
 from repro.cayley.transitivity import verify_vertex_transitivity
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.errors import InvalidLabelError, InvalidParameterError
+from repro.topologies.base import Topology
 
 
 class TestTheorem2Counts:
@@ -84,6 +85,40 @@ class TestDefinition4Neighbors:
     def test_edge_kind_rejects_non_edges(self, hb23):
         with pytest.raises(InvalidLabelError):
             hb23.edge_kind((0, (0, 0)), (3, (0, 0)))
+
+
+class TestHasEdge:
+    """The O(1) ``has_edge`` answers exactly as the generic neighbour scan."""
+
+    @pytest.mark.parametrize(("m", "n"), [(0, 3), (2, 3), (1, 4)])
+    def test_every_ordered_pair_matches_the_scan(self, m, n):
+        hb = HyperButterfly(m, n)
+        nodes = list(hb.nodes())
+        for u in nodes:
+            for v in nodes:
+                assert hb.has_edge(u, v) == Topology.has_edge(hb, u, v), (u, v)
+
+    NON_NODES = [
+        (4, (0, 0)),  # h outside 2^m
+        (-1, (0, 0)),
+        (0, (3, 0)),  # level outside n
+        (0, (0, 8)),  # word outside 2^n
+        (1, (0, 0), 0),
+        (1,),
+        [1, (0, 0)],
+        (0, [0, 0]),
+        "(01;abc)",
+        None,
+    ]
+
+    @pytest.mark.parametrize("label", NON_NODES, ids=repr)
+    def test_non_node_labels(self, hb23, label):
+        u = (0, (0, 0))
+        assert hb23.has_edge(u, label) is False
+        assert Topology.has_edge(hb23, u, label) is False
+        for has_edge in (hb23.has_edge, lambda a, b: Topology.has_edge(hb23, a, b)):
+            with pytest.raises(InvalidLabelError):
+                has_edge(label, u)
 
 
 class TestRemark5Copies:

@@ -10,13 +10,15 @@ path the big instances rely on).
 
 from __future__ import annotations
 
+import itertools
 import random
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.hyperbutterfly import HyperButterfly
-from repro.errors import InvalidLabelError, InvalidParameterError
+from repro.errors import InvalidLabelError, InvalidParameterError, ReproError
 from repro.fastgraph import kernels
 from repro.fastgraph.backend import FastGraph, get_fastgraph, implicit_threshold
 from repro.fastgraph.codecs import ButterflyElementCodec, NodeCodec
@@ -124,6 +126,47 @@ class TestBitset:
         bits.set_bits(after)
         expected = np.setdiff1d(after, before)  # sorted, unique
         assert np.array_equal(bits.new_since(snapshot), expected)
+
+
+class TestLevelCap:
+    """A visited set that records nothing must raise, not loop forever."""
+
+    @staticmethod
+    def _guarded(result, limit=10_000):
+        """A patched method returning ``result(self, arg)``; it fails the
+        test instead of hanging once called ``limit`` times."""
+        calls = itertools.count()
+
+        def method(self, arg):
+            assert next(calls) < limit, "BFS kept expanding levels"
+            return result(self, arg)
+
+        return method
+
+    def test_bfs_levels_raise_when_nothing_is_visited(self, monkeypatch):
+        never = self._guarded(lambda self, idx: np.zeros(len(idx), dtype=bool))
+        monkeypatch.setattr(Bitset, "test", never)
+        codec = get_fastgraph(HyperButterfly(2, 3)).codec
+        start = time.perf_counter()
+        with pytest.raises(ReproError, match="not recording visits"):
+            implicit_bfs_levels(codec, 0, want_via=True)
+        assert time.perf_counter() - start < 0.5
+
+    def test_source_stats_raise_when_nothing_is_visited(self, monkeypatch):
+        everything = self._guarded(lambda self, snapshot: np.arange(self.num_bits))
+        monkeypatch.setattr(Bitset, "new_since", everything)
+        codec = get_fastgraph(HyperButterfly(2, 3)).codec
+        with pytest.raises(ReproError, match="not recording visits"):
+            implicit_source_stats(codec, 0)
+
+    def test_deepest_graph_still_completes(self):
+        # a path's end-to-end BFS has num_nodes - 1 non-empty levels
+        ranks = np.arange(6)
+        table = np.stack([ranks - 1, np.where(ranks < 5, ranks + 1, -1)], axis=1)
+        codec = _TableCodec(table)
+        dist, _, _ = implicit_bfs_levels(codec, 0, want_via=True)
+        assert dist.tolist() == [0, 1, 2, 3, 4, 5]
+        assert implicit_source_stats(codec, 0)[0] == 5
 
 
 def _reference_level(codec, frontier, bitset, *, slice_nodes):

@@ -1,4 +1,5 @@
-"""Menger solver tests, with networkx ``edmonds_karp`` as the reference."""
+"""Menger solver tests, against networkx ``edmonds_karp`` (family sizes and
+feasibility) and the dict-based rank solver it replaced (identical paths)."""
 
 from __future__ import annotations
 
@@ -9,12 +10,17 @@ import pytest
 
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.errors import RoutingError
+from repro.fastgraph.codecs import codec_for, registered_codec_families
+from repro.routing import flows
 from repro.routing.base import paths_internally_disjoint, validate_path
 from repro.routing.flows import node_to_set_disjoint_paths, vertex_disjoint_paths
 from repro.topologies.butterfly_cayley import CayleyButterfly
 from repro.topologies.hypercube import Hypercube
+from repro.topologies.hyperdebruijn import HyperDeBruijn
+from repro.topologies.invariants import all_invariant_specs
 from repro.topologies.mesh import Mesh
-from tests.routing import _nx_menger
+from repro.topologies.mesh_of_trees import MeshOfTrees
+from tests.routing import _nx_menger, _reference_menger
 
 
 class TestVertexDisjointPaths:
@@ -195,3 +201,103 @@ class TestAgainstReference:
             family = node_to_set_disjoint_paths(topology, sources, target, blocked=blocked)
             _check_family(topology, family, sources, target, blocked)
         assert outcomes == {True, False}  # the grid reaches both verdicts
+
+
+# -- codec ranks and array state against the dict-based reference -------------
+
+
+def _rank_families():
+    """Every spec'd small instance of each codec family, plus HyperDeBruijn
+    and MeshOfTrees, which have no codec of their own."""
+    specs = all_invariant_specs()
+    names = set(registered_codec_families()) | {"HyperDeBruijn", "MeshOfTrees"}
+    assert codec_for(MeshOfTrees(2, 2)) is None
+    return [
+        pytest.param(name, params, id=f"{name}{params}")
+        for name in sorted(names)
+        for params in specs[name].small
+    ]
+
+
+@pytest.mark.parametrize(("family", "params"), _rank_families())
+def test_codec_ranks_and_rows_match_reference(family, params, monkeypatch):
+    build = all_invariant_specs()[family].build
+    labels, _, reference_adj = _reference_menger._ranked(build(*params))
+    for switch in ("1", "0"):  # the BFS backend switch plays no part
+        monkeypatch.setenv("REPRO_FASTGRAPH", switch)
+        codec, adj = flows._ranked(build(*params))
+        assert [codec.unrank(i) for i in range(codec.num_nodes)] == labels
+        assert [codec.rank(v) for v in labels] == list(range(len(labels)))
+        assert [[x >> 1 for x in row] for row in adj] == reference_adj
+        assert all(x % 2 == 0 for row in adj for x in row)
+
+
+def _outcome(solver, *args, **kwargs):
+    try:
+        return solver(*args, **kwargs)
+    except RoutingError as exc:
+        return ("RoutingError", str(exc))
+
+
+PINNED = [
+    HyperButterfly(2, 3),
+    HyperButterfly(3, 4),
+    HyperButterfly(4, 5),
+    CayleyButterfly(4),
+    Hypercube(5),
+    HyperDeBruijn(2, 4),
+]
+
+
+@pytest.mark.parametrize("topology", PINNED, ids=lambda t: t.name)
+def test_vertex_disjoint_paths_identical_to_reference(topology):
+    rng = random.Random(31)
+    nodes = list(topology.nodes())
+    for draw in range(24):
+        u, v = rng.sample(nodes, 2)
+        blocked = set(rng.sample(nodes, rng.randint(0, 6))) - {u, v}
+        if draw % 4 == 0:
+            blocked.add(("not", "a", "node"))  # ignored by both
+        kwargs = {"blocked": blocked}
+        if draw % 3 == 1:
+            kwargs["k"] = rng.randint(1, topology.degree(u) + 1)
+        if draw % 3 == 2:
+            kwargs["cutoff"] = rng.randint(1, topology.degree(u))
+        got = _outcome(flows.vertex_disjoint_paths, topology, u, v, **kwargs)
+        want = _outcome(
+            _reference_menger.vertex_disjoint_paths, topology, u, v, **kwargs
+        )
+        assert got == want, (u, v, kwargs)
+
+
+@pytest.mark.parametrize("topology", PINNED, ids=lambda t: t.name)
+def test_node_to_set_identical_to_reference(topology):
+    rng = random.Random(37)
+    nodes = list(topology.nodes())
+    outcomes = set()
+    for _ in range(24):
+        target = rng.choice(nodes)
+        # a neighbourhood of sources crowds the target's entries
+        anchor = rng.choice(nodes)
+        pool = topology.neighbors(anchor) + [anchor]
+        sources = rng.sample(pool, rng.randint(1, len(pool)))
+        blocked = set(rng.sample(topology.neighbors(target), rng.randint(0, 2)))
+        blocked -= {target, *sources}
+        args = (topology, sources, target)
+        got = _outcome(flows.node_to_set_disjoint_paths, *args, blocked=blocked)
+        want = _outcome(
+            _reference_menger.node_to_set_disjoint_paths, *args, blocked=blocked
+        )
+        assert got == want, (sources, target, blocked)
+        outcomes.add(isinstance(got, tuple))
+    assert outcomes == {True, False}  # the draws reach both verdicts
+
+
+def test_missing_endpoints_and_labels_outside_the_graph():
+    h = Hypercube(3)
+    with pytest.raises(RoutingError, match="endpoint missing"):
+        node_to_set_disjoint_paths(h, [1, 9], 7)
+    with pytest.raises(RoutingError, match="endpoint missing"):
+        vertex_disjoint_paths(h, 8, 0)
+    unblocked = vertex_disjoint_paths(h, 0, 7)
+    assert vertex_disjoint_paths(h, 0, 7, blocked={8, "x"}) == unblocked
