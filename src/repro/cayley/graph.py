@@ -140,6 +140,9 @@ class DistanceOracle:
         self._left_index: tuple[int, ...] = ()
         self._right_index: tuple[int, ...] = ()
         self._word_table: tuple[np.ndarray, np.ndarray] | None = None
+        self._lifted_words: (
+            tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
+        ) = None
         if backend == "auto":
             split = _split_product_generators(group, gens)
             if split is not None:
@@ -272,12 +275,47 @@ class DistanceOracle:
         Returns ``(left, left_index, right, right_index)`` where the index
         tuples lift each factor's local generator indices to positions in
         the parent generator set — the layout :meth:`generator_word` uses.
-        Bulk consumers (the flow-level route builder) combine the factors'
-        :meth:`word_table` results through these lifts.
+        Bulk consumers (the flow-level route builder) read the factors'
+        word tables through these lifts via :meth:`lifted_word_tables`.
         """
         if self._left is None or self._right is None:
             return None
         return (self._left, self._left_index, self._right, self._right_index)
+
+    def lifted_word_tables(
+        self,
+    ) -> tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
+        """Both factors' :meth:`word_table`, lifted to parent generator indices.
+
+        Returns ``(left_words, left_dist, right_words, right_dist)``: the
+        product element with factor ranks ``(a, b)`` has the word
+        ``left_words[a, :left_dist[a]]`` followed by
+        ``right_words[b, :right_dist[b]]`` — what :meth:`generator_word`
+        returns.  Built on first use and cached read-only; non-product
+        oracles raise.
+        """
+        if self._left is None or self._right is None:
+            raise InvalidParameterError(
+                "only a product oracle has factor word tables; use word_table()"
+            )
+        if self._lifted_words is None:
+
+            def lift(
+                factor: DistanceOracle, index: tuple[int, ...]
+            ) -> tuple[np.ndarray, np.ndarray]:
+                # a factor table cached already is reused; otherwise it is
+                # built without caching, so only the lifted copy is kept
+                words, dist = factor._word_table or factor._fill_word_table()
+                # the trailing -1 maps padding (-1) to itself
+                lifted = np.asarray((*index, -1), dtype=np.int16)[words]
+                lifted.flags.writeable = False
+                return lifted, dist
+
+            self._lifted_words = (
+                *lift(self._left, self._left_index),
+                *lift(self._right, self._right_index),
+            )
+        return self._lifted_words
 
     def word_table(self) -> tuple["np.ndarray", "np.ndarray"]:
         """All generator words at once: ``(words, dist)`` arrays by rank.
@@ -287,18 +325,22 @@ class DistanceOracle:
         with ``-1`` beyond ``dist[r]`` — and equals
         :meth:`generator_word` row for row (same BFS tree, filled level by
         level instead of per-element backtracking).  Product oracles raise:
-        callers go through :meth:`factor_split` and concatenate factor
-        words themselves.
+        callers use :meth:`lifted_word_tables` and concatenate factor words
+        themselves.
 
         Built once per oracle and cached; both arrays are read-only so
         no caller can corrupt the cache.
         """
         if self._left is not None and self._right is not None:
             raise InvalidParameterError(
-                "product oracle has no single word table; use factor_split()"
+                "product oracle has no single word table; use lifted_word_tables()"
             )
-        if self._word_table is not None:
-            return self._word_table
+        if self._word_table is None:
+            self._word_table = self._fill_word_table()
+        return self._word_table
+
+    def _fill_word_table(self) -> tuple["np.ndarray", "np.ndarray"]:
+        """:meth:`word_table`'s read-only arrays, built afresh (not cached)."""
         if self._dist_arr is not None:
             dist = np.asarray(self._dist_arr, dtype=np.int64)
             via = np.asarray(self._via_arr, dtype=np.int64)
@@ -341,8 +383,7 @@ class DistanceOracle:
             words[sel, d - 1] = via[sel].astype(np.int16)
         words.flags.writeable = False
         dist.flags.writeable = False
-        self._word_table = (words, dist)
-        return self._word_table
+        return words, dist
 
     def distance(self, u: Hashable, v: Hashable) -> int:
         """Exact distance between arbitrary vertices ``u`` and ``v``."""

@@ -84,6 +84,23 @@ class NodeCodec:
         """
         raise NotImplementedError
 
+    def step_block(self, idx: np.ndarray, gen_index: np.ndarray) -> np.ndarray:
+        """One generator step per entry: rank of ``idx[i]·generators[gen_index[i]]``.
+
+        ``gen_index[i] == -1`` (word padding) keeps ``idx[i]``.  Returns a
+        new int64 array.  This default applies each generator to the
+        entries that use it; :class:`ProductCodec` gathers from its move
+        tables instead.
+        """
+        if self.generators is None:
+            raise NotImplementedError
+        out = np.array(idx, dtype=np.int64)
+        for gi, gen in enumerate(self.generators):
+            sub = np.flatnonzero(gen_index == gi)
+            if len(sub):
+                out[sub] = self.apply_generator(out[sub], gen)
+        return out
+
     def neighbor_table(self) -> np.ndarray | None:
         """``(num_nodes, degree)`` int array of ranked neighbors, or ``None``.
 
@@ -361,6 +378,23 @@ class ProductCodec(NodeCodec):
                 right_moves[:, k] = self.right.apply_generator(b, gb)
             self._moves = (gens, left_moves, right_moves)
         return self._moves[1], self._moves[2]
+
+    def step_block(self, idx: np.ndarray, gen_index: np.ndarray) -> np.ndarray:
+        if not self.generators:
+            return super().step_block(idx, gen_index)
+        left_moves, right_moves = self.move_tables()
+        degree = len(self.generators)
+        a, b = np.divmod(idx, self.right.num_nodes)
+        # flat offsets into the row-major tables: two 1-D gathers; a padding
+        # entry (-1) reads some in-range cell and is restored below
+        a *= degree
+        a += gen_index
+        b *= degree
+        b += gen_index
+        out = np.take(left_moves, a)
+        out += np.take(right_moves, b)
+        np.copyto(out, idx, where=gen_index < 0)
+        return out
 
     def neighbors_block(self, idx: np.ndarray) -> np.ndarray:
         if self.generators:

@@ -8,9 +8,11 @@ array arithmetic, at cost ``O(flows arriving this tick)`` per tick:
 * **Routes** are precomputed in bulk (:func:`routes_block`) as packed-rank
   hop arrays — a ``(flows, max_hops)`` int64 matrix of successive node
   ranks — via the :class:`repro.cayley.graph.DistanceOracle` factor-split
-  fast path (per-factor word tables combined through the quotient
-  ``source⁻¹·target``, computed with the codec's vectorized group
-  arithmetic) for Cayley families, a dedicated e-cube + shift-in builder
+  fast path for Cayley families (the quotient ``source⁻¹·target``, from
+  the codec's vectorized group arithmetic, picks each flow's word from
+  the per-factor word tables; one ``NodeCodec.step_block`` per word column
+  then moves every flow a hop — two flat gathers from the per-factor
+  move tables on a product codec), a dedicated e-cube + shift-in builder
   for the hyper-de Bruijn baseline, a bit-scatter e-cube builder for the
   hypercube, and a per-pair python fallback for everything else.
 * **Dynamics** (:class:`FlowEngine`) replay the event simulator's
@@ -45,6 +47,7 @@ simulator rather than mirror it (it has no capacity notion).
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Hashable
 
@@ -88,7 +91,8 @@ class RouteBlock:
     when unreachable), entries beyond it are ``-1`` padding.  ``gen_idx``
     labels each hop with the index of the generator/dimension that induced
     it (``-1`` = unlabelled), which :class:`LinkConfig` maps to link
-    classes via ``gen_names``.
+    classes via ``gen_names``.  The Cayley builder returns both matrices
+    column-major: it fills them one hop column at a time.
     """
 
     codec: NodeCodec
@@ -148,27 +152,27 @@ def _validated(
 
 
 def _expand_gen_matrix(
-    codec: NodeCodec,
-    generators: tuple[Any, ...],
-    sources: np.ndarray,
-    gen_mat: np.ndarray,
-    lengths: np.ndarray,
+    codec: NodeCodec, sources: np.ndarray, gen_mat: np.ndarray
 ) -> np.ndarray:
-    """Turn per-flow generator words into per-flow node-rank hop arrays."""
-    flows, max_len = gen_mat.shape
-    hops = np.full((flows, max_len), -1, dtype=np.int64)
-    cur = sources.astype(np.int64, copy=True)
-    for k in range(max_len):
-        active = np.flatnonzero(lengths > k)
-        if not len(active):
-            break
-        col = gen_mat[active, k]
-        for gi, gen in enumerate(generators):
-            sub = active[col == gi]
-            if len(sub):
-                cur[sub] = codec.apply_generator(cur[sub], gen)
-        hops[active, k] = cur[active]
+    """Turn per-flow generator words into per-flow node-rank hop arrays.
+
+    One :meth:`~repro.fastgraph.codecs.NodeCodec.step_block` per word
+    column moves every flow at once; padding (``-1``) holds a flow in
+    place and becomes ``-1`` in the hop matrix.  Both matrices are
+    column-major, so each column is one contiguous slice.
+    """
+    hops = np.empty(gen_mat.shape, dtype=np.int64, order="F")
+    cur = sources
+    for k in range(gen_mat.shape[1]):
+        cur = codec.step_block(cur, gen_mat[:, k])
+        hops[:, k] = cur
+    hops[gen_mat < 0] = -1
     return hops
+
+
+#: route codec per topology instance: a product codec's move tables are
+#: built on the first route and reused by every later batch
+_ROUTE_CODECS: weakref.WeakKeyDictionary[Any, NodeCodec] = weakref.WeakKeyDictionary()
 
 
 def _cayley_routes(
@@ -177,10 +181,15 @@ def _cayley_routes(
     """Oracle-backed bulk routes for Cayley topologies (HB, B_n).
 
     The quotient ``delta = source⁻¹·target`` of every flow is computed in
-    rank space with the codec's vectorized group arithmetic; the oracle's
-    word tables (per factor on the product fast path) then yield each
-    flow's generator word, and applying the word columns in bulk produces
-    the hop matrix.  Matches ``DistanceOracle.shortest_path`` row for row.
+    rank space with the codec's vectorized group arithmetic, and the
+    oracle's word tables yield each flow's generator word.  On the product
+    fast path that word is the left factor's word followed by the right
+    factor's (Remark 8's cube-then-butterfly order), gathered row-wise from
+    the factor oracles' lifted word tables.  The walk then advances every
+    flow one hop per word column with the codec's ``step_block`` — for the
+    hyper-butterfly two flat gathers from the per-factor move tables, since
+    each hop moves exactly one factor.  Matches
+    ``DistanceOracle.shortest_path`` row for row.
     """
     from repro.fastgraph.codecs import codec_for
 
@@ -188,9 +197,24 @@ def _cayley_routes(
     gens = getattr(topology, "gens", None)
     if group is None or gens is None:
         return None
-    codec = codec_for(topology)
-    if codec is None or codec.generators is None or not codec.supports_group_ops():
+    codec = _ROUTE_CODECS.get(topology)
+    if codec is None:
+        codec = codec_for(topology)
+        if codec is None:
+            return None
+        _ROUTE_CODECS[topology] = codec
+    if codec.generators is None or not codec.supports_group_ops():
         return None
+    # word entries index the oracle's generators; the walk steps by the
+    # codec's, so translate once when the two orders differ
+    to_codec = None
+    if tuple(codec.generators) != tuple(gens.generators):
+        position = {g: i for i, g in enumerate(codec.generators)}
+        if any(g not in position for g in gens.generators):
+            return None
+        to_codec = np.asarray(
+            [position[g] for g in gens.generators] + [-1], dtype=np.int16
+        )
     src, dst = _validated(codec, sources, targets)
     cayley = getattr(topology, "cayley", None)
     oracle = cayley.oracle if cayley is not None else None
@@ -199,34 +223,34 @@ def _cayley_routes(
 
         oracle = DistanceOracle(group, gens)
     delta = codec.multiply_block(codec.inverse_block(src), dst)
-    split = oracle.factor_split()
-    if split is not None:
-        left, left_index, right, right_index = split
-        lw, ld = left.word_table()
-        rw, rd = right.word_table()
-        # lift factor-local generator indices to parent positions
-        lw = np.where(lw >= 0, np.asarray(left_index, dtype=np.int16)[lw], np.int16(-1))
-        rw = np.where(rw >= 0, np.asarray(right_index, dtype=np.int16)[rw], np.int16(-1))
-        nr = codec.right.num_nodes
-        dl, dr = np.divmod(delta, nr)
+    if oracle.factor_split() is not None:
+        # a product codec: the one-off builds of its move tables and of the
+        # lifted word tables run before the wide per-flow arrays exist,
+        # which keeps them out of the walk's memory peak
+        codec.move_tables()
+        lw, ld, rw, rd = oracle.lifted_word_tables()
+        dl, dr = np.divmod(delta, codec.right.num_nodes)
         len_l = ld[dl]
-        len_r = rd[dr]
-        lengths = len_l + len_r
-        gen_mat = np.full((len(src), lw.shape[1] + rw.shape[1]), -1, dtype=np.int16)
-        gen_mat[:, : lw.shape[1]] = lw[dl]
-        right_rows = rw[dr]
-        for k in range(rw.shape[1]):
-            rows = np.flatnonzero(len_r > k)
-            if not len(rows):
-                break
-            gen_mat[rows, len_l[rows] + k] = right_rows[rows, k]
+        lengths = len_l + rd[dr]
+        width_l = lw.shape[1]
+        gen_mat = np.full(
+            (len(src), width_l + rw.shape[1]), -1, dtype=np.int16, order="F"
+        )
+        gen_mat[:, :width_l] = np.take(lw, dl, axis=0)
+        # the right word starts where the left one ends: one row-gather
+        # block per distinct left length
+        for j in range(width_l + 1):
+            rows = np.flatnonzero(len_l == j)
+            if len(rows):
+                gen_mat[rows, j : j + rw.shape[1]] = np.take(rw, dr[rows], axis=0)
     else:
         words, dist = oracle.word_table()
-        gen_mat = words[delta]
+        gen_mat = np.asfortranarray(np.take(words, delta, axis=0))
         lengths = dist[delta]
     max_len = int(lengths.max()) if len(lengths) else 0
     gen_mat = gen_mat[:, :max_len]
-    hops = _expand_gen_matrix(codec, gens.generators, src, gen_mat, lengths)
+    steps = gen_mat if to_codec is None else to_codec[gen_mat]
+    hops = _expand_gen_matrix(codec, src, steps)
     return RouteBlock(
         codec=codec,
         sources=src,
@@ -739,7 +763,9 @@ class FlowEngine:
             keep[hit_at] = False
             merged_ids = np.concatenate((busy[keep], uniq))
             merged_free = np.concatenate((self._busy_free[keep], new_free))
-            merge_order = np.argsort(merged_ids)  # ids are unique
+            # two sorted runs: timsort merges them in linear time, and the
+            # ids are unique, so any sort gives this order
+            merge_order = np.argsort(merged_ids, kind="stable")
             self._busy_ids = merged_ids[merge_order]
             self._busy_free = merged_free[merge_order]
         else:

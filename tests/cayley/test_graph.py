@@ -8,7 +8,7 @@ import pytest
 from repro.cayley.graph import CayleyGraph, DistanceOracle, build_cayley_graph
 from repro.cayley.group import ButterflyGroup, GeneratorSet, HypercubeGroup
 from repro.core.hyperbutterfly import HyperButterfly
-from repro.errors import InvalidLabelError
+from repro.errors import InvalidLabelError, InvalidParameterError
 
 
 def cube_graph(m: int) -> CayleyGraph:
@@ -200,6 +200,24 @@ class TestDistanceOracle:
             words[0, 0] = 1
         with pytest.raises(ValueError):
             dist[0] = 1
+
+    def test_lifted_word_tables_concatenate_to_generator_words(self):
+        from repro.fastgraph.codecs import codec_for_group
+
+        cg = hyper_butterfly_graph(3)
+        oracle = cg.oracle
+        lw, ld, rw, rd = oracle.lifted_word_tables()
+        assert oracle.lifted_word_tables()[2] is rw  # cached
+        with pytest.raises(ValueError):
+            rw[0, 0] = 1
+        left = codec_for_group(cg.group.left)
+        right = codec_for_group(cg.group.right)
+        for a, b in cg.nodes():
+            ra, rb = left.rank(a), right.rank(b)
+            word = [*lw[ra, : ld[ra]], *rw[rb, : rd[rb]]]
+            assert word == oracle.generator_word((a, b))
+        with pytest.raises(InvalidParameterError):
+            cube_graph(2).oracle.lifted_word_tables()
 
     def test_invalid_label_raises(self):
         oracle = cube_graph(2).oracle

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.fastgraph import codec_for, codec_for_group, register_codec
-from repro.fastgraph.codecs import EnumerationCodec
+from repro.fastgraph.codecs import EnumerationCodec, NodeCodec
 from repro.topologies.base import Topology
 from repro.topologies.butterfly import WrappedButterfly
 from repro.topologies.butterfly_cayley import CayleyButterfly
@@ -151,6 +151,23 @@ class TestProductMoveTables:
             if gb == (0, 0):
                 assert np.array_equal(right[:, k], np.arange(nr))
         assert codec.move_tables()[0] is left  # cached
+
+    def test_step_block_matches_apply_generator(self, m, n):
+        """The two-gather ``step_block`` against the base per-generator loop,
+        padding (``-1``) included — also at rank 0, whose padding offset
+        is negative."""
+        codec = codec_for(HyperButterfly(m, n))
+        rng = np.random.default_rng(m * 10 + n)
+        idx = rng.integers(0, codec.num_nodes, size=513)
+        idx[:3] = 0
+        gen_index = rng.integers(-1, m + 4, size=513).astype(np.int16)
+        gen_index[:2] = -1
+        got = codec.step_block(idx, gen_index)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, NodeCodec.step_block(codec, idx, gen_index))
+        expected = _per_generator_block(codec, idx)[np.arange(513), gen_index]
+        assert np.array_equal(got, np.where(gen_index < 0, idx, expected))
+        assert codec.step_block(idx[:0], gen_index[:0]).shape == (0,)
 
     def test_tables_follow_reassigned_generators(self, m, n):
         """``DistanceOracle`` reassigns ``codec.generators`` after the codec

@@ -19,7 +19,13 @@ import pytest
 
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.errors import InvalidParameterError, SimulationError
-from repro.fastgraph.codecs import codec_for
+from repro.fastgraph.codecs import (
+    ButterflyElementCodec,
+    HypercubeCodec,
+    ProductCodec,
+    codec_for,
+    register_codec,
+)
 from repro.faults.dynamic import FaultEvent, FaultSchedule
 from repro.faults.model import canonical_link
 from repro.simulation.flow import (
@@ -36,6 +42,7 @@ from repro.topologies.butterfly_cayley import CayleyButterfly
 from repro.topologies.hypercube import Hypercube
 from repro.topologies.hyperdebruijn import HyperDeBruijn
 from repro.topologies.mesh import Torus
+from tests.simulation._reference_routes import reference_routes
 
 TOPOLOGIES = [
     HyperButterfly(2, 3),
@@ -138,6 +145,114 @@ class TestRouteBlocks:
             routes_block(hb, np.array([0]), np.array([hb.num_nodes]))
         with pytest.raises(InvalidParameterError):
             routes_block(hb, np.array([-1]), np.array([0]))
+
+
+def _assert_matches_reference(topology, src, dst):
+    block = routes_block(topology, src, dst)
+    hops, lengths, gen_idx = reference_routes(topology, src, dst)
+    for got, want in (
+        (block.hops, hops),
+        (block.lengths, lengths),
+        (block.gen_idx, gen_idx),
+    ):
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    return block
+
+
+class TestCayleyRouteExpansion:
+    """The move-table walk against the per-generator reference expansion
+    (``_reference_routes``) and against the oracle's own paths."""
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            HyperButterfly(1, 3),
+            HyperButterfly(2, 3),
+            HyperButterfly(3, 4),
+            CayleyButterfly(3),
+            CayleyButterfly(4),
+        ],
+        ids=lambda t: t.name,
+    )
+    def test_all_pairs_match_reference(self, topology):
+        split = topology.cayley.oracle.factor_split() is not None
+        assert split == isinstance(topology, HyperButterfly)
+        _assert_matches_reference(topology, *_all_pairs(topology))
+
+    @pytest.mark.parametrize("m, n", [(4, 7), (6, 11)])
+    @pytest.mark.parametrize("family", ["uniform", "hotspot"])
+    def test_sampled_flows_match_reference(self, m, n, family):
+        hb = HyperButterfly(m, n)
+        tm = build_workload(hb, family, count=20_000, seed=m * 100 + n)
+        _assert_matches_reference(hb, tm.sources, tm.targets)
+
+    @pytest.mark.parametrize(
+        "topology", [HyperButterfly(2, 3), CayleyButterfly(3)], ids=lambda t: t.name
+    )
+    def test_width_zero_batches(self, topology):
+        empty = np.zeros(0, dtype=np.int64)
+        block = _assert_matches_reference(topology, empty, empty)
+        assert block.hops.shape == (0, 0) and block.gen_idx.dtype == np.int16
+        same = np.arange(topology.num_nodes, dtype=np.int64)
+        block = _assert_matches_reference(topology, same, same)
+        assert block.hops.shape == (topology.num_nodes, 0)
+        assert not block.lengths.any()
+
+    @pytest.mark.parametrize(
+        "topology", [HyperButterfly(2, 3), CayleyButterfly(3)], ids=lambda t: t.name
+    )
+    def test_rows_are_oracle_shortest_paths(self, topology):
+        src, dst = _all_pairs(topology)
+        block = routes_block(topology, src, dst)
+        oracle = topology.cayley.oracle
+        for i in range(block.num_flows):
+            u = block.codec.unrank(int(src[i]))
+            v = block.codec.unrank(int(dst[i]))
+            assert block.label_path(i) == oracle.shortest_path(u, v)
+
+    def test_sampled_rows_are_oracle_shortest_paths(self):
+        hb = HyperButterfly(4, 7)
+        rng = np.random.default_rng(47)
+        src = rng.integers(0, hb.num_nodes, 400)
+        dst = rng.integers(0, hb.num_nodes, 400)
+        block = routes_block(hb, src, dst)
+        for i in range(block.num_flows):
+            u = block.codec.unrank(int(src[i]))
+            v = block.codec.unrank(int(dst[i]))
+            assert block.label_path(i) == hb.cayley.oracle.shortest_path(u, v)
+
+    def test_codec_generator_order_differs_from_the_oracle(self):
+        """A codec listing the generators in another order than the oracle:
+        word entries are oracle indices, the walk must still follow them."""
+
+        class PermutedHB(HyperButterfly):
+            pass
+
+        def factory(t):
+            return ProductCodec(
+                HypercubeCodec(t.m),
+                ButterflyElementCodec(t.n),
+                generators=tuple(reversed(t.gens.generators)),
+            )
+
+        register_codec(PermutedHB, factory)
+        try:
+            hb = PermutedHB(2, 3)
+            src, dst = _all_pairs(hb)
+            block = _assert_matches_reference(hb, src, dst)
+            permuted = tuple(reversed(hb.gens.generators))
+            assert block.codec.generators == permuted  # never reassigned
+            oracle = hb.cayley.oracle
+            for i in range(0, block.num_flows, 7):
+                u = block.codec.unrank(int(src[i]))
+                v = block.codec.unrank(int(dst[i]))
+                assert block.label_path(i) == oracle.shortest_path(u, v)
+        finally:
+            from repro.fastgraph.codecs import _REGISTRY
+
+            _REGISTRY.pop("PermutedHB", None)
 
 
 def _sample_regime(topology, seed):
