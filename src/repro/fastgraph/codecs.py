@@ -65,6 +65,10 @@ class NodeCodec:
     #: the codec is instance-bound (e.g. enumeration codecs)
     cache_key: str | None = None
 
+    #: whether :meth:`neighbors_block` rows can hold ``-1`` padding; codecs
+    #: whose rows never pad say ``False`` so BFS levels skip the check
+    pads_rows: bool = True
+
     def rank(self, label: Hashable) -> int:
         raise NotImplementedError
 
@@ -186,6 +190,8 @@ class IntRangeCodec(NodeCodec):
 class HypercubeCodec(IntRangeCodec):
     """``H_m`` / ``(Z_2)^m`` — int labels, generators act by XOR."""
 
+    pads_rows = False
+
     def __init__(self, m: int, generators: Iterable[int] | None = None) -> None:
         super().__init__(1 << m, cache_key=f"hypercube:{m}")
         self.m = m
@@ -209,6 +215,8 @@ class HypercubeCodec(IntRangeCodec):
 
 class ButterflyElementCodec(NodeCodec):
     """Butterfly group ``Z_n ⋉ (Z_2)^n`` elements ``(x, c)`` → ``x << n | c``."""
+
+    pads_rows = False
 
     def __init__(
         self, n: int, generators: Iterable[tuple[int, int]] | None = None
@@ -294,6 +302,7 @@ class ProductCodec(NodeCodec):
         self.left = left
         self.right = right
         self.num_nodes = left.num_nodes * right.num_nodes
+        self.pads_rows = left.pads_rows or right.pads_rows
         if left.cache_key and right.cache_key:
             self.cache_key = f"product:({left.cache_key})x({right.cache_key})"
         self.generators = tuple(generators) if generators is not None else None
@@ -438,6 +447,8 @@ class PairRadixCodec(NodeCodec):
 class WrappedButterflyCodec(PairRadixCodec):
     """Classic ``⟨word, level⟩`` butterfly ``B_n`` — ``idx = word * n + level``."""
 
+    pads_rows = False
+
     def __init__(self, n: int) -> None:
         super().__init__(1 << n, n, cache_key=f"wrapped-butterfly:{n}")
         self.n = n
@@ -473,6 +484,8 @@ class DeBruijnCodec(IntRangeCodec):
     ``seen``-set dedup order of :meth:`repro.topologies.debruijn.DeBruijn.neighbors`.
     """
 
+    pads_rows = True
+
     def __init__(self, n: int) -> None:
         super().__init__(1 << n, cache_key=f"debruijn:{n}")
         self.n = n
@@ -504,6 +517,8 @@ class DeBruijnCodec(IntRangeCodec):
 class CycleCodec(IntRangeCodec):
     """Cycle ``C_k`` — int labels, successor/predecessor adjacency."""
 
+    pads_rows = False
+
     def __init__(self, k: int) -> None:
         super().__init__(k, cache_key=f"cycle:{k}")
         self.k = k
@@ -520,6 +535,8 @@ class CycleCodec(IntRangeCodec):
 
 class TorusCodec(PairRadixCodec):
     """2-D torus ``(n1, n2)`` — pair labels, four wrap-around moves."""
+
+    pads_rows = False
 
     def __init__(self, n1: int, n2: int) -> None:
         super().__init__(n1, n2, cache_key=f"torus:{n1},{n2}")
@@ -551,6 +568,8 @@ class EnumerationCodec(NodeCodec):
     explicitly asks for an array substrate on an unregistered family (for
     example the batched all-eccentricity diameter of irregular graphs).
     """
+
+    pads_rows = True
 
     def __init__(self, labels: Iterable[Hashable]) -> None:
         self._labels = list(labels)

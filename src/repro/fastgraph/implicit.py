@@ -208,9 +208,10 @@ def _level(
     """
     # padded to whole words so the packed bytes view as the bitset's words
     marks = np.zeros(bitset.words.size * 64, dtype=np.bool_)
+    pads = codec.pads_rows
     for lo in range(0, len(frontier), slice_nodes):
         flat = codec.neighbors_block(frontier[lo : lo + slice_nodes]).ravel()
-        if bool((flat < 0).any()):
+        if pads and bool((flat < 0).any()):
             flat = flat[flat >= 0]
         marks[flat] = True
     # little-endian bits in little-endian words: rank r is bit r & 63 of word r >> 6
@@ -239,6 +240,7 @@ def _level_with_origins(
     news_parts: list[np.ndarray] = []
     origin_parts: list[np.ndarray] = []
     column_parts: list[np.ndarray] = []
+    pads = codec.pads_rows
     for lo in range(0, len(frontier), slice_nodes):
         part = frontier[lo : lo + slice_nodes]
         block = codec.neighbors_block(part)
@@ -247,7 +249,7 @@ def _level_with_origins(
             continue
         flat = block.ravel()
         valid: np.ndarray | None = None
-        if bool((flat < 0).any()):
+        if pads and bool((flat < 0).any()):
             valid = np.nonzero(flat >= 0)[0]
             flat = flat[valid]
         news, keep = _fresh_in_slice(bitset, flat, use_numba=use_numba)

@@ -34,7 +34,6 @@ from repro.routing.butterfly import (
     butterfly_distance,
     butterfly_route,
     butterfly_route_walk,
-    butterfly_disjoint_paths,
     covering_walk,
 )
 
@@ -50,7 +49,6 @@ __all__ = [
     "butterfly_distance",
     "butterfly_route",
     "butterfly_route_walk",
-    "butterfly_disjoint_paths",
     "covering_walk",
     "RoutingTable",
     "build_full_table",

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from repro._bits import set_bits
 from repro.errors import InvalidParameterError, RoutingError
 from repro.routing.base import loop_erase
-from repro.routing.flows import vertex_disjoint_paths
 from repro.topologies.butterfly_cayley import CayleyButterfly
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "butterfly_distance",
     "butterfly_route_walk",
     "butterfly_route",
-    "butterfly_disjoint_paths",
 ]
 
 
@@ -176,25 +174,3 @@ def butterfly_route(
     butterfly.validate_node(u)
     butterfly.validate_node(v)
     return butterfly_route_walk(butterfly.n, u, v)
-
-
-def butterfly_disjoint_paths(
-    butterfly: CayleyButterfly, u: tuple[int, int], v: tuple[int, int]
-) -> list[list[tuple[int, int]]]:
-    """4 internally disjoint ``u → v`` paths in ``B_n`` (Menger).
-
-    The paper invokes the 4-path family of [4] as a black box inside
-    Theorem 5; we extract an equivalent family with the exact Menger
-    solver of :mod:`repro.routing.flows` (vertex connectivity 4 per
-    Remark 1 guarantees the family exists for every ``u != v``).
-    """
-    butterfly.validate_node(u)
-    butterfly.validate_node(v)
-    if u == v:
-        raise RoutingError("disjoint paths require distinct endpoints")
-    paths = vertex_disjoint_paths(butterfly, u, v, cutoff=4)
-    if len(paths) < 4:
-        raise RoutingError(
-            f"expected 4 disjoint paths in {butterfly.name}, found {len(paths)}"
-        )
-    return paths

@@ -16,13 +16,18 @@ array arithmetic, at cost ``O(flows arriving this tick)`` per tick:
   for the hyper-de Bruijn baseline, a bit-scatter e-cube builder for the
   hypercube, and a per-pair python fallback for everything else.
 * **Dynamics** (:class:`FlowEngine`) replay the event simulator's
-  fire-and-forget store-and-forward model tick-synchronously: each tick's
-  sends are grouped by packed directed link id with one unstable sort,
-  forwarder order is restored inside each link by one sort of the packed
-  key ``group * sends + forwarder index`` (the scatter-add analogue of
-  ``np.bincount`` on link ids, canonical however the sort breaks ties),
-  transmission slots are handed out capacity-limited per link, and fault
-  fail/repair events replay the depth-counted
+  fire-and-forget store-and-forward model tick-synchronously.  On a wide
+  tick (``_WIDE_TICK`` sends or more) a multiplicative hash of each
+  packed directed link id into a reusable slot table finds the sends
+  alone on their link; each leaves when its link frees, plus the link
+  latency, with no sort.  The other sends — true shared links plus hash
+  collisions — and every send of a narrow tick are grouped by link id
+  with one unstable sort, forwarder order is restored inside each link by
+  one sort of the packed key ``group * sends + forwarder index``
+  (canonical however the sort breaks ties), and transmission slots are
+  handed out capacity-limited per link.  The busy set keeps only the
+  links still busy after the next tick, the only ones that can delay a
+  send.  Fault fail/repair events replay the depth-counted
   :class:`repro.faults.dynamic.FaultState` epochs as vectorized masks.
 
 **Bit-identical fallback discipline.**  With unit link classes the engine
@@ -498,6 +503,15 @@ class FlowResult:
         return np.bincount(done)
 
 
+#: sends per tick from which lone sends skip the link sort; narrower ticks
+#: sort every send, where the slot-table pass costs more calls than it saves
+_WIDE_TICK = 256
+#: most entries (int32) of the wide-tick link hash table: 16 MiB
+_SLOT_TABLE_CAP = 1 << 22
+#: multiplicative (Fibonacci) hashing constant, 2**64 / golden ratio
+_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
+
+
 def _in_sorted(table: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Vectorized membership of ``values`` in a sorted int array."""
     if table.size == 0:
@@ -602,9 +616,23 @@ class FlowEngine:
         self._node_faults_possible = bool(static_nodes) or any(
             kind == "node" for _, _, kind, _ in self._events
         )
-        # per-directed-link busy-until ticks, kept as sorted parallel arrays
+        # the route matrices raveled in their storage order, so a send's
+        # next hop and generator are one flat gather each
+        hops = self.routes.hops
+        self._hops_by_column = bool(
+            hops.flags.f_contiguous and not hops.flags.c_contiguous
+        )
+        layout = "F" if self._hops_by_column else "C"
+        self._hop_stride = flows if self._hops_by_column else hops.shape[1]
+        self._hop_flat = hops.ravel(layout)
+        gen_idx = self.routes.gen_idx
+        self._gen_flat = None if gen_idx is None else gen_idx.ravel(layout)
+        # busy-until ticks of the directed links that can still delay a
+        # send, kept as sorted parallel arrays
         self._busy_ids = np.zeros(0, dtype=np.int64)
         self._busy_free = np.zeros(0, dtype=np.int64)
+        # link hash slots of wide ticks; contents never outlive a tick
+        self._slots = np.zeros(0, dtype=np.int32)
         # arrival buckets: tick -> list of flow-id arrays, plus a tick heap
         self._buckets: dict[int, list[np.ndarray]] = {}
         self._heap: list[int] = []
@@ -678,6 +706,140 @@ class FlowEngine:
         self.drop_code[flow_ids] = code
         self.drop_at[flow_ids] = tick
 
+    def _link_queues(
+        self,
+        link: np.ndarray,
+        lat: np.ndarray,
+        cap: np.ndarray,
+        tick: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """Hand out capacity-limited transmission slots per directed link.
+
+        Sends arrive in forwarder order.  Returns ``order`` (sends grouped
+        by link, forwarder order inside each link), the finish tick of each
+        send in that order, the sorted unique links, their new free ticks
+        and the busy-set positions they hit (``None`` when the busy set is
+        empty).
+        """
+        k = len(link)
+        # group by directed link: an unstable sort, group flags from
+        # adjacent differences, then forwarder order restored inside each
+        # link by sorting the unique key grp * k + index (< k**2)
+        order = np.argsort(link)
+        link_s = link[order]
+        flags = np.empty(k + 1, dtype=bool)
+        flags[0] = flags[k] = True
+        np.not_equal(link_s[1:], link_s[:-1], out=flags[1:k])
+        bounds = np.flatnonzero(flags)
+        first = bounds[:-1]
+        counts = bounds[1:] - first
+        grp = np.cumsum(flags[:k]) - 1
+        if len(first) < k:  # some link carries several sends
+            order = np.sort(grp * k + order) % k
+        uniq = link_s[first]
+        lat_s = lat[order]
+        lat_u = lat_s[first]
+        cap_u = cap[order[first]]
+        base = np.full(len(uniq), tick, dtype=np.int64)
+        hit_at = None
+        busy = self._busy_ids
+        if busy.size:
+            at = np.minimum(np.searchsorted(busy, uniq), busy.size - 1)
+            hit = busy[at] == uniq
+            hit_at = at[hit]
+            base[hit] = np.maximum(self._busy_free[hit_at], tick)
+        offsets = np.arange(k, dtype=np.int64) - first[grp]
+        finish = base[grp] + (offsets // cap_u[grp] + 1) * lat_s
+        new_free = base + ((counts + cap_u - 1) // cap_u) * lat_u
+        return order, finish, uniq, new_free, hit_at
+
+    def _slot_of(self, keys: np.ndarray) -> np.ndarray:
+        """Slot-table index of each int64 link key (multiplicative hash)."""
+        slot = keys.view(np.uint64) * _HASH_MUL
+        slot >>= np.uint64(65 - self._slots.size.bit_length())
+        return slot.view(np.int64)
+
+    def _alone_on_link(self, link: np.ndarray) -> np.ndarray:
+        """Mask of the sends no other send of the tick shares a slot with.
+
+        ``link`` is hashed into a power-of-two slot table of at least 8
+        entries per send of the widest tick so far (capped at
+        ``_SLOT_TABLE_CAP``).  Every send
+        writes its index to its slot; a send that reads back another index
+        shares the slot and marks it ``-1``; the sends that then read their
+        own index back are alone in their slot, hence on their link.  A
+        collision only sends a lone send down the exact link sort, so the
+        result is exact for any table size, and it does not depend on
+        which of several writers a repeated store keeps.
+        """
+        k = len(link)
+        size = min(max(1 << (8 * k - 1).bit_length(), 2), _SLOT_TABLE_CAP)
+        if self._slots.size < size:
+            self._slots = np.empty(size, dtype=np.int32)
+        table = self._slots
+        slot = self._slot_of(link)
+        mine = np.arange(k, dtype=np.int32)
+        table[slot] = mine
+        table[slot[table[slot] != mine]] = -1
+        return table[slot] == mine
+
+    def _delay_lone_sends(
+        self, link: np.ndarray, lat: np.ndarray, fin: np.ndarray, tick: int
+    ) -> np.ndarray | None:
+        """Start each lone send on a busy link when the link frees.
+
+        Probes the slot table left by :meth:`_alone_on_link` with the busy
+        links, at a cost of the busy set's size, not the tick's.  A slot
+        holding a send index belongs to a lone send, or is stale from an
+        earlier tick: then no send of this tick hashes there, and the link
+        comparison rejects the index.  Returns the busy positions hit
+        (``None`` when the busy set is empty).
+        """
+        busy = self._busy_ids
+        if not busy.size:
+            return None
+        sender = self._slots[self._slot_of(busy)]
+        hit_at = np.flatnonzero((sender >= 0) & (sender < len(link)))
+        sender = sender[hit_at]
+        match = link[sender] == busy[hit_at]
+        hit_at = hit_at[match]
+        sender = sender[match]
+        fin[sender] = np.maximum(self._busy_free[hit_at], tick) + lat[sender]
+        return hit_at
+
+    def _merge_busy(
+        self,
+        ids: np.ndarray,
+        free: np.ndarray,
+        hit_at: np.ndarray | None,
+        tick: int,
+        *,
+        presorted: bool,
+    ) -> None:
+        """Replace the hit busy entries by this tick's links ``ids``.
+
+        Only links free after ``tick + 1`` are kept: latency is at least
+        one tick, so the next processed tick ``t`` is at least ``tick + 1``
+        and a link free by then gives ``max(free, t) == t``, exactly as if
+        it had no entry.  ``presorted`` says ``ids`` ascend already.
+        """
+        if self._busy_ids.size:
+            ids = np.concatenate((self._busy_ids, ids))
+            free = np.concatenate((self._busy_free, free))
+            presorted = False
+        keep = free > tick + 1
+        if hit_at is not None:
+            keep[hit_at] = False  # the old entries come first
+        ids = ids[keep]
+        free = free[keep]
+        if not presorted and len(ids) > 1:
+            # ids are unique, so any sort gives this order
+            merge_order = np.argsort(ids, kind="stable")
+            ids = ids[merge_order]
+            free = free[merge_order]
+        self._busy_ids = ids
+        self._busy_free = free
+
     def _step(self, ids: np.ndarray, tick: int) -> None:
         n = self._num_nodes
         pos = self._pos[ids]
@@ -720,64 +882,53 @@ class FlowEngine:
             return
         fpos = pos[alive]
         here = cur[alive]
-        nxt = self.routes.hops[forwarders, fpos]
-        if self.routes.gen_idx is not None:
-            gi = self.routes.gen_idx[forwarders, fpos]
+        if self._hops_by_column:
+            at = fpos * self._hop_stride
+            at += forwarders
+        else:
+            at = forwarders * self._hop_stride
+            at += fpos
+        nxt = self._hop_flat[at]
+        if self._gen_flat is not None:
+            gi = self._gen_flat[at]
         else:
             gi = np.full(k, -1, dtype=np.int64)
         lat = self._lat_by_gen[gi]
         cap = self._cap_by_gen[gi]
-        # group by directed link: an unstable sort, group flags from
-        # adjacent differences, then forwarder order restored inside each
-        # link by sorting the unique key grp * k + index (< k**2)
         link = here * n + nxt
-        order = np.argsort(link)
-        link_s = link[order]
-        flags = np.empty(k + 1, dtype=bool)
-        flags[0] = flags[k] = True
-        np.not_equal(link_s[1:], link_s[:-1], out=flags[1:k])
-        bounds = np.flatnonzero(flags)
-        first = bounds[:-1]
-        counts = bounds[1:] - first
-        grp = np.cumsum(flags[:k]) - 1
-        if len(first) < k:  # some link carries several sends
-            order = np.sort(grp * k + order) % k
-        uniq = link_s[first]
-        lat_s = lat[order]
-        lat_u = lat_s[first]
-        cap_u = cap[order[first]]
-        base = np.full(len(uniq), tick, dtype=np.int64)
-        busy = self._busy_ids
-        if busy.size:
-            at = np.minimum(np.searchsorted(busy, uniq), busy.size - 1)
-            hit = busy[at] == uniq
-            hit_at = at[hit]
-            base[hit] = np.maximum(self._busy_free[hit_at], tick)
-        offsets = np.arange(k, dtype=np.int64) - first[grp]
-        finish = base[grp] + (offsets // cap_u[grp] + 1) * lat_s
-        new_free = base + ((counts + cap_u - 1) // cap_u) * lat_u
-        # merge the busy set: entries for links used this tick are replaced,
-        # entries already free at or before this tick can never matter again
-        if busy.size:
-            keep = self._busy_free > tick
-            keep[hit_at] = False
-            merged_ids = np.concatenate((busy[keep], uniq))
-            merged_free = np.concatenate((self._busy_free[keep], new_free))
-            # two sorted runs: timsort merges them in linear time, and the
-            # ids are unique, so any sort gives this order
-            merge_order = np.argsort(merged_ids, kind="stable")
-            self._busy_ids = merged_ids[merge_order]
-            self._busy_free = merged_free[merge_order]
+        fin = np.empty(k, dtype=np.int64)
+        if k < _WIDE_TICK:
+            order, finish, new_ids, new_free, hit_at = self._link_queues(
+                link, lat, cap, tick
+            )
+            fin[order] = finish
+            self._merge_busy(new_ids, new_free, hit_at, tick, presorted=True)
         else:
-            self._busy_ids = uniq
-            self._busy_free = new_free
+            # a send alone on its link leaves at base + lat; only the sends
+            # sharing a hash slot with another send go through the link sort
+            alone = self._alone_on_link(link)
+            np.add(lat, tick, out=fin)
+            hit_at = self._delay_lone_sends(link, lat, fin, tick)
+            late = fin > tick + 1
+            late &= alone
+            new_ids = link[late]
+            new_free = fin[late]
+            shared = np.flatnonzero(~alone)
+            if shared.size:
+                order, finish, uniq, free, shared_hits = self._link_queues(
+                    link[shared], lat[shared], cap[shared], tick
+                )
+                fin[shared[order]] = finish
+                new_ids = np.concatenate((new_ids, uniq))
+                new_free = np.concatenate((new_free, free))
+                if shared_hits is not None:
+                    hit_at = np.concatenate((hit_at, shared_hits))
+            self._merge_busy(new_ids, new_free, hit_at, tick, presorted=False)
         # advance flow state and schedule the arrivals, one chunk per finish
         # tick, each in forwarder order
         self._came_from[forwarders] = here
         self._cur[forwarders] = nxt
         self._pos[forwarders] = fpos + 1
-        fin = np.empty(k, dtype=np.int64)
-        fin[order] = finish
         lo, hi = int(fin.min()), int(fin.max())
         if lo == hi:
             self._push(lo, forwarders)

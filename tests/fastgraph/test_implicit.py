@@ -21,7 +21,7 @@ from repro.core.hyperbutterfly import HyperButterfly
 from repro.errors import InvalidLabelError, InvalidParameterError, ReproError
 from repro.fastgraph import kernels
 from repro.fastgraph.backend import FastGraph, get_fastgraph, implicit_threshold
-from repro.fastgraph.codecs import ButterflyElementCodec, NodeCodec
+from repro.fastgraph.codecs import ButterflyElementCodec, NodeCodec, codec_for
 from repro.fastgraph.implicit import (
     HAVE_NUMBA,
     Bitset,
@@ -253,6 +253,56 @@ class TestByteMarkedLevel:
         for mask in (None, forbidden[forbidden != source]):
             for slice_nodes in (TINY_SLICE, 1 << 20):
                 self._walk_both(fast.codec, source, mask, slice_nodes)
+
+
+class TestRowPadding:
+    """``pads_rows = False`` promises rows without ``-1``, so the BFS
+    levels skip the padding check; padded codecs must still be stripped."""
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            HyperButterfly(2, 3),
+            HyperButterfly(4, 7),
+            Hypercube(6),
+            CayleyButterfly(5),
+            WrappedButterfly(5),
+            Cycle(9),
+            Torus(3, 4),
+        ],
+        ids=lambda t: t.name,
+    )
+    def test_non_padding_rows_hold_no_negative_entry(self, topology):
+        codec = codec_for(topology)
+        assert codec.pads_rows is False
+        block = codec.neighbors_block(np.arange(codec.num_nodes, dtype=np.int64))
+        assert block.shape[1] and int(block.min()) >= 0
+
+    @pytest.mark.parametrize(
+        "topology",
+        [DeBruijn(4), DeBruijn(7), HyperDeBruijn(2, 3), HyperDeBruijn(3, 5)],
+        ids=lambda t: t.name,
+    )
+    def test_padded_rows_are_still_stripped(self, topology):
+        fast = _fast(topology)
+        codec = fast.codec
+        assert codec.pads_rows is True
+        block = codec.neighbors_block(np.arange(codec.num_nodes, dtype=np.int64))
+        assert (block < 0).any()
+        ref_dist, ref_parents = bfs_levels(fast.csr, 0, want_parents=True)
+        for slice_nodes in (TINY_SLICE, default_slice_nodes()):
+            dist, _, _ = implicit_bfs_levels(codec, 0, slice_nodes=slice_nodes)
+            assert np.array_equal(dist, ref_dist)
+            dist, parents, via = implicit_bfs_levels(
+                codec, 0, want_parents=True, want_via=True, slice_nodes=slice_nodes
+            )
+            assert np.array_equal(dist, ref_dist)
+            assert np.array_equal(parents, ref_parents)
+            assert int(via.min()) >= -1
+
+    def test_unknown_codecs_may_pad(self):
+        assert NodeCodec.pads_rows is True
+        assert _duplicate_heavy_codec(65, seed=1).pads_rows is True
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from repro.errors import InvalidLabelError, InvalidParameterError, RoutingError
 from repro.routing.base import paths_internally_disjoint, validate_path
 from repro.routing.butterfly import (
-    butterfly_disjoint_paths,
     butterfly_distance,
     butterfly_route,
     butterfly_route_walk,
     covering_walk,
 )
+from repro.routing.flows import vertex_disjoint_paths
 from repro.topologies.butterfly_cayley import CayleyButterfly
 
 
@@ -118,13 +118,16 @@ class TestDistanceMetricProperties:
 
 
 class TestButterflyDisjointPaths:
+    """Theorem 5's black-box 4-path family of [4]: the exact Menger solver
+    finds it for every ``u != v`` (vertex connectivity 4, Remark 1)."""
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_four_disjoint_paths(self, n, rng):
         cb = CayleyButterfly(n)
         nodes = list(cb.nodes())
         for _ in range(12):
             u, v = rng.sample(nodes, 2)
-            family = butterfly_disjoint_paths(cb, u, v)
+            family = vertex_disjoint_paths(cb, u, v, cutoff=4)
             assert len(family) == 4
             assert paths_internally_disjoint(family)
             for p in family:
@@ -132,4 +135,4 @@ class TestButterflyDisjointPaths:
 
     def test_rejects_same_endpoints(self, bf3):
         with pytest.raises(RoutingError):
-            butterfly_disjoint_paths(bf3, (0, 0), (0, 0))
+            vertex_disjoint_paths(bf3, (0, 0), (0, 0), cutoff=4)

@@ -28,6 +28,7 @@ from repro.fastgraph.codecs import (
 )
 from repro.faults.dynamic import FaultEvent, FaultSchedule
 from repro.faults.model import canonical_link
+from repro.simulation import flow as flow_module
 from repro.simulation.flow import (
     DROP_REASONS,
     FlowEngine,
@@ -421,6 +422,17 @@ def _fifo_reference(tm, routes, config):
     return delivered, pos
 
 
+def _cube_fly_config(routes):
+    """Capacity 2 on cube links, latency 3 on butterfly / shift links."""
+    return LinkConfig(
+        classes=[LinkClass("cube", capacity=2), LinkClass("fly", latency=3)],
+        assign={
+            name: "cube" if name.startswith("h_") else "fly"
+            for name in routes.gen_names
+        },
+    )
+
+
 class TestLinkModelReference:
     """Capacity and latency above one, against the per-link FIFO model."""
 
@@ -435,14 +447,7 @@ class TestLinkModelReference:
         tm = build_workload(topology, family, count=300, seed=3,
                             per_tick=per_tick)
         routes = routes_block(topology, tm.sources, tm.targets)
-        # capacity 2 on cube links, latency 3 on butterfly / shift links
-        config = LinkConfig(
-            classes=[LinkClass("cube", capacity=2), LinkClass("fly", latency=3)],
-            assign={
-                name: "cube" if name.startswith("h_") else "fly"
-                for name in routes.gen_names
-            },
-        )
+        config = _cube_fly_config(routes)
         res = FlowEngine(topology, tm, routes, link_config=config).run().result()
         delivered, hops = _fifo_reference(tm, routes, config)
         assert res.delivered_at.tolist() == delivered
@@ -451,6 +456,132 @@ class TestLinkModelReference:
         lat = np.array([config.class_for(g).latency for g in routes.gen_names])
         hop_lat = np.where(routes.gen_idx >= 0, lat[routes.gen_idx], 0)
         assert (res.delivered_at > tm.inject_at + hop_lat.sum(axis=1)).any()
+
+
+#: batch loads whose ticks carry thousands of sends, so lone sends take
+#: the slot-table path; the torus exercises the generic, unlabelled routes
+WIDE_TOPOLOGIES = [
+    HyperButterfly(3, 5),
+    HyperDeBruijn(2, 5),
+    Hypercube(8),
+    Torus(12, 12),
+]
+
+
+def _wide_load(topology, family="uniform", count=3000, seed=23):
+    tm = build_workload(topology, family, count=count, seed=seed)
+    return tm, routes_block(topology, tm.sources, tm.targets)
+
+
+def _spy_wide_ticks(monkeypatch):
+    """Record the width of every hashed tick and the ticks in which a lone
+    send waited on a link still busy after the tick (``base > tick``)."""
+    widths, waits = [], []
+    alone_on_link = FlowEngine._alone_on_link
+    delay_lone_sends = FlowEngine._delay_lone_sends
+
+    def spy_alone(self, link):
+        widths.append(len(link))
+        return alone_on_link(self, link)
+
+    def spy_delay(self, link, lat, fin, tick):
+        hit_at = delay_lone_sends(self, link, lat, fin, tick)
+        if hit_at is not None and (self._busy_free[hit_at] > tick).any():
+            waits.append(tick)
+        return hit_at
+
+    monkeypatch.setattr(FlowEngine, "_alone_on_link", spy_alone)
+    monkeypatch.setattr(FlowEngine, "_delay_lone_sends", spy_delay)
+    return widths, waits
+
+
+def _outcome(engine):
+    res = engine.result()
+    return (
+        engine.ticks_processed,
+        *(
+            getattr(res, f).tolist()
+            for f in ("delivered_at", "drop_code", "drop_at", "hops")
+        ),
+    )
+
+
+class TestWideTicks:
+    """Ticks of at least ``_WIDE_TICK`` sends: lone sends skip the link
+    sort, the rest take it, and both must replay the event order exactly."""
+
+    @pytest.mark.parametrize("topology", WIDE_TOPOLOGIES, ids=lambda t: t.name)
+    @pytest.mark.parametrize("regime", ["fault-free", "faulty", "ttl3"])
+    def test_event_sim_pin(self, topology, regime, monkeypatch):
+        widths, _ = _spy_wide_ticks(monkeypatch)
+        tm, routes = _wide_load(topology)
+        kwargs = {}
+        if regime == "faulty":
+            nodes, links, schedule = _sample_regime(topology, 5)
+            kwargs = dict(faults=nodes, link_faults=links, schedule=schedule)
+        elif regime == "ttl3":
+            kwargs = dict(ttl=3)
+        engine = _assert_bit_identical(topology, tm, routes, **kwargs)
+        assert len(widths) > 3 and min(widths) >= flow_module._WIDE_TICK
+        if regime != "fault-free":
+            assert engine.stats().dropped > 0
+
+    @pytest.mark.parametrize(
+        "topology", WIDE_TOPOLOGIES[:3], ids=lambda t: t.name
+    )
+    @pytest.mark.parametrize("family", ["uniform", "hotspot"])
+    def test_fifo_reference_pin(self, topology, family, monkeypatch):
+        widths, waits = _spy_wide_ticks(monkeypatch)
+        tm, routes = _wide_load(topology, family)
+        config = _cube_fly_config(routes)
+        res = FlowEngine(topology, tm, routes, link_config=config).run().result()
+        delivered, hops = _fifo_reference(tm, routes, config)
+        assert res.delivered_at.tolist() == delivered
+        assert res.hops.tolist() == hops
+        assert widths and waits
+
+    @pytest.mark.parametrize(
+        "topology", [Hypercube(8), HyperButterfly(3, 5)], ids=lambda t: t.name
+    )
+    def test_lone_send_waits_on_a_busy_link(self, topology, monkeypatch):
+        """Unit links, hotspot load: a wide tick holds lone sends whose
+        link a queue from an earlier tick still occupies."""
+        _, waits = _spy_wide_ticks(monkeypatch)
+        tm, routes = _wide_load(topology, "hotspot")
+        _assert_bit_identical(topology, tm, routes)
+        assert waits
+
+    @pytest.mark.parametrize("topology", WIDE_TOPOLOGIES, ids=lambda t: t.name)
+    @pytest.mark.parametrize("family", ["uniform", "hotspot"])
+    def test_slot_table_and_cutoff_do_not_change_results(
+        self, topology, family, monkeypatch
+    ):
+        tm, routes = _wide_load(topology, family, count=2500)
+        nodes, links, schedule = _sample_regime(topology, 9)
+        configs = [None, LinkConfig.uniform(latency=2, capacity=2)]
+        if routes.gen_names is not None:
+            configs.append(_cube_fly_config(routes))
+
+        def outcomes():
+            return [
+                _outcome(
+                    FlowEngine(
+                        topology, tm, routes, link_config=config,
+                        faults=nodes, link_faults=links, schedule=schedule,
+                    ).run()
+                )
+                for config in configs
+            ]
+
+        default = outcomes()
+        for name, value in [
+            ("_SLOT_TABLE_CAP", 2),  # nearly every send collides
+            ("_WIDE_TICK", 0),  # every tick is hashed
+            ("_WIDE_TICK", float("inf")),  # no tick is hashed
+        ]:
+            with monkeypatch.context() as patch:
+                patch.setattr(flow_module, name, value)
+                assert outcomes() == default, (name, value)
 
 
 class TestEngineSemantics:
