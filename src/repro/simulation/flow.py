@@ -19,16 +19,22 @@ array arithmetic, at cost ``O(flows arriving this tick)`` per tick:
   fire-and-forget store-and-forward model tick-synchronously.  On a wide
   tick (``_WIDE_TICK`` sends or more) a multiplicative hash of each
   packed directed link id into a reusable slot table finds the sends
-  alone on their link; each leaves when its link frees, plus the link
-  latency, with no sort.  The other sends — true shared links plus hash
-  collisions — and every send of a narrow tick are grouped by link id
-  with one unstable sort, forwarder order is restored inside each link by
-  one sort of the packed key ``group * sends + forwarder index``
-  (canonical however the sort breaks ties), and transmission slots are
-  handed out capacity-limited per link.  The busy set keeps only the
-  links still busy after the next tick, the only ones that can delay a
-  send.  Fault fail/repair events replay the depth-counted
-  :class:`repro.faults.dynamic.FaultState` epochs as vectorized masks.
+  alone on their link, and the sends that collided are rehashed into a
+  second table; each lone send leaves when its link frees, plus the link
+  latency, with no sort.  The other sends — true shared links plus
+  collisions in both tables — and every send of a narrow tick are
+  grouped by link id with one unstable sort, forwarder order is restored
+  inside each link by one sort of the packed key ``group * sends +
+  forwarder index`` (canonical however the sort breaks ties), and
+  transmission slots are handed out capacity-limited per link.  The busy
+  set keeps only the links still busy after the next tick, the only ones
+  that can delay a send.  Fault fail/repair events replay the
+  depth-counted :class:`repro.faults.dynamic.FaultState` epochs as
+  vectorized masks.
+  Without fault inputs (no static node or link faults, no
+  :class:`~repro.faults.dynamic.FaultSchedule`) nothing can stop a flow
+  sent onto its target, so its delivery is recorded at send time, at the
+  hop's finish tick, and it gets no arrival tick of its own.
 
 **Bit-identical fallback discipline.**  With unit link classes the engine
 is pinned *event for event* against :class:`NetworkSimulator` (hop_time 0,
@@ -44,7 +50,15 @@ sends were processed.  A tick's bucket holds exactly that order without
 any per-flow bookkeeping: its injection chunk (ascending flow ids) is
 pushed first, later chunks are pushed in increasing processing tick, and
 each tick pushes its arrivals per finish tick in forwarder order — which
-is processing order.
+is processing order.  A fault-free engine resolves final-hop arrivals at
+send time: in the event simulator's drop chain delivery comes first when
+no fault can strike (the ttl check follows it), so such an arrival only
+ever delivers, at its finish tick, and the send still takes its link
+slot.  Leaving these flows out of their buckets (and zero-length flows
+out of the injection chunks) keeps every other flow's bucket order
+unchanged.  A stopped run reports outcomes only up to its horizon (see
+:meth:`FlowEngine.run`), so partial runs report what the event queue had
+processed by then.
 Capacity/latency link classes beyond the unit model generalize the event
 simulator rather than mirror it (it has no capacity notion).
 """
@@ -508,8 +522,10 @@ class FlowResult:
 _WIDE_TICK = 256
 #: most entries (int32) of the wide-tick link hash table: 16 MiB
 _SLOT_TABLE_CAP = 1 << 22
-#: multiplicative (Fibonacci) hashing constant, 2**64 / golden ratio
+#: multiplicative hashing constants: Fibonacci (2**64 / golden ratio) for
+#: every send, a second odd constant to rehash the sends that collided
 _HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
+_REHASH_MUL = np.uint64(0xD6E8FEB86659FD93)
 
 
 def _in_sorted(table: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -528,6 +544,9 @@ class FlowEngine:
     plus a :class:`LinkConfig`; traffic and routes arrive as bulk arrays.
     Per-flow outcomes land in :meth:`result`; :meth:`stats` aggregates
     them into the same :class:`LatencyStats` the event simulator emits.
+    :attr:`ticks_processed` counts the ticks that processed at least one
+    event; an engine without fault inputs delivers at send time, so its
+    deliveries add no tick.
     """
 
     def __init__(
@@ -616,6 +635,10 @@ class FlowEngine:
         self._node_faults_possible = bool(static_nodes) or any(
             kind == "node" for _, _, kind, _ in self._events
         )
+        # with no fault inputs nothing can stop a flow sent onto its target
+        # (delivery precedes the ttl check), so its delivery is recorded
+        # when that last hop is scheduled, and it gets no arrival tick
+        self._eager = not static_nodes and not self._link_depth and schedule is None
         # the route matrices raveled in their storage order, so a send's
         # next hop and generator are one flat gather each
         hops = self.routes.hops
@@ -631,13 +654,20 @@ class FlowEngine:
         # send, kept as sorted parallel arrays
         self._busy_ids = np.zeros(0, dtype=np.int64)
         self._busy_free = np.zeros(0, dtype=np.int64)
-        # link hash slots of wide ticks; contents never outlive a tick
-        self._slots = np.zeros(0, dtype=np.int32)
+        # the two link hash tables of wide ticks and the sends of the tick
+        # rehashed into the second; contents never outlive a tick
+        self._slots = [np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32)]
+        self._rehashed = np.zeros(0, dtype=np.int64)
         # arrival buckets: tick -> list of flow-id arrays, plus a tick heap
         self._buckets: dict[int, list[np.ndarray]] = {}
         self._heap: list[int] = []
-        if flows:
-            order = np.argsort(traffic.inject_at, kind="stable")
+        order = np.argsort(traffic.inject_at, kind="stable")
+        if self._eager:
+            # zero-length flows deliver at injection, before any tick
+            home = traffic.sources == traffic.targets
+            self.delivered_at[home] = traffic.inject_at[home]
+            order = order[~home[order]]
+        if len(order):
             ticks = traffic.inject_at[order]
             cuts = np.flatnonzero(np.diff(ticks)) + 1
             starts = np.concatenate((np.zeros(1, dtype=np.int64), cuts))
@@ -645,7 +675,11 @@ class FlowEngine:
                 np.split(order, cuts), ticks[starts], strict=True
             ):
                 self._push(int(tick), chunk)
+        #: ticks that processed at least one event (see the class docs)
         self.ticks_processed = 0
+        # the last tick whose outcomes are reported (None once drained);
+        # later eager deliveries stay hidden until a run reaches them
+        self._horizon: int | None = -1
 
     # -- fault replay ------------------------------------------------------
 
@@ -753,57 +787,89 @@ class FlowEngine:
         new_free = base + ((counts + cap_u - 1) // cap_u) * lat_u
         return order, finish, uniq, new_free, hit_at
 
-    def _slot_of(self, keys: np.ndarray) -> np.ndarray:
-        """Slot-table index of each int64 link key (multiplicative hash)."""
-        slot = keys.view(np.uint64) * _HASH_MUL
-        slot >>= np.uint64(65 - self._slots.size.bit_length())
+    def _slot_of(self, keys: np.ndarray, table: int) -> np.ndarray:
+        """Index of each int64 link key in slot table ``table`` (0 or 1)."""
+        slot = keys.view(np.uint64) * (_REHASH_MUL if table else _HASH_MUL)
+        slot >>= np.uint64(65 - self._slots[table].size.bit_length())
         return slot.view(np.int64)
 
-    def _alone_on_link(self, link: np.ndarray) -> np.ndarray:
-        """Mask of the sends no other send of the tick shares a slot with.
+    def _lone_in_table(
+        self, link: np.ndarray, table: int, size: int
+    ) -> np.ndarray:
+        """Mask of the sends no other send of ``link`` shares a slot with.
 
-        ``link`` is hashed into a power-of-two slot table of at least 8
-        entries per send of the widest tick so far (capped at
-        ``_SLOT_TABLE_CAP``).  Every send
+        The table grows to ``size`` entries, a power of two.  Every send
         writes its index to its slot; a send that reads back another index
         shares the slot and marks it ``-1``; the sends that then read their
-        own index back are alone in their slot, hence on their link.  A
-        collision only sends a lone send down the exact link sort, so the
-        result is exact for any table size, and it does not depend on
-        which of several writers a repeated store keeps.
+        own index back are alone in their slot.  That holds whichever of
+        several writers a repeated store keeps.
         """
-        k = len(link)
-        size = min(max(1 << (8 * k - 1).bit_length(), 2), _SLOT_TABLE_CAP)
-        if self._slots.size < size:
-            self._slots = np.empty(size, dtype=np.int32)
-        table = self._slots
-        slot = self._slot_of(link)
-        mine = np.arange(k, dtype=np.int32)
-        table[slot] = mine
-        table[slot[table[slot] != mine]] = -1
-        return table[slot] == mine
+        if self._slots[table].size < size:
+            self._slots[table] = np.empty(size, dtype=np.int32)
+        slots = self._slots[table]
+        slot = self._slot_of(link, table)
+        mine = np.arange(len(link), dtype=np.int32)
+        slots[slot] = mine
+        slots[slot[slots[slot] != mine]] = -1
+        return slots[slot] == mine
+
+    def _alone_on_link(self, link: np.ndarray) -> np.ndarray:
+        """Mask of the sends no other send of the tick shares a link with.
+
+        Both slot tables have at least 8 entries per send of the widest
+        tick so far (a power of two, capped at ``_SLOT_TABLE_CAP``).  Every
+        send is hashed into table 0; the sends that share a slot there (at
+        load 1/8 mostly distinct links) are rehashed with another
+        multiplier into table 1, at a far lower load, so table 0 keeps
+        what :meth:`_delay_lone_sends` probes.  Two sends on one link share
+        a slot in both tables, so a send alone in either is alone on its
+        link; a collision in both only sends a lone send down the exact
+        link sort, so the result is exact for any table size.
+        """
+        size = min(max(1 << (8 * len(link) - 1).bit_length(), 2), _SLOT_TABLE_CAP)
+        alone = self._lone_in_table(link, 0, size)
+        self._rehashed = np.flatnonzero(~alone)
+        if self._rehashed.size:
+            alone[self._rehashed] = self._lone_in_table(
+                link[self._rehashed], 1, size
+            )
+        return alone
+
+    def _lone_senders(
+        self, link: np.ndarray, table: int, senders: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Busy positions whose link a lone send of ``link`` uses, and those
+        sends: table ``table`` indexes ``senders`` (all sends when
+        ``None``).  A slot holding an index belongs to a lone send, or is
+        stale from an earlier use: then no send of this tick on that link
+        hashed there, and the link comparison rejects the index."""
+        busy = self._busy_ids
+        sender = self._slots[table][self._slot_of(busy, table)]
+        count = len(link) if senders is None else len(senders)
+        hit_at = np.flatnonzero((sender >= 0) & (sender < count))
+        sender = sender[hit_at]
+        if senders is not None:
+            sender = senders[sender]
+        match = link[sender] == busy[hit_at]
+        return hit_at[match], sender[match]
 
     def _delay_lone_sends(
         self, link: np.ndarray, lat: np.ndarray, fin: np.ndarray, tick: int
     ) -> np.ndarray | None:
         """Start each lone send on a busy link when the link frees.
 
-        Probes the slot table left by :meth:`_alone_on_link` with the busy
-        links, at a cost of the busy set's size, not the tick's.  A slot
-        holding a send index belongs to a lone send, or is stale from an
-        earlier tick: then no send of this tick hashes there, and the link
-        comparison rejects the index.  Returns the busy positions hit
-        (``None`` when the busy set is empty).
+        Probes both slot tables left by :meth:`_alone_on_link` with the
+        busy links, at a cost of the busy set's size, not the tick's.
+        Returns the busy positions hit (``None`` when the busy set is
+        empty).
         """
-        busy = self._busy_ids
-        if not busy.size:
+        if not self._busy_ids.size:
             return None
-        sender = self._slots[self._slot_of(busy)]
-        hit_at = np.flatnonzero((sender >= 0) & (sender < len(link)))
-        sender = sender[hit_at]
-        match = link[sender] == busy[hit_at]
-        hit_at = hit_at[match]
-        sender = sender[match]
+        hit_at, sender = self._lone_senders(link, 0, None)
+        if self._rehashed.size:
+            again_at, again = self._lone_senders(link, 1, self._rehashed)
+            hit_at = np.concatenate((hit_at, again_at))
+            sender = np.concatenate((sender, again))
         fin[sender] = np.maximum(self._busy_free[hit_at], tick) + lat[sender]
         return hit_at
 
@@ -840,48 +906,58 @@ class FlowEngine:
         self._busy_ids = ids
         self._busy_free = free
 
+    def _retire(
+        self,
+        ids: np.ndarray,
+        pos: np.ndarray,
+        cur: np.ndarray,
+        gone: np.ndarray,
+        code: int,
+        tick: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Settle the flows flagged ``gone`` at ``tick`` — dropped with
+        ``code``, delivered when it is 0 — and return the others' ids,
+        positions and nodes, still in processing order."""
+        if not gone.any():
+            return ids, pos, cur
+        if code:
+            self._drop(ids[gone], code, tick)
+        else:
+            self.delivered_at[ids[gone]] = tick
+        keep = ~gone
+        return ids[keep], pos[keep], cur[keep]
+
     def _step(self, ids: np.ndarray, tick: int) -> None:
         n = self._num_nodes
         pos = self._pos[ids]
         cur = self._cur[ids]
-        alive = np.ones(len(ids), dtype=bool)
         # 1. link fault at hop completion (the event sim checks at finish)
         if self._link_depth:
             prev = self._came_from[ids]
             lid = np.minimum(prev, cur) * n + np.maximum(prev, cur)
             bad = (pos > 0) & _in_sorted(self._faulty_link_ids(), lid)
-            if bad.any():
-                self._drop(ids[bad], _DROP_LINK, tick)
-                alive &= ~bad
+            ids, pos, cur = self._retire(ids, pos, cur, bad, _DROP_LINK, tick)
         # 2. node fault at the arrival node
         if self._node_faults_possible:
-            bad = alive & (self._node_depth[cur] > 0)
-            if bad.any():
-                self._drop(ids[bad], _DROP_NODE, tick)
-                alive &= ~bad
-        # 3. delivery
-        done = alive & (cur == self.traffic.targets[ids])
-        if done.any():
-            self.delivered_at[ids[done]] = tick
-            alive &= ~done
+            bad = self._node_depth[cur] > 0
+            ids, pos, cur = self._retire(ids, pos, cur, bad, _DROP_NODE, tick)
+        # 3. delivery (an eager engine delivered at send time instead)
+        if not self._eager:
+            done = cur == self.traffic.targets[ids]
+            ids, pos, cur = self._retire(ids, pos, cur, done, 0, tick)
         # 4. ttl
         if self.ttl is not None:
-            bad = alive & (pos >= self.ttl)
-            if bad.any():
-                self._drop(ids[bad], _DROP_TTL, tick)
-                alive &= ~bad
+            bad = pos >= self.ttl
+            ids, pos, cur = self._retire(ids, pos, cur, bad, _DROP_TTL, tick)
         # 5. route exhausted without reaching the target: unreachable
-        bad = alive & (pos >= self.routes.lengths[ids])
-        if bad.any():
-            self._drop(ids[bad], _DROP_NOROUTE, tick)
-            alive &= ~bad
+        bad = pos >= self.routes.lengths[ids]
+        forwarders, fpos, here = self._retire(
+            ids, pos, cur, bad, _DROP_NOROUTE, tick
+        )
         # forwarders stay in processing order — the event queue's order
-        forwarders = ids[alive]
         k = len(forwarders)
         if not k:
             return
-        fpos = pos[alive]
-        here = cur[alive]
         if self._hops_by_column:
             at = fpos * self._hop_stride
             at += forwarders
@@ -926,9 +1002,22 @@ class FlowEngine:
             self._merge_busy(new_ids, new_free, hit_at, tick, presorted=False)
         # advance flow state and schedule the arrivals, one chunk per finish
         # tick, each in forwarder order
-        self._came_from[forwarders] = here
         self._cur[forwarders] = nxt
         self._pos[forwarders] = fpos + 1
+        if self._eager:
+            # a send onto the target delivers when it finishes; it keeps
+            # its link slot above but needs no arrival tick
+            last = nxt == self.traffic.targets[forwarders]
+            if last.any():
+                self.delivered_at[forwarders[last]] = fin[last]
+                more = ~last
+                forwarders = forwarders[more]
+                fin = fin[more]
+                k = len(forwarders)
+                if not k:
+                    return
+        else:
+            self._came_from[forwarders] = here
         lo, hi = int(fin.min()), int(fin.max())
         if lo == hi:
             self._push(lo, forwarders)
@@ -949,7 +1038,15 @@ class FlowEngine:
     def run(
         self, *, until: int | None = None, max_ticks: int | None = None
     ) -> "FlowEngine":
-        """Process arrival ticks in order until the network drains."""
+        """Process event ticks in order until the network drains.
+
+        ``until`` stops before the first tick past it, ``max_ticks`` once
+        :attr:`ticks_processed` reaches it.  A stopped run reports outcomes
+        up to its horizon — ``until``, or the last tick processed when
+        ``max_ticks`` stopped it — and hides the eager deliveries beyond
+        it, exactly as if their ticks were still queued.
+        """
+        stopped_at = None
         while self._heap:
             tick = self._heap[0]
             if until is not None and tick > until:
@@ -962,13 +1059,25 @@ class FlowEngine:
             self._step(ids, tick)
             self.ticks_processed += 1
             if max_ticks is not None and self.ticks_processed >= max_ticks:
+                stopped_at = tick
                 break
+        if stopped_at is not None:
+            self._horizon = stopped_at
+        elif until is None:
+            self._horizon = None  # drained
+        elif self._horizon is not None:
+            self._horizon = max(self._horizon, until)
         return self
 
     def result(self) -> FlowResult:
+        delivered_at = self.delivered_at
+        if self._horizon is not None:
+            delivered_at = np.where(
+                delivered_at > self._horizon, -1, delivered_at
+            )
         return FlowResult(
             inject_at=self.traffic.inject_at,
-            delivered_at=self.delivered_at,
+            delivered_at=delivered_at,
             drop_code=self.drop_code,
             drop_at=self.drop_at,
             hops=self._pos,

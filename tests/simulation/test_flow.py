@@ -275,23 +275,30 @@ def _sample_regime(topology, seed):
     return static_nodes, static_links, FaultSchedule(topology, events)
 
 
-def _assert_bit_identical(topology, tm, routes, *, faults=(), link_faults=(),
-                          schedule=None, ttl=None):
+def _event_sim(topology, tm, routes, *, until=None, **kwargs):
+    """The event simulator replaying ``tm`` along ``routes``, run to
+    ``until`` (to the end when ``None``)."""
     sim = NetworkSimulator(
-        topology,
-        PrecomputedPathProtocol(routes.path_fn(tm)),
-        faults=faults,
-        link_faults=link_faults,
-        schedule=schedule,
-        ttl=ttl,
+        topology, PrecomputedPathProtocol(routes.path_fn(tm)), **kwargs
     )
     for i, (s, t) in enumerate(tm.pairs(routes.codec)):
         sim.inject(s, t, at=float(tm.inject_at[i]))
-    sim.run()
-    engine = FlowEngine(
-        topology, tm, routes,
-        faults=faults, link_faults=link_faults, schedule=schedule, ttl=ttl,
-    ).run()
+    sim.run(until=until)
+    return sim
+
+
+def _assert_bit_identical(topology, tm, routes, *, faults=(), link_faults=(),
+                          schedule=None, ttl=None):
+    kwargs = dict(
+        faults=faults, link_faults=link_faults, schedule=schedule, ttl=ttl
+    )
+    sim = _event_sim(topology, tm, routes, **kwargs)
+    engine = FlowEngine(topology, tm, routes, **kwargs).run()
+    _assert_same_outcomes(sim, engine)
+    return engine
+
+
+def _assert_same_outcomes(sim, engine):
     res = engine.result()
     for i, packet in enumerate(sim.packets):
         flow_tick = int(res.delivered_at[i])
@@ -301,7 +308,6 @@ def _assert_bit_identical(topology, tm, routes, *, faults=(), link_faults=(),
         assert packet.hops == int(res.hops[i]), i
         assert (packet.drop_reason or "") == DROP_REASONS[res.drop_code[i]], i
     assert sim.stats() == engine.stats()
-    return engine
 
 
 class TestEventSimPinning:
@@ -379,6 +385,86 @@ class TestEventSimPinning:
         schedule = FaultSchedule(other, [])
         with pytest.raises(SimulationError):
             FlowEngine(hb, tm, schedule=schedule)
+
+
+def _masked(result, horizon):
+    """A full run's outcome as a run stopped at ``horizon`` reports it."""
+    late_drop = result.drop_at > horizon
+    return {
+        "delivered_at": np.where(
+            result.delivered_at > horizon, -1, result.delivered_at
+        ),
+        "drop_code": np.where(late_drop, 0, result.drop_code),
+        "drop_at": np.where(late_drop, -1, result.drop_at),
+    }
+
+
+def _first_tick_reaching(topology, tm, routes, ticks):
+    """The smallest ``until`` whose run processes ``ticks`` ticks."""
+    assert FlowEngine(topology, tm, routes).run().ticks_processed >= ticks
+    for until in itertools.count():
+        engine = FlowEngine(topology, tm, routes).run(until=until)
+        if engine.ticks_processed >= ticks:
+            return until
+
+
+class TestPartialRuns:
+    """A fault-free engine records a delivery when the last hop is sent,
+    yet a stopped run reports exactly what the event queue has processed
+    by the run's horizon: ``until``, or the last tick ``max_ticks`` let
+    it process."""
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=lambda t: t.name)
+    @pytest.mark.parametrize("family", ["hotspot", "incast"])
+    def test_stopped_runs_report_the_full_run_masked_at_the_horizon(
+        self, topology, family
+    ):
+        tm = build_workload(topology, family, count=300, seed=17, per_tick=25)
+        routes = routes_block(topology, tm.sources, tm.targets)
+        full = FlowEngine(topology, tm, routes).run().result()
+        stops = [({"until": u}, u) for u in (0, 3, 4, 7, 11, 16)]
+        stops += [
+            ({"max_ticks": k}, _first_tick_reaching(topology, tm, routes, k))
+            for k in (1, 4, 9)
+        ]
+        masked_any = False
+        for run_kwargs, horizon in stops:
+            engine = FlowEngine(topology, tm, routes).run(**run_kwargs)
+            res = engine.result()
+            for field, expected in _masked(full, horizon).items():
+                assert np.array_equal(getattr(res, field), expected), (
+                    run_kwargs, field,
+                )
+            masked_any |= bool((full.delivered_at > horizon).any())
+            # hop counts of flows still in flight come from the event queue
+            _assert_same_outcomes(
+                _event_sim(topology, tm, routes, until=horizon), engine
+            )
+        assert masked_any
+
+    def test_hotspot_until_hides_later_deliveries(self):
+        hb = HyperButterfly(2, 3)
+        tm = build_workload(hb, "hotspot", count=300, seed=17, per_tick=25)
+        engine = FlowEngine(hb, tm).run(until=4)
+        res = engine.result()
+        assert int(res.delivered_at.max()) == 4
+        assert engine.stats().delivered == 32
+        assert int(engine.delivered_at.max()) > 4  # recorded, not reported
+        assert engine.run().stats().delivered == 300
+
+    def test_nothing_is_reported_before_the_first_run(self):
+        hb = HyperButterfly(2, 3)
+        tm = TrafficMatrix.from_ranks([3, 3], [3, 5], inject_at=[0, 0])
+        engine = FlowEngine(hb, tm)
+        assert engine.result().delivered_at.tolist() == [-1, -1]
+        assert engine.run(until=0).result().delivered_at.tolist() == [0, -1]
+
+    def test_a_lower_until_does_not_hide_processed_ticks(self):
+        hb = HyperButterfly(2, 3)
+        tm = build_workload(hb, "hotspot", count=300, seed=17, per_tick=25)
+        engine = FlowEngine(hb, tm).run(until=9)
+        before = engine.result().delivered_at
+        assert np.array_equal(engine.run(until=2).result().delivered_at, before)
 
 
 def _fifo_reference(tm, routes, config):
@@ -602,6 +688,46 @@ class TestEngineSemantics:
         engine = FlowEngine(hb, tm).run()
         assert int(engine.result().delivered_at[0]) == 5
         assert engine.stats().mean_latency == 0.0  # reprolint: disable=HB301 -- 0/1 is exactly 0.0 in float64
+
+    def test_zero_length_batch_processes_no_tick(self):
+        hb = HyperButterfly(2, 3)
+        tm = TrafficMatrix.from_ranks([3, 0, 3], [3, 0, 3], inject_at=[5, 2, 9])
+        engine = FlowEngine(hb, tm).run()
+        assert engine.result().delivered_at.tolist() == [5, 2, 9]
+        assert engine.ticks_processed == 0
+
+    @staticmethod
+    def _lone_flow(hb):
+        """One flow of length 4 from rank 0, injected at tick 3, and a node
+        none of its hops touches."""
+        codec = codec_for(hb)
+        target = next(
+            v for v in range(hb.num_nodes)
+            if hb.distance(codec.unrank(0), codec.unrank(v)) == 4
+        )
+        tm = TrafficMatrix.from_ranks([0], [target], inject_at=[3])
+        routes = routes_block(hb, tm.sources, tm.targets)
+        on_route = {0, *routes.hops[0].tolist()}
+        elsewhere = codec.unrank(
+            next(v for v in range(hb.num_nodes) if v not in on_route)
+        )
+        return tm, routes, elsewhere
+
+    def test_lone_flow_takes_one_tick_per_hop(self):
+        hb = HyperButterfly(2, 3)
+        tm, routes, _ = self._lone_flow(hb)
+        engine = FlowEngine(hb, tm, routes).run()
+        assert int(engine.result().delivered_at[0]) == 3 + 4
+        assert engine.ticks_processed == 4
+
+    def test_a_fault_input_keeps_the_arrival_tick(self):
+        # a static fault off the route changes no outcome, but the engine
+        # then resolves the delivery at the arrival tick, one tick more
+        hb = HyperButterfly(2, 3)
+        tm, routes, elsewhere = self._lone_flow(hb)
+        engine = FlowEngine(hb, tm, routes, faults=[elsewhere]).run()
+        assert int(engine.result().delivered_at[0]) == 3 + 4
+        assert engine.ticks_processed == 5
 
     def test_link_latency_scales_delivery_time(self):
         hb = HyperButterfly(2, 3)
