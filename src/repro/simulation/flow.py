@@ -16,19 +16,25 @@ array arithmetic, at cost ``O(flows arriving this tick)`` per tick:
   for the hyper-de Bruijn baseline, a bit-scatter e-cube builder for the
   hypercube, and a per-pair python fallback for everything else.
 * **Dynamics** (:class:`FlowEngine`) replay the event simulator's
-  fire-and-forget store-and-forward model tick-synchronously.  On a wide
-  tick (``_WIDE_TICK`` sends or more) a multiplicative hash of each
-  packed directed link id into a reusable slot table finds the sends
-  alone on their link, and the sends that collided are rehashed into a
-  second table; each lone send leaves when its link frees, plus the link
-  latency, with no sort.  The other sends — true shared links plus
-  collisions in both tables — and every send of a narrow tick are
+  fire-and-forget store-and-forward model tick-synchronously.  A tick's
+  send count picks one of three paths, all with the same slot arithmetic
+  and the same arrival order.  On a wide tick (``_WIDE_TICK`` sends or
+  more) a multiplicative hash of each packed directed link id into a
+  reusable slot table finds the sends alone on their link, and the sends
+  that collided are rehashed into a second table; each lone send leaves
+  when its link frees, plus the link latency, with no sort.  The other
+  sends — true shared links plus collisions in both tables — and every
+  send of a tick of ``_SMALL_TICK`` up to ``_WIDE_TICK`` sends are
   grouped by link id with one unstable sort, forwarder order is restored
   inside each link by one sort of the packed key ``group * sends +
   forwarder index`` (canonical however the sort breaks ties), and
-  transmission slots are handed out capacity-limited per link.  The busy
-  set keeps only the links still busy after the next tick, the only ones
-  that can delay a send.  Fault fail/repair events replay the
+  transmission slots are handed out capacity-limited per link.  A tick
+  of fewer than ``_SMALL_TICK`` sends skips the numpy calls, which cost
+  more than so few sends: one Python pass visits its sends in forwarder
+  order, queues them per link in that order, hands out the same slots,
+  edits the busy arrays in place and groups the arrivals by finish tick.
+  The busy set keeps only the links still busy after the next tick, the
+  only ones that can delay a send.  Fault fail/repair events replay the
   depth-counted :class:`repro.faults.dynamic.FaultState` epochs as
   vectorized masks.
   Without fault inputs (no static node or link faults, no
@@ -50,7 +56,11 @@ sends were processed.  A tick's bucket holds exactly that order without
 any per-flow bookkeeping: its injection chunk (ascending flow ids) is
 pushed first, later chunks are pushed in increasing processing tick, and
 each tick pushes its arrivals per finish tick in forwarder order — which
-is processing order.  A fault-free engine resolves final-hop arrivals at
+is processing order.  The numpy paths get that order from a stable sort
+of the finish ticks; the scalar pass visits the sends in forwarder order,
+appends each to its finish tick's group and pushes the groups in
+ascending finish tick, so every path pushes the same chunks in the same
+order.  A fault-free engine resolves final-hop arrivals at
 send time: in the event simulator's drop chain delivery comes first when
 no fault can strike (the ttl check follows it), so such an arrival only
 ever delivers, at its finish tick, and the send still takes its link
@@ -517,9 +527,15 @@ class FlowResult:
         return np.bincount(done)
 
 
+#: sends per tick below which one Python pass slots, settles and schedules
+#: them: fewer calls than the numpy paths make for so few sends
+_SMALL_TICK = 64
 #: sends per tick from which lone sends skip the link sort; narrower ticks
-#: sort every send, where the slot-table pass costs more calls than it saves
+#: of at least ``_SMALL_TICK`` sends sort every send, where the slot-table
+#: pass costs more calls than it saves
 _WIDE_TICK = 256
+#: the largest tick the int64 state arrays hold
+_INT64_MAX = int(np.iinfo(np.int64).max)
 #: most entries (int32) of the wide-tick link hash table: 16 MiB
 _SLOT_TABLE_CAP = 1 << 22
 #: multiplicative hashing constants: Fibonacci (2**64 / golden ratio) for
@@ -906,6 +922,125 @@ class FlowEngine:
         self._busy_ids = ids
         self._busy_free = free
 
+    def _scalar_tick(
+        self,
+        forwarders: np.ndarray,
+        nxt: np.ndarray,
+        link: np.ndarray,
+        lat: np.ndarray,
+        cap: np.ndarray,
+        tick: int,
+    ) -> None:
+        """Slot, settle and schedule a tick of fewer than ``_SMALL_TICK``
+        sends in one pass over Python ints.
+
+        The arithmetic of :meth:`_link_queues`, one link at a time: the
+        ``i``-th send of a link, in forwarder order, finishes at ``base +
+        (i // cap + 1) * lat`` with its own ``lat``, past ``base =
+        max(busy free, tick)``, and the link frees at ``base + ceil(count
+        / cap) * lat``, where ``cap`` and this ``lat`` are the link's first
+        send's.  The busy arrays are edited, not rebuilt by a sort: hit
+        entries are rewritten in place, new ones spliced in at their
+        ``searchsorted`` positions, then the expired ones dropped.
+        Arrivals are grouped by finish tick in forwarder order and pushed
+        in ascending finish order, the numpy bucket sort's order.
+        """
+        link_l = link.tolist()
+        lat_l = lat.tolist()
+        cap_l = cap.tolist()
+        queues: dict[int, list[int]] = {}
+        for i, key in enumerate(link_l):
+            queue = queues.get(key)
+            if queue is None:
+                queues[key] = [i]
+            else:
+                queue.append(i)
+        busy_ids = self._busy_ids
+        busy_free = self._busy_free
+        size = busy_ids.size
+        at = busy_ids.searchsorted(link).tolist() if size else [0] * len(link_l)
+        fin = [0] * len(link_l)
+        hits: list[tuple[int, int]] = []  # (busy position, new free tick)
+        added: list[tuple[int, int, int]] = []  # (link, free, position)
+        top = tick
+        for key, queue in queues.items():
+            first = queue[0]
+            p = at[first]
+            hit = p < size and busy_ids.item(p) == key
+            base = busy_free.item(p) if hit else tick
+            if base < tick:
+                base = tick
+            if len(queue) == 1:
+                free = fin[first] = base + lat_l[first]
+            else:
+                per = cap_l[first]
+                for slot, i in enumerate(queue):
+                    fin[i] = base + (slot // per + 1) * lat_l[i]
+                free = base + -(-len(queue) // per) * lat_l[first]
+            if free > top:
+                top = free
+            if hit:
+                hits.append((p, free))
+            elif free > tick + 1:
+                added.append((key, free, p))
+        if max(top, max(fin)) > _INT64_MAX:
+            # Python ints do not wrap: refuse what the arrays cannot hold
+            raise SimulationError("a finish tick overflows int64")
+        for p, free in hits:
+            busy_free[p] = free
+        if added:
+            added.sort()  # by link id, so the positions ascend too
+            id_parts: list[Any] = []
+            free_parts: list[Any] = []
+            prev = 0
+            for key, free, p in added:
+                id_parts += (busy_ids[prev:p], (key,))
+                free_parts += (busy_free[prev:p], (free,))
+                prev = p
+            id_parts.append(busy_ids[prev:])
+            free_parts.append(busy_free[prev:])
+            busy_ids = np.concatenate(id_parts)
+            busy_free = np.concatenate(free_parts)
+        if busy_free.size:
+            keep = busy_free > tick + 1
+            if np.count_nonzero(keep) < keep.size:
+                busy_ids = busy_ids[keep]
+                busy_free = busy_free[keep]
+        self._busy_ids = busy_ids
+        self._busy_free = busy_free
+        # arrivals by finish tick, each group in forwarder order; an eager
+        # engine records a send onto the target as delivered instead
+        last = (
+            (nxt == self.traffic.targets[forwarders]).tolist()
+            if self._eager
+            else None
+        )
+        groups: dict[int, list[int]] = {}
+        delivered_at = self.delivered_at
+        done = 0
+        for i, t in enumerate(fin):
+            if last is not None and last[i]:
+                delivered_at[forwarders.item(i)] = t
+                done += 1
+            else:
+                group = groups.get(t)
+                if group is None:
+                    groups[t] = [i]
+                else:
+                    group.append(i)
+        if not groups:
+            return
+        if len(groups) == 1 and not done:
+            self._push(fin[0], forwarders)
+            return
+        ticks = sorted(groups)
+        moved = forwarders[[i for t in ticks for i in groups[t]]]
+        a = 0
+        for t in ticks:
+            b = a + len(groups[t])
+            self._push(t, moved[a:b])
+            a = b
+
     def _retire(
         self,
         ids: np.ndarray,
@@ -972,6 +1107,13 @@ class FlowEngine:
         lat = self._lat_by_gen[gi]
         cap = self._cap_by_gen[gi]
         link = here * n + nxt
+        self._cur[forwarders] = nxt
+        self._pos[forwarders] = fpos + 1
+        if not self._eager:
+            self._came_from[forwarders] = here
+        if k < _SMALL_TICK and k < _WIDE_TICK:  # a wide tick is always hashed
+            self._scalar_tick(forwarders, nxt, link, lat, cap, tick)
+            return
         fin = np.empty(k, dtype=np.int64)
         if k < _WIDE_TICK:
             order, finish, new_ids, new_free, hit_at = self._link_queues(
@@ -1000,10 +1142,8 @@ class FlowEngine:
                 if shared_hits is not None:
                     hit_at = np.concatenate((hit_at, shared_hits))
             self._merge_busy(new_ids, new_free, hit_at, tick, presorted=False)
-        # advance flow state and schedule the arrivals, one chunk per finish
-        # tick, each in forwarder order
-        self._cur[forwarders] = nxt
-        self._pos[forwarders] = fpos + 1
+        # schedule the arrivals, one chunk per finish tick, each in
+        # forwarder order
         if self._eager:
             # a send onto the target delivers when it finishes; it keeps
             # its link slot above but needs no arrival tick
@@ -1016,8 +1156,6 @@ class FlowEngine:
                 k = len(forwarders)
                 if not k:
                     return
-        else:
-            self._came_from[forwarders] = here
         lo, hi = int(fin.min()), int(fin.max())
         if lo == hi:
             self._push(lo, forwarders)

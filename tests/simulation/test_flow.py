@@ -10,6 +10,7 @@ and is checked against a small pure-Python per-link FIFO reference.
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 import random
@@ -310,7 +311,61 @@ def _assert_same_outcomes(sim, engine):
     assert sim.stats() == engine.stats()
 
 
-class TestEventSimPinning:
+def _spy_tick_paths(monkeypatch):
+    """Count the ticks each path slots: ``scalar`` (fewer than
+    ``_SMALL_TICK`` sends), ``sort`` (a narrow tick's link sort) and
+    ``hash`` (a wide tick; its shared sends' sort is not counted apart)."""
+    paths = collections.Counter()
+    hashed = [False]
+    step = FlowEngine._step
+    scalar_tick = FlowEngine._scalar_tick
+    link_queues = FlowEngine._link_queues
+    alone_on_link = FlowEngine._alone_on_link
+
+    def spy_step(self, ids, tick):
+        hashed[0] = False
+        return step(self, ids, tick)
+
+    def spy_scalar(self, *args):
+        paths["scalar"] += 1
+        return scalar_tick(self, *args)
+
+    def spy_queues(self, *args):
+        if not hashed[0]:
+            paths["sort"] += 1
+        return link_queues(self, *args)
+
+    def spy_alone(self, link):
+        hashed[0] = True
+        paths["hash"] += 1
+        return alone_on_link(self, link)
+
+    monkeypatch.setattr(FlowEngine, "_step", spy_step)
+    monkeypatch.setattr(FlowEngine, "_scalar_tick", spy_scalar)
+    monkeypatch.setattr(FlowEngine, "_link_queues", spy_queues)
+    monkeypatch.setattr(FlowEngine, "_alone_on_link", spy_alone)
+    return paths
+
+
+class _NarrowTickPath:
+    """Runs each test with ``_SMALL_TICK`` at :attr:`small_tick` (left at
+    its default when ``None``) and checks that a test which slotted any
+    send slotted some on the path its narrow ticks should take: the
+    scalar pass, or the link sort when ``_SMALL_TICK`` is 0."""
+
+    small_tick: int | None = None
+
+    @pytest.fixture(autouse=True)
+    def _narrow_tick_path(self, monkeypatch):
+        if self.small_tick is not None:
+            monkeypatch.setattr(flow_module, "_SMALL_TICK", self.small_tick)
+        paths = _spy_tick_paths(monkeypatch)
+        yield
+        narrow = "scalar" if flow_module._SMALL_TICK else "sort"
+        assert paths[narrow] or not sum(paths.values()), dict(paths)
+
+
+class TestEventSimPinning(_NarrowTickPath):
     """Flow engine == event simulator, flow for flow, across the grid."""
 
     @pytest.mark.parametrize("topology", TOPOLOGIES, ids=lambda t: t.name)
@@ -387,6 +442,12 @@ class TestEventSimPinning:
             FlowEngine(hb, tm, schedule=schedule)
 
 
+class TestEventSimPinningSortPath(TestEventSimPinning):
+    """The same grid with every narrow tick on the link sort path."""
+
+    small_tick = 0
+
+
 def _masked(result, horizon):
     """A full run's outcome as a run stopped at ``horizon`` reports it."""
     late_drop = result.drop_at > horizon
@@ -408,7 +469,7 @@ def _first_tick_reaching(topology, tm, routes, ticks):
             return until
 
 
-class TestPartialRuns:
+class TestPartialRuns(_NarrowTickPath):
     """A fault-free engine records a delivery when the last hop is sent,
     yet a stopped run reports exactly what the event queue has processed
     by the run's horizon: ``until``, or the last tick ``max_ticks`` let
@@ -467,6 +528,12 @@ class TestPartialRuns:
         assert np.array_equal(engine.run(until=2).result().delivered_at, before)
 
 
+class TestPartialRunsSortPath(TestPartialRuns):
+    """The same grid with every narrow tick on the link sort path."""
+
+    small_tick = 0
+
+
 def _fifo_reference(tm, routes, config):
     """Per-flow ``(delivered_at, hops)`` under the engine's link model.
 
@@ -519,7 +586,7 @@ def _cube_fly_config(routes):
     )
 
 
-class TestLinkModelReference:
+class TestLinkModelReference(_NarrowTickPath):
     """Capacity and latency above one, against the per-link FIFO model."""
 
     @pytest.mark.parametrize(
@@ -542,6 +609,12 @@ class TestLinkModelReference:
         lat = np.array([config.class_for(g).latency for g in routes.gen_names])
         hop_lat = np.where(routes.gen_idx >= 0, lat[routes.gen_idx], 0)
         assert (res.delivered_at > tm.inject_at + hop_lat.sum(axis=1)).any()
+
+
+class TestLinkModelReferenceSortPath(TestLinkModelReference):
+    """The same grid with every narrow tick on the link sort path."""
+
+    small_tick = 0
 
 
 #: batch loads whose ticks carry thousands of sends, so lone sends take
@@ -664,13 +737,123 @@ class TestWideTicks:
             ("_SLOT_TABLE_CAP", 2),  # nearly every send collides
             ("_WIDE_TICK", 0),  # every tick is hashed
             ("_WIDE_TICK", float("inf")),  # no tick is hashed
+            ("_SMALL_TICK", 0),  # no scalar tick
+            ("_SMALL_TICK", flow_module._WIDE_TICK),  # every narrow tick is
         ]:
             with monkeypatch.context() as patch:
                 patch.setattr(flow_module, name, value)
                 assert outcomes() == default, (name, value)
 
 
-class TestEngineSemantics:
+def _spy_pushes(monkeypatch):
+    """Record every ``(tick, flow ids)`` chunk the engine pushes."""
+    pushes = []
+    push = FlowEngine._push
+
+    def spy(self, tick, flow_ids):
+        pushes.append((tick, flow_ids.tolist()))
+        return push(self, tick, flow_ids)
+
+    monkeypatch.setattr(FlowEngine, "_push", spy)
+    return pushes
+
+
+class TestTickPaths:
+    """The three tick paths — the scalar pass below ``_SMALL_TICK`` sends,
+    the link sort below ``_WIDE_TICK``, the hash tables above — slot,
+    settle and schedule sends identically."""
+
+    @staticmethod
+    def _runs(monkeypatch):
+        """A hotspot load that reaches all three paths, fault-free and under
+        the faulty regime, with unit and with cube/fly link classes."""
+        hb = HyperButterfly(3, 5)
+        tm, routes = _wide_load(hb, "hotspot")
+        nodes, links, schedule = _sample_regime(hb, 5)
+        faulty = dict(faults=nodes, link_faults=links, schedule=schedule)
+        for kwargs in ({}, faulty):
+            for config in (None, _cube_fly_config(routes)):
+                yield lambda: FlowEngine(
+                    hb, tm, routes, link_config=config, **kwargs
+                )
+
+    def test_busy_set_stays_sorted_unique_and_pruned(self, monkeypatch):
+        """After every tick the busy set is sorted and unique, and holds
+        only links free after ``tick + 1`` — or, when the tick sent
+        nothing, is the set the last sending tick left."""
+        paths = _spy_tick_paths(monkeypatch)
+        spied_step = FlowEngine._step
+        checked = []
+
+        def step(self, ids, tick):
+            before = (self._busy_ids, self._busy_free, sum(paths.values()))
+            spied_step(self, ids, tick)
+            busy, free = self._busy_ids, self._busy_free
+            if sum(paths.values()) == before[2]:
+                assert busy is before[0] and free is before[1], tick
+                return
+            assert len(busy) == len(free)
+            assert (np.diff(busy) > 0).all(), tick  # sorted and unique
+            assert (free > tick + 1).all(), tick
+            checked.append(len(busy))
+
+        monkeypatch.setattr(FlowEngine, "_step", step)
+        for make in self._runs(monkeypatch):
+            paths.clear()
+            make().run()
+            assert paths["scalar"] and paths["sort"] and paths["hash"]
+        assert max(checked) > 0
+
+    def test_paths_push_the_same_chunks(self, monkeypatch):
+        """Push for push: each path schedules the same arrivals, per finish
+        tick in ascending order, each chunk in forwarder order."""
+        pushes = _spy_pushes(monkeypatch)
+        for make in self._runs(monkeypatch):
+            runs = []
+            for small in (flow_module._SMALL_TICK, 0, flow_module._WIDE_TICK):
+                with monkeypatch.context() as patch:
+                    patch.setattr(flow_module, "_SMALL_TICK", small)
+                    pushes.clear()
+                    runs.append((_outcome(make().run()), list(pushes)))
+            assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("small_tick", [None, 0, "wide"])
+    def test_a_links_first_send_sets_its_capacity_and_free_tick(
+        self, small_tick, monkeypatch
+    ):
+        """Five sends share one link, the last three labelled with a slow
+        class: every send finishes by its own latency, but the first
+        send's capacity slots them all and its latency frees the link."""
+        if small_tick == "wide":
+            monkeypatch.setattr(flow_module, "_WIDE_TICK", 0)
+        elif small_tick is not None:
+            monkeypatch.setattr(flow_module, "_SMALL_TICK", small_tick)
+        hb = HyperButterfly(2, 3)
+        codec = codec_for(hb)
+        v = codec.rank(next(iter(hb.neighbors(codec.unrank(0)))))
+        tm = TrafficMatrix.from_ranks([0] * 6, [v] * 6, inject_at=[0] * 5 + [1])
+        routes = routes_block(hb, tm.sources, tm.targets)
+        fast = int(routes.gen_idx[0, 0])
+        slow = (fast + 1) % len(routes.gen_names)
+        routes.gen_idx[2:5, 0] = slow
+        config = LinkConfig(
+            classes=[LinkClass("slow", latency=3, capacity=2)],
+            assign={routes.gen_names[slow]: "slow"},
+        )
+        res = FlowEngine(hb, tm, routes, link_config=config).run().result()
+        # capacity 1: slots 1..5 of latency 1 or 3; the link frees at 0 + 5
+        # and the sixth send, at tick 1, leaves then
+        assert res.delivered_at.tolist() == [1, 2, 9, 12, 15, 6]
+
+    def test_a_finish_tick_past_int64_is_refused(self):
+        hb = HyperButterfly(2, 3)
+        tm = build_workload(hb, "uniform", count=4, seed=1)
+        config = LinkConfig.uniform(latency=2**62)
+        with pytest.raises(SimulationError, match="int64"):
+            FlowEngine(hb, tm, link_config=config).run()
+
+
+class TestEngineSemantics(_NarrowTickPath):
     def test_unreachable_target_drops_no_route(self):
         # disconnect a node pair by routing over an empty route block
         hb = HyperButterfly(2, 3)
@@ -831,6 +1014,12 @@ class TestEngineSemantics:
         tm = TrafficMatrix.from_ranks([0], [5], inject_at=[-1])
         with pytest.raises(InvalidParameterError):
             FlowEngine(hb, tm)
+
+
+class TestEngineSemanticsSortPath(TestEngineSemantics):
+    """The same grid with every narrow tick on the link sort path."""
+
+    small_tick = 0
 
 
 class TestCodecGroupOps:
