@@ -10,9 +10,10 @@ peak RSS (``getrusage.ru_maxrss``) is attributable to exactly one
 
 * **backend grid** — single-source eccentricity + distance histogram on a
   grid of ``HB`` / ``HD`` / hypercube / butterfly instances, per backend
-  (``implicit``, ``csr``, and ``python`` where the instance is small
-  enough).  The per-source results are asserted identical across backends
-  before any timing is reported.
+  (``implicit``, ``csr``, and, where the instance is small enough,
+  ``python``: the seed's label BFS, kept as the test reference in
+  ``tests/topologies/_reference_bfs.py``).  The per-source results are
+  asserted identical across backends before any timing is reported.
 * **flagship** (full mode) — the same per-source exact question on
   ``HB(9,11)`` (11,534,336 nodes, degree 13), where only the implicit
   substrate answers inside the memory budget: both children get the same
@@ -108,7 +109,9 @@ def _child(argv: list[str]) -> int:
     started = time.perf_counter()
     try:
         if backend == "python":
-            dist = topology.bfs_distances(source, backend="python")
+            from tests.topologies._reference_bfs import bfs_distances
+
+            dist = bfs_distances(topology, source)
             histogram: dict[int, int] = {}
             for d in dist.values():
                 histogram[d] = histogram.get(d, 0) + 1
@@ -117,7 +120,6 @@ def _child(argv: list[str]) -> int:
             from repro.fastgraph.backend import get_fastgraph
 
             fast = get_fastgraph(topology)
-            assert fast is not None
             ecc = fast.eccentricity(source, backend=backend)
             histogram = fast.source_histogram(source, backend=backend)
         payload = {
@@ -143,9 +145,10 @@ def _run_child(
     slice_nodes: int | None = None,
 ) -> dict:
     env = dict(os.environ)
-    src_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    env["PYTHONPATH"] = os.path.normpath(src_dir) + os.pathsep + env.get(
-        "PYTHONPATH", ""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # src for the package, the root for the reference BFS under tests/
+    env["PYTHONPATH"] = os.pathsep.join(
+        (os.path.join(root, "src"), root, env.get("PYTHONPATH", ""))
     )
     if slice_nodes is not None:
         env["REPRO_IMPLICIT_SLICE"] = str(slice_nodes)

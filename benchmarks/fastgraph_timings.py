@@ -1,8 +1,9 @@
 """Emit machine-readable fast-backend timings to ``BENCH_fastgraph.json``.
 
-Run from the repo root::
+Run from the repo root (the root on the path imports the reference BFS
+from ``tests/topologies/_reference_bfs.py``)::
 
-    PYTHONPATH=src python benchmarks/fastgraph_timings.py [output.json]
+    PYTHONPATH=src:. python benchmarks/fastgraph_timings.py [output.json]
 
 For each instance the script measures, wall-clock:
 
@@ -12,7 +13,8 @@ For each instance the script measures, wall-clock:
 * ``python_bfs_s`` — the seed's per-source dict BFS on labels (skipped
   above a node budget where it would take minutes);
 * ``oracle_fast_s`` / ``oracle_python_s`` — full identity-rooted
-  DistanceOracle fills (the E4 routing substrate);
+  DistanceOracle fills (the E4 routing substrate) and the seed's dict
+  fill;
 * the exact diameter found (cross-checked against the closed form).
 
 The JSON is tracked across PRs so the perf trajectory is visible: the
@@ -37,6 +39,7 @@ def _clock(fn):
 def bench_instance(topology, *, python_bfs_budget: int = 200_000) -> dict:
     from repro.cayley.graph import DistanceOracle
     from repro.fastgraph import get_fastgraph
+    from tests.topologies._reference_bfs import bfs_distances, oracle_fill
 
     anchor = next(iter(topology.nodes()))
     fast = get_fastgraph(topology)
@@ -56,7 +59,7 @@ def bench_instance(topology, *, python_bfs_budget: int = 200_000) -> dict:
 
     if topology.num_nodes <= python_bfs_budget:
         dist, python_bfs_s = _clock(
-            lambda: topology._bfs_distances_python(anchor, frozenset())
+            lambda: bfs_distances(topology, anchor)
         )
         assert max(dist.values()) == diameter
         entry["python_bfs_s"] = round(python_bfs_s, 6)
@@ -67,7 +70,7 @@ def bench_instance(topology, *, python_bfs_budget: int = 200_000) -> dict:
         entry["oracle_fast_s"] = round(oracle_fast_s, 6)
         if topology.num_nodes <= python_bfs_budget:
             _, oracle_python_s = _clock(
-                lambda: DistanceOracle(topology.group, topology.gens, backend="python")
+                lambda: oracle_fill(topology.group, topology.gens)
             )
             entry["oracle_python_s"] = round(oracle_python_s, 6)
             entry["oracle_speedup"] = round(oracle_python_s / oracle_fast_s, 2)

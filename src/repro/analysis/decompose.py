@@ -76,39 +76,17 @@ def _transitive_pair_histogram(topology: Topology) -> dict[int, int]:
     """Single-source counts scaled to ordered pairs (vertex transitivity)."""
     anchor = next(iter(topology.nodes()))
     total = topology.num_nodes
-    fast = get_fastgraph(topology)
-    if fast is not None:
-        dist = fast.distances_array(anchor)
-        if int((dist < 0).sum()):
-            raise DisconnectedError(
-                f"{topology.name} is not connected from {anchor!r}"
-            )
-        counts = {
-            d: int(c) for d, c in enumerate(np.bincount(dist)) if c
-        }
-    else:
-        label_dist = topology.bfs_distances(anchor)
-        if len(label_dist) != total:
-            raise DisconnectedError(
-                f"{topology.name} is not connected from {anchor!r}"
-            )
-        counts = {}
-        for d in label_dist.values():
-            counts[d] = counts.get(d, 0) + 1
+    dist = get_fastgraph(topology).distances_array(anchor)
+    if int((dist < 0).sum()):
+        raise DisconnectedError(f"{topology.name} is not connected from {anchor!r}")
+    counts = {d: int(c) for d, c in enumerate(np.bincount(dist)) if c}
     return {d: c * total for d, c in sorted(counts.items())}
 
 
 def _allpairs_pair_histogram(topology: Topology) -> dict[int, int]:
     """Full all-ordered-pairs histogram for small irregular factors."""
     total = topology.num_nodes
-    fast = get_fastgraph(topology, allow_enumeration=True)
-    if fast is not None:
-        counts = fast.sweep(check_connected=False).histogram
-    else:
-        counts = {}
-        for v in topology.nodes():
-            for d in topology.bfs_distances(v).values():
-                counts[d] = counts.get(d, 0) + 1
+    counts = get_fastgraph(topology).sweep(check_connected=False).histogram
     if sum(counts.values()) != total * total:
         raise DisconnectedError(f"{topology.name} is not connected")
     return dict(sorted(counts.items()))

@@ -55,12 +55,7 @@ def _transitive_profile(
     """One BFS suffices when the graph is vertex transitive."""
     anchor = next(iter(topology.nodes()))
     fast = get_fastgraph(topology, backend=backend)
-    if fast is not None:
-        counts = fast.source_histogram(anchor, backend=backend)
-    else:
-        counts = {}
-        for dist in topology.bfs_distances(anchor, backend="python").values():
-            counts[dist] = counts.get(dist, 0) + 1
+    counts = fast.source_histogram(anchor, backend=backend)
     # scale single-source counts up to ordered-pair counts
     return {d: c * topology.num_nodes for d, c in counts.items()}
 
@@ -68,15 +63,9 @@ def _transitive_profile(
 def _generic_profile(
     topology: Topology, *, jobs: int = 1, backend: str | None = None
 ) -> dict[int, int]:
-    fast = get_fastgraph(topology, backend=backend, allow_enumeration=True)
-    if fast is not None:
-        # reachable pairs only, like the label-BFS aggregation below
-        return fast.sweep(backend, jobs=jobs, check_connected=False).histogram
-    counts: dict[int, int] = {}
-    for v in topology.nodes():
-        for dist in topology.bfs_distances(v, backend="python").values():
-            counts[dist] = counts.get(dist, 0) + 1
-    return counts
+    fast = get_fastgraph(topology, backend=backend)
+    # reachable pairs only
+    return fast.sweep(backend, jobs=jobs, check_connected=False).histogram
 
 
 def pair_distance_counts(

@@ -12,8 +12,7 @@ Diameter:
 * irregular non-product topologies sweep all sources through
   :meth:`repro.fastgraph.backend.FastGraph.sweep` (bit-parallel
   multi-source BFS over CSR or CSR-free implicit rows), spread over a
-  process pool with ``jobs > 1``; with the fast backend off, every
-  source's label-BFS eccentricity is taken instead.
+  process pool with ``jobs > 1``.
 
 Average distance is **exact at any scale** for product topologies (factor
 histogram convolution); for everything else it is exact below a node
@@ -48,7 +47,7 @@ def exact_diameter(
     agree).  ``jobs`` spreads the generic all-sources sweep over a process
     pool (it has no effect on the decomposition/transitive paths, which
     are already single-BFS or BFS-free).  ``backend`` pins the BFS
-    substrate (``"csr"``, ``"implicit"``, ``"python"``) — pinning skips
+    substrate (``"csr"``, ``"implicit"``) — pinning skips
     the BFS-free decomposition path so the requested engine actually
     runs; the vertex-transitive single-BFS shortcut stays valid (it runs
     that engine) unless ``force_generic`` disables it too.
@@ -75,13 +74,9 @@ def _batched_bfs_diameter(
     sweep on a process pool (chunked sources, deterministic reduction —
     the result is bit-identical for any job count); the implicit substrate
     (resolved or pinned by ``backend``) sweeps CSR-free through the same
-    chunk kernel.  With no fast backend (``backend="python"`` or
-    ``REPRO_FASTGRAPH=0``) each source's label-BFS eccentricity is taken.
+    chunk kernel.
     """
-    fast = get_fastgraph(topology, backend=backend, allow_enumeration=True)
-    if fast is not None:
-        return fast.sweep(backend, jobs=jobs).diameter()
-    return max(topology.eccentricity(v, backend="python") for v in topology.nodes())
+    return get_fastgraph(topology, backend=backend).sweep(backend, jobs=jobs).diameter()
 
 
 def average_distance(
@@ -120,12 +115,8 @@ def average_distance(
     fast = get_fastgraph(topology)
     total = 0
     for u, targets in targets_by_source.items():
-        if fast is not None:
-            dist = fast.distances_array(u)
-            total += int(sum(dist[fast.rank(v)] for v in targets))
-        else:
-            label_dist = topology.bfs_distances(u)
-            total += sum(label_dist[v] for v in targets)
+        dist = fast.distances_array(u)
+        total += int(sum(dist[fast.rank(v)] for v in targets))
     return total / samples
 
 

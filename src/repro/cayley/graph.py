@@ -97,7 +97,7 @@ class DistanceOracle:
     Shortest paths are reconstructed backwards by applying inverse
     generators.
 
-    Three backends, picked automatically (``backend="auto"``):
+    Three fills, picked automatically (``backend="auto"``):
 
     * **product** — when the group is a :class:`DirectProductGroup` whose
       generators each act on a single factor (the hyper-butterfly's shape,
@@ -114,18 +114,18 @@ class DistanceOracle:
       materialized.  ``backend="implicit"`` forces this path for the
       whole group (used to cross-check the product path) and raises
       :class:`~repro.errors.InvalidParameterError` when the group has no
-      codec or the fast backend is disabled.
-    * **python** (``backend="python"``) — the original dict BFS, the
-      reference the other backends are pinned against.
+      codec.
+    * **dict** — groups :func:`~repro.fastgraph.codecs.codec_for_group`
+      cannot encode (a user-defined :class:`~repro.cayley.group.Group`)
+      are filled by a queue BFS over group elements into dicts.
     """
 
     def __init__(
         self, group: Group, gens: GeneratorSet, *, backend: str = "auto"
     ) -> None:
-        if backend not in ("auto", "implicit", "python"):
+        if backend not in ("auto", "implicit"):
             raise InvalidParameterError(
-                f"unknown oracle backend {backend!r} "
-                "(expected 'auto', 'implicit' or 'python')"
+                f"unknown oracle backend {backend!r} (expected 'auto' or 'implicit')"
             )
         self.group = group
         self.gens = gens
@@ -151,11 +151,9 @@ class DistanceOracle:
                 self._right = DistanceOracle(group.right, right_gens)
                 return
         # deferred: cayley sits below fastgraph in the layer DAG (HB401)
-        from repro.fastgraph.backend import enabled as fastgraph_enabled
         from repro.fastgraph.codecs import codec_for_group
 
-        if backend != "python" and fastgraph_enabled() and len(gens):
-            self._codec = codec_for_group(group)
+        self._codec = codec_for_group(group)
         if self._codec is not None:
             # oracle adjacency is *this* generator set, in *this* order (via
             # indices point into it) — never the codec's family default
@@ -163,8 +161,7 @@ class DistanceOracle:
             self._run_bfs_implicit()
         elif backend == "implicit":
             raise InvalidParameterError(
-                f"{type(group).__name__}: backend='implicit' needs a group "
-                "codec and an enabled fast backend (use backend='python')"
+                f"{type(group).__name__}: backend='implicit' needs a group codec"
             )
         else:
             self._run_bfs()
@@ -341,36 +338,14 @@ class DistanceOracle:
 
     def _fill_word_table(self) -> tuple["np.ndarray", "np.ndarray"]:
         """:meth:`word_table`'s read-only arrays, built afresh (not cached)."""
-        if self._dist_arr is not None:
-            dist = np.asarray(self._dist_arr, dtype=np.int64)
-            via = np.asarray(self._via_arr, dtype=np.int64)
-            parent = np.asarray(self._parent_arr, dtype=np.int64)
-        else:
-            # dict backend: materialise rank-indexed arrays once
-            from repro.fastgraph.codecs import codec_for_group
-
-            codec = codec_for_group(self.group)
-            if codec is None:
-                raise InvalidParameterError(
-                    f"no codec for group {type(self.group).__name__}; "
-                    "word_table needs rank-addressable elements"
-                )
-            order = codec.num_nodes
-            dist = np.full(order, -1, dtype=np.int64)
-            via = np.full(order, -1, dtype=np.int64)
-            parent = np.full(order, -1, dtype=np.int64)
-            identity = self.group.identity()
-            for element, d in self._dist.items():
-                r = codec.rank(element)
-                dist[r] = d
-                if element == identity:
-                    continue
-                i = self._via[element]
-                via[r] = i
-                back = self.group.multiply(
-                    element, self.group.inverse(self.gens.generators[i])
-                )
-                parent[r] = codec.rank(back)
+        if self._dist_arr is None:
+            raise InvalidParameterError(
+                f"no codec for group {type(self.group).__name__}; "
+                "word_table needs rank-addressable elements"
+            )
+        dist = np.asarray(self._dist_arr, dtype=np.int64)
+        via = np.asarray(self._via_arr, dtype=np.int64)
+        parent = np.asarray(self._parent_arr, dtype=np.int64)
         ecc = int(dist.max()) if dist.size else 0
         words = np.full((dist.size, max(ecc, 0)), -1, dtype=np.int16)
         # level-by-level prefix copy: parents at distance d-1 are complete

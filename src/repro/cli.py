@@ -23,7 +23,7 @@ Subcommands:
   distance, full histogram) via the cheapest valid engine: product
   decomposition, single transitive BFS, or the all-sources sweep
   (``--force-bfs`` pins the sweep, ``--backend`` pins the BFS substrate
-  — csr, implicit, or python — ``--jobs`` pools it, ``--output`` writes
+  — csr or implicit — ``--jobs`` pools it, ``--output`` writes
   sorted JSON).
 * ``prove``               — verify the paper invariants of every registered
   family: exhaustive sweeps at the small parameter grids, live
@@ -185,9 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_metrics.add_argument(
         "--backend",
-        choices=("auto", "csr", "implicit", "python"),
+        choices=("auto", "csr", "implicit"),
         default="auto",
-        help="pin the BFS substrate (default auto; csr/implicit/python also "
+        help="pin the BFS substrate (default auto; csr/implicit also "
         "bypass the BFS-free decomposition so the engine actually runs)",
     )
     p_metrics.add_argument(

@@ -13,8 +13,8 @@ Only the backend and the codec registry are re-exported here; ``csr``,
 ``kernels``, ``implicit`` and ``parallel`` are imported by their
 consumers.  numpy (>= 2.0) is a hard requirement of every module.
 
-The "Fast backend" section of ``docs/architecture.md`` documents when the
-backend engages and when pure-Python label BFS remains in charge.
+The "Fast backend" section of ``docs/architecture.md`` documents how a
+topology gets its codec and which substrate answers a call.
 """
 
 from repro.fastgraph.backend import FastGraph, get_fastgraph

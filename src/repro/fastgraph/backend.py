@@ -1,19 +1,14 @@
 """Topology-facing fast backend: codec + CSR/implicit kernels, memoized.
 
 :func:`get_fastgraph` is the single integration point the rest of the
-library uses, and the only code that resolves a ``backend=`` name:
-
-* unknown names raise :class:`~repro.errors.InvalidParameterError`;
-* ``"python"`` returns ``None`` — the caller runs its label BFS;
-* otherwise it returns the memoized :class:`FastGraph` when the family
-  has a registered codec and the backend is enabled, else ``None`` (the
-  caller falls back to its label BFS) — except that a pinned
-  ``"csr"``/``"implicit"`` raises instead, naming the cause:
-  ``REPRO_FASTGRAPH=0``, or no codec for the family.
-
-Call sites branch only on "``FastGraph`` or label BFS" and pass
-``backend`` on to the :class:`FastGraph` method, whose
-:meth:`FastGraph.select_backend` picks the substrate.
+library uses, and the only code that resolves a ``backend=`` name: an
+unknown name raises :class:`~repro.errors.InvalidParameterError`;
+otherwise it returns the memoized :class:`FastGraph` of the instance.  Its
+codec is the family's registered one, or an
+:class:`~repro.fastgraph.codecs.EnumerationCodec` over ``nodes()`` for
+families without one (``MeshOfTrees``).  Call sites pass ``backend`` on
+to the :class:`FastGraph` method, whose :meth:`FastGraph.select_backend`
+picks the substrate.
 
 A :class:`FastGraph` carries **two** array substrates and picks per call:
 
@@ -30,13 +25,10 @@ switches to implicit when the codec supports it and the instance exceeds
 prefer implicit whenever no CSR is built — a probe should never trigger
 an ``O(edges)`` build).  ``backend="csr"``/``"implicit"`` force a
 substrate; forcing ``implicit`` on a codec without vectorized adjacency
-raises :class:`~repro.errors.InvalidParameterError`.  All-sources sweeps
-go through :meth:`FastGraph.sweep`, which picks the pool payload (codec or
+(an enumeration codec, say) raises
+:class:`~repro.errors.InvalidParameterError`.  All-sources sweeps go
+through :meth:`FastGraph.sweep`, which picks the pool payload (codec or
 CSR) the same way.
-
-Set ``REPRO_FASTGRAPH=0`` to disable the backend globally (every consumer
-then exercises its fallback path; the property tests use the same switch
-indirectly by calling the ``_python`` implementations directly).
 """
 
 from __future__ import annotations
@@ -57,17 +49,11 @@ if TYPE_CHECKING:  # runtime imports stay lazy (cycle-free)
 __all__ = ["FastGraph", "get_fastgraph", "implicit_threshold"]
 
 _ATTR = "_fastgraph_backend"
-_ENUM_ATTR = "_fastgraph_backend_enum"
 
 #: below this many nodes, "auto" builds the CSR (batched kernels, faster
 #: repeat BFS); at or above it, implicit expansion avoids the O(edges) build
 _THRESHOLD_ENV = "REPRO_IMPLICIT_THRESHOLD"
 _DEFAULT_THRESHOLD = 1 << 22
-
-
-def enabled() -> bool:
-    """Whether the fast backend is globally enabled."""
-    return os.environ.get("REPRO_FASTGRAPH", "1") != "0"
 
 
 def implicit_threshold() -> int:
@@ -204,7 +190,7 @@ class FastGraph:
         *,
         backend: str | None = None,
     ) -> dict[Hashable, int]:
-        """Distance dict keyed by label — drop-in for the pure-Python BFS."""
+        """Distance dict keyed by label (-1 entries left out)."""
         dist = self.distances_array(source, blocked=blocked, backend=backend)
         unrank = self.codec.unrank
         reached = np.nonzero(dist >= 0)[0]
@@ -384,58 +370,26 @@ class FastGraph:
                     yield (u, unrank(int(j)))
 
 
-def get_fastgraph(
-    topology: Topology,
-    *,
-    backend: str | None = None,
-    allow_enumeration: bool = False,
-) -> FastGraph | None:
-    """The memoized :class:`FastGraph` for ``topology``, or ``None``;
-    ``backend`` is resolved as the module docstring describes.
+def get_fastgraph(topology: Topology, *, backend: str | None = None) -> FastGraph:
+    """The memoized :class:`FastGraph` for ``topology``; an unknown
+    ``backend`` name raises :class:`~repro.errors.InvalidParameterError`.
 
-    With ``allow_enumeration=True`` an
-    :class:`~repro.fastgraph.codecs.EnumerationCodec` over the node
-    iterator is used when no codec is registered — O(V) setup, intended
-    for whole-graph algorithms (batched diameters/histograms), never for
-    per-call BFS routing.
+    Families without a registered codec get an
+    :class:`~repro.fastgraph.codecs.EnumerationCodec` over ``nodes()``:
+    ``O(V)`` setup, once per instance.
     """
-    if backend not in (None, "auto", "csr", "implicit", "python"):
+    if backend not in (None, "auto", "csr", "implicit"):
         raise InvalidParameterError(
-            f"unknown backend {backend!r} "
-            "(expected 'auto', 'csr', 'implicit' or 'python')"
+            f"unknown backend {backend!r} (expected 'auto', 'csr' or 'implicit')"
         )
-    if backend == "python":
-        return None
-    on = enabled()
-    fast: FastGraph | None = None
-    if on:
-        fast = topology.__dict__.get(_ATTR)
-        if fast is None and _ATTR not in topology.__dict__:
-            from repro.fastgraph.codecs import codec_for
+    fast = topology.__dict__.get(_ATTR)
+    if fast is None:
+        from repro.fastgraph.codecs import EnumerationCodec, codec_for
 
-            codec = codec_for(topology)
-            fast = FastGraph(topology, codec) if codec is not None else None
-            try:
-                setattr(topology, _ATTR, fast)
-            except (AttributeError, TypeError):
-                pass  # slots/frozen instances: recompute next call
-        if fast is None and allow_enumeration:
-            fast = topology.__dict__.get(_ENUM_ATTR)
-            if fast is None:
-                from repro.fastgraph.codecs import EnumerationCodec
-
-                fast = FastGraph(topology, EnumerationCodec(topology.nodes()))
-                try:
-                    setattr(topology, _ENUM_ATTR, fast)
-                except (AttributeError, TypeError):
-                    pass
-    if fast is None and backend in ("csr", "implicit"):
-        reason = (
-            f"{topology.name} has no fastgraph codec"
-            if on
-            else "fastgraph is disabled by REPRO_FASTGRAPH=0"
-        )
-        raise InvalidParameterError(
-            f"{reason}; cannot pin backend={backend!r} (use backend='python')"
-        )
+        codec = codec_for(topology) or EnumerationCodec(topology.nodes())
+        fast = FastGraph(topology, codec)
+        try:
+            setattr(topology, _ATTR, fast)
+        except (AttributeError, TypeError):
+            pass  # slots/frozen instances: recompute next call
     return fast

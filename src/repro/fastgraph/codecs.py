@@ -564,9 +564,9 @@ class TorusCodec(PairRadixCodec):
 class EnumerationCodec(NodeCodec):
     """Universal fallback: rank by enumeration order of ``topology.nodes()``.
 
-    O(V) memory and no vectorized adjacency — used only where an algorithm
-    explicitly asks for an array substrate on an unregistered family (for
-    example the batched all-eccentricity diameter of irregular graphs).
+    O(V) memory and no vectorized adjacency (CSR only) —
+    :func:`~repro.fastgraph.backend.get_fastgraph` builds one per instance
+    of a family with no registered codec.
     """
 
     pads_rows = True
@@ -611,7 +611,8 @@ def registered_codec_families() -> tuple[str, ...]:
 
 
 def codec_for(topology: Any) -> NodeCodec | None:
-    """The registered codec for ``topology``, or ``None`` (use fallbacks)."""
+    """The registered codec for ``topology``, or ``None`` (the family is
+    then ranked by an :class:`EnumerationCodec`)."""
     for klass in type(topology).__mro__:
         factory = _REGISTRY.get(klass.__name__)
         if factory is not None:

@@ -115,12 +115,10 @@ def connected_under_faults(
     """Whether the topology minus the faulty nodes remains connected.
 
     One fault-masked BFS from any survivor, counted — never materialising
-    a distance dict.  With a fastgraph codec the count comes from
+    a distance dict: the count comes from
     :meth:`~repro.fastgraph.backend.FastGraph.reachable_count` (CSR or
     implicit per ``backend``), so survivability queries stay in reach past
-    CSR-comfortable sizes; the pure-python fallback walks labels and is
-    pinned bit-identical to the fast substrates by the backend-equality
-    tests.
+    CSR-comfortable sizes.
     """
     fast = get_fastgraph(topology, backend=backend)
     fault_nodes = faults.nodes if isinstance(faults, FaultSet) else frozenset(faults)
@@ -128,8 +126,5 @@ def connected_under_faults(
     if start is None:
         return True  # the empty graph is vacuously connected
     survivors = topology.num_nodes - len(fault_nodes)
-    if fast is not None:
-        reached = fast.reachable_count(start, blocked=fault_nodes, backend=backend)
-        return reached == survivors
-    reached_map = topology.bfs_distances(start, blocked=fault_nodes, backend="python")
-    return len(reached_map) == survivors
+    reached = fast.reachable_count(start, blocked=fault_nodes, backend=backend)
+    return reached == survivors

@@ -420,20 +420,6 @@ class StructureDiameterResult:
     survivors: int
 
 
-def _masked_source_stats(
-    topology: Topology,
-    source: Hashable,
-    blocked: frozenset,
-    backend: str | None,
-) -> tuple[int, int]:
-    """``(eccentricity, reached)`` of one fault-masked BFS, any substrate."""
-    fast = get_fastgraph(topology, backend=backend)
-    if fast is not None:
-        return fast.masked_source_stats(source, blocked=blocked, backend=backend)
-    dist = topology.bfs_distances(source, blocked=blocked, backend="python")
-    return max(dist.values()), len(dist)
-
-
 def structure_fault_diameter(
     topology: Topology,
     structures: StructureFault | Iterable[StructureFault],
@@ -487,11 +473,14 @@ def structure_fault_diameter(
                 exclude=blocked | set(chosen),
             )
         sources = chosen
+    fast = get_fastgraph(topology, backend=backend)
     diameter = 0
     connected = True
     examined = 0
     for source in sources:
-        ecc, reached = _masked_source_stats(topology, source, blocked, backend)
+        ecc, reached = fast.masked_source_stats(
+            source, blocked=blocked, backend=backend
+        )
         examined += 1
         diameter = max(diameter, ecc)
         if reached != survivors:

@@ -67,14 +67,13 @@ def _ranked(topology: Topology) -> tuple[NodeCodec, list[list[int]]]:
     ``neighbors_block`` or, for rank-only codecs, its CSR; both list
     exactly ``neighbors()``.  Sorting them makes BFS ties break by rank
     order (``nodes()`` order for every codec) rather than by a family's
-    generator order.  The fast-backend switch plays no part: the codec is
-    looked up directly.
+    generator order.
     """
     ranked = topology.__dict__.get(_ATTR)
     if ranked is None:
-        from repro.fastgraph.codecs import EnumerationCodec, codec_for
+        from repro.fastgraph.backend import get_fastgraph
 
-        codec = codec_for(topology) or EnumerationCodec(topology.nodes())
+        codec = get_fastgraph(topology).codec
         if codec.supports_implicit():
             rows_of = codec.neighbors_block
         else:

@@ -14,7 +14,7 @@ array arithmetic, at cost ``O(flows arriving this tick)`` per tick:
   then moves every flow a hop — two flat gathers from the per-factor
   move tables on a product codec), a dedicated e-cube + shift-in builder
   for the hyper-de Bruijn baseline, a bit-scatter e-cube builder for the
-  hypercube, and a per-pair python fallback for everything else.
+  hypercube, and a per-pair BFS fallback for everything else.
 * **Dynamics** (:class:`FlowEngine`) replay the event simulator's
   fire-and-forget store-and-forward model tick-synchronously.  A tick's
   send count picks one of three paths, all with the same slot arithmetic
@@ -417,12 +417,10 @@ def _hypercube_routes(
 def _generic_routes(
     topology: Any, sources: np.ndarray, targets: np.ndarray
 ) -> RouteBlock:
-    """Per-unique-pair python BFS fallback — any topology, small scale."""
-    from repro.fastgraph.codecs import EnumerationCodec, codec_for
+    """One BFS per unique pair — any topology, small scale."""
+    from repro.fastgraph.backend import get_fastgraph
 
-    codec = codec_for(topology)
-    if codec is None:
-        codec = EnumerationCodec(topology.nodes())
+    codec = get_fastgraph(topology).codec
     src, dst = _validated(codec, sources, targets)
     cache: dict[tuple[int, int], list[int] | None] = {}
     ranked_paths: list[list[int] | None] = []
@@ -471,7 +469,7 @@ def routes_block(
     """Bulk oblivious routes for ``(sources[i], targets[i])`` rank pairs.
 
     Dispatch: registered per-family builder, then the structural Cayley
-    oracle path, then the generic python fallback.
+    oracle path, then the generic per-pair BFS fallback.
     """
     for klass in type(topology).__mro__:
         builder = _ROUTE_BUILDERS.get(klass.__name__)
@@ -608,6 +606,17 @@ class FlowEngine:
             raise InvalidParameterError("injection ticks must be >= 0")
         config = link_config if link_config is not None else LinkConfig()
         self._lat_by_gen, self._cap_by_gen = config.resolve(self.routes.gen_names)
+        # a tick lifts the latest scheduled tick by at most its sends times
+        # the largest latency, so this bounds every finish tick; the numpy
+        # tick paths would wrap past int64 silently
+        if flows:
+            sends = int(np.maximum(self.routes.lengths, 0).sum())
+            last = int(traffic.inject_at.max()) + sends * int(self._lat_by_gen.max())
+            if last > _INT64_MAX:
+                raise SimulationError(
+                    f"finish ticks may reach {last}, past int64: "
+                    "lower the link latencies"
+                )
         # per-flow state: position (== attempted hops), current node and
         # the node the last hop left from
         self._pos = np.zeros(flows, dtype=np.int64)
@@ -962,7 +971,6 @@ class FlowEngine:
         fin = [0] * len(link_l)
         hits: list[tuple[int, int]] = []  # (busy position, new free tick)
         added: list[tuple[int, int, int]] = []  # (link, free, position)
-        top = tick
         for key, queue in queues.items():
             first = queue[0]
             p = at[first]
@@ -977,15 +985,10 @@ class FlowEngine:
                 for slot, i in enumerate(queue):
                     fin[i] = base + (slot // per + 1) * lat_l[i]
                 free = base + -(-len(queue) // per) * lat_l[first]
-            if free > top:
-                top = free
             if hit:
                 hits.append((p, free))
             elif free > tick + 1:
                 added.append((key, free, p))
-        if max(top, max(fin)) > _INT64_MAX:
-            # Python ints do not wrap: refuse what the arrays cannot hold
-            raise SimulationError("a finish tick overflows int64")
         for p, free in hits:
             busy_free[p] = free
         if added:

@@ -184,11 +184,6 @@ class NetworkSimulator:
             for fn in self._fault_listeners:
                 fn(event)
 
-    def _edge_ok(self, u: Hashable, v: Hashable) -> bool:
-        if self._fast is not None:
-            return self._fast.has_edge(u, v)
-        return self.topology.has_edge(u, v)
-
     # -- injection ---------------------------------------------------------
 
     def inject(
@@ -246,7 +241,7 @@ class NetworkSimulator:
         if next_hop is None:
             self._drop(packet, "no_route")
             return
-        if not self._edge_ok(node, next_hop):
+        if not self._fast.has_edge(node, next_hop):
             raise SimulationError(
                 f"protocol proposed non-edge {node!r} -> {next_hop!r}"
             )

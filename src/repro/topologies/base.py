@@ -11,12 +11,11 @@ works on networkx (isomorphism checks, bisection).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import deque
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
 
 import networkx as nx
 
-from repro.errors import DisconnectedError, InvalidLabelError
+from repro.errors import InvalidLabelError
 
 if TYPE_CHECKING:
     from repro.fastgraph.backend import FastGraph
@@ -24,11 +23,8 @@ if TYPE_CHECKING:
 __all__ = ["Topology"]
 
 
-def _fastgraph(
-    topology: "Topology", backend: str | None = None
-) -> "FastGraph | None":
-    """Fast-backend view of ``topology``, or ``None`` for the label BFS
-    (no codec, or ``backend="python"``); ``backend`` is resolved by
+def _fastgraph(topology: "Topology", backend: str | None = None) -> "FastGraph":
+    """Fast-backend view of ``topology``; ``backend`` is resolved by
     :func:`~repro.fastgraph.backend.get_fastgraph`.
 
     Deferred import: topologies sit *below* fastgraph in the layer DAG —
@@ -98,20 +94,11 @@ class Topology(ABC):
     def edges(self) -> Iterator[tuple[Hashable, Hashable]]:
         """Iterate each undirected edge exactly once.
 
-        With a fast-backend codec the rank order replaces the ``seen`` set
-        (an edge is emitted from its lower-ranked endpoint), so the walk
-        holds O(1) extra state instead of a set of every vertex.
+        The codec's rank order replaces a ``seen`` set (an edge is emitted
+        from its lower-ranked endpoint), so the walk holds O(1) extra state
+        instead of a set of every vertex.
         """
-        fast = _fastgraph(self)
-        if fast is not None:
-            yield from fast.edges()
-            return
-        seen: set[Hashable] = set()
-        for u in self.nodes():
-            seen.add(u)
-            for v in self.neighbors(u):
-                if v not in seen:
-                    yield (u, v)
+        yield from _fastgraph(self).edges()
 
     @property
     def num_edges(self) -> int:
@@ -161,34 +148,18 @@ class Topology(ABC):
     ) -> dict[Hashable, int]:
         """Unweighted distances from ``source`` (skipping ``blocked`` nodes).
 
-        ``backend`` pins the BFS substrate: ``"python"`` forces the label
-        BFS, ``"csr"``/``"implicit"`` force a fast-backend substrate
-        (:class:`~repro.errors.InvalidParameterError` when the family has
-        no codec), ``None``/``"auto"`` picks the cheapest valid one.
+        ``backend`` pins the BFS substrate: ``"csr"``/``"implicit"`` force
+        one (:class:`~repro.errors.InvalidParameterError` when the codec has
+        no vectorized adjacency for ``"implicit"``), ``None``/``"auto"``
+        picks the cheapest valid one.
         """
         self.validate_node(source)
         blocked = blocked or frozenset()
         if source in blocked:
             raise InvalidLabelError("source node is blocked")
-        fast = _fastgraph(self, backend)
-        if fast is not None:
-            return fast.bfs_distances(source, blocked, backend=backend)
-        return self._bfs_distances_python(source, blocked)
-
-    def _bfs_distances_python(
-        self, source: Hashable, blocked: frozenset | set
-    ) -> dict[Hashable, int]:
-        """Pure-Python label BFS — fallback for codec-less topologies and the
-        reference the fast backend is property-tested against."""
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in self.neighbors(u):
-                if w not in dist and w not in blocked:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
+        return _fastgraph(self, backend).bfs_distances(
+            source, blocked, backend=backend
+        )
 
     def bfs_shortest_path(
         self,
@@ -207,30 +178,7 @@ class Topology(ABC):
             return None
         if source == target:
             return [source]
-        fast = _fastgraph(self)
-        if fast is not None:
-            return fast.shortest_path(source, target, blocked=blocked)
-        return self._bfs_shortest_path_python(source, target, blocked)
-
-    def _bfs_shortest_path_python(
-        self, source: Hashable, target: Hashable, blocked: frozenset | set
-    ) -> list[Hashable] | None:
-        parent: dict[Hashable, Hashable] = {source: source}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in self.neighbors(u):
-                if w in parent or w in blocked:
-                    continue
-                parent[w] = u
-                if w == target:
-                    path = [w]
-                    while path[-1] != source:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                queue.append(w)
-        return None
+        return _fastgraph(self).shortest_path(source, target, blocked=blocked)
 
     def eccentricity(self, v: Hashable, *, backend: str | None = None) -> int:
         """Eccentricity of ``v`` (max BFS distance; graph must be connected).
@@ -240,14 +188,8 @@ class Topology(ABC):
         bytes, which is what makes it available past CSR scale.
         """
         self.validate_node(v)
-        fast = _fastgraph(self, backend)
-        if fast is not None:
-            # array max — skips materialising a num_nodes-sized label dict
-            return fast.eccentricity(v, backend=backend)
-        dist = self._bfs_distances_python(v, frozenset())
-        if len(dist) != self.num_nodes:
-            raise DisconnectedError(f"{self.name} is not connected from {v!r}")
-        return max(dist.values())
+        # array max — skips materialising a num_nodes-sized label dict
+        return _fastgraph(self, backend).eccentricity(v, backend=backend)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}: {self.num_nodes} nodes>"

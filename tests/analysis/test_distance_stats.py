@@ -62,7 +62,7 @@ class TestProfiles:
     @pytest.mark.parametrize("case", SWEEPS + POOLED_SWEEPS, ids=sweep_id)
     def test_generic_sweep_matches_kernel_reference(self, case):
         topology, jobs, backend = case
-        csr = get_fastgraph(topology, allow_enumeration=True).csr
+        csr = get_fastgraph(topology).csr
         assert reference_sweep(csr)[1] == pair_distance_counts(
             topology, force_generic=True, jobs=jobs, backend=backend
         )

@@ -61,7 +61,7 @@ class TestExactDiameter:
     @pytest.mark.parametrize("case", SWEEPS + POOLED_SWEEPS, ids=sweep_id)
     def test_generic_sweep_matches_kernel_reference(self, case):
         topology, jobs, backend = case
-        csr = get_fastgraph(topology, allow_enumeration=True).csr
+        csr = get_fastgraph(topology).csr
         reference = int(reference_sweep(csr)[0].max())
         assert reference == exact_diameter(
             topology, force_generic=True, jobs=jobs, backend=backend

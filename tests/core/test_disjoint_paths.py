@@ -16,8 +16,10 @@ from repro.core.disjoint_paths import (
 )
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.errors import InvalidLabelError, InvalidParameterError, RoutingError
+from repro.fastgraph.backend import FastGraph
 from repro.routing.base import paths_internally_disjoint, validate_path
 from tests.routing import _reference_menger
+from tests.topologies import _reference_bfs
 
 
 class TestCaseClassification:
@@ -130,6 +132,41 @@ class TestCornerRepairs:
         v = (1, (1, 0b001))
         with pytest.raises(RoutingError):
             disjoint_paths(hb13, u, v, method="constructive")
+
+
+def _reference_shortest_path(self, source, target, *, blocked=None, backend=None):
+    return _reference_bfs.bfs_shortest_path(
+        self.topology, source, target, frozenset(blocked or ())
+    )
+
+
+class _ReferenceTies:
+    """Reruns a class's tests with every shortest path answered by the
+    reference queue BFS, which breaks ties in discovery order (each row in
+    generator order) where the kernels break them in rank order: Theorem 5
+    families must stay valid whichever shortest segments they are built on."""
+
+    @pytest.fixture(autouse=True)
+    def _reference_ties(self, monkeypatch):
+        monkeypatch.setattr(FastGraph, "shortest_path", _reference_shortest_path)
+
+
+class TestFamiliesReferenceTies(_ReferenceTies, TestFamilies):
+    def test_segments_follow_the_reference(self, monkeypatch):
+        """The patch is live and changes segments: the kernels pick another
+        tie on some ``B_4`` pairs."""
+        fly = HyperButterfly(2, 4).butterfly
+        nodes = list(fly.nodes())
+        pairs = [(nodes[0], v) for v in nodes[1:]]
+        patched = [fly.bfs_shortest_path(u, v) for u, v in pairs]
+        expected = [_reference_bfs.bfs_shortest_path(fly, u, v) for u, v in pairs]
+        assert patched == expected
+        monkeypatch.undo()
+        assert patched != [fly.bfs_shortest_path(u, v) for u, v in pairs]
+
+
+class TestCornerRepairsReferenceTies(_ReferenceTies, TestCornerRepairs):
+    pass
 
 
 class TestFlowMethod:

@@ -1,9 +1,10 @@
-"""Fast backend vs. pure-Python reference: bit-identical results.
+"""Fast backend vs. the pure-Python reference BFS: bit-identical results.
 
 The acceptance bar for the CSR backend is exactness: on a grid of small
 instances of every topology family, distances, eccentricities, diameters,
 shortest-path lengths, edges, and oracle services must match the
-pure-Python label-walking implementations value for value.
+label-walking reference (``tests/topologies/_reference_bfs.py``) value for
+value.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.topologies.hyperdebruijn import HyperDeBruijn
 from repro.topologies.mesh import Mesh, Torus
 from repro.topologies.mesh_of_trees import MeshOfTrees
 from repro.topologies.tree import CompleteBinaryTree
+from tests.topologies import _reference_bfs as reference
 
 GRID = [
     Hypercube(1),
@@ -65,7 +67,7 @@ class TestFastMatchesPython:
     def test_bfs_distances_identical(self, topology):
         for source in _sample_nodes(topology, 4):
             fast = topology.bfs_distances(source)
-            slow = topology._bfs_distances_python(source, frozenset())
+            slow = reference.bfs_distances(topology, source)
             assert fast == slow
 
     def test_bfs_distances_blocked_identical(self, topology):
@@ -74,35 +76,29 @@ class TestFastMatchesPython:
         if source in blocked:
             blocked = blocked - {source}
         fast = topology.bfs_distances(source, blocked=blocked)
-        slow = topology._bfs_distances_python(source, blocked)
+        slow = reference.bfs_distances(topology, source, blocked)
         assert fast == slow
 
     def test_eccentricity_identical(self, topology):
         for source in _sample_nodes(topology, 3, seed=2):
-            reference = max(topology._bfs_distances_python(source, frozenset()).values())
-            assert topology.eccentricity(source) == reference
+            expected = max(reference.bfs_distances(topology, source).values())
+            assert topology.eccentricity(source) == expected
 
     def test_shortest_paths_are_shortest_and_valid(self, topology):
         nodes = _sample_nodes(topology, 6, seed=3)
         for u in nodes[:2]:
-            reference = topology._bfs_distances_python(u, frozenset())
+            dist = reference.bfs_distances(topology, u)
             for v in nodes[2:]:
                 path = topology.bfs_shortest_path(u, v)
                 assert path is not None
                 assert path[0] == u and path[-1] == v
-                assert len(path) - 1 == reference[v]
+                assert len(path) - 1 == dist[v]
                 for a, b in zip(path, path[1:], strict=False):
                     assert b in topology.neighbors(a)
 
     def test_edges_identical(self, topology):
         fast = {frozenset(e) for e in topology.edges()}
-        seen: set = set()
-        slow = set()
-        for u in topology.nodes():
-            seen.add(u)
-            for v in topology.neighbors(u):
-                if v not in seen:
-                    slow.add(frozenset((u, v)))
+        slow = {frozenset(e) for e in reference.edges(topology)}
         assert fast == slow
         assert len(fast) == topology.num_edges
 
@@ -111,12 +107,12 @@ class TestFastMatchesPython:
         ecc = parallel_sweep(fg.csr, batch=32, name=topology.name).eccentricities
         for idx in range(0, topology.num_nodes, max(1, topology.num_nodes // 5)):
             source = fg.unrank(idx)
-            expected = max(topology._bfs_distances_python(source, frozenset()).values())
+            expected = max(reference.bfs_distances(topology, source).values())
             assert int(ecc[idx]) == expected
 
     def test_exact_diameter_generic_vs_transitive_agree(self, topology):
         assert exact_diameter(topology, force_generic=True) == max(
-            max(topology._bfs_distances_python(v, frozenset()).values())
+            max(reference.bfs_distances(topology, v).values())
             for v in topology.nodes()
         )
 
@@ -124,7 +120,7 @@ class TestFastMatchesPython:
         fg = get_fastgraph(topology)
         counts: dict[int, int] = {}
         for v in topology.nodes():
-            for d in topology._bfs_distances_python(v, frozenset()).values():
+            for d in reference.bfs_distances(topology, v).values():
                 counts[d] = counts.get(d, 0) + 1
         histogram = parallel_sweep(fg.csr, check_connected=False).histogram
         assert histogram == dict(sorted(counts.items()))
@@ -160,29 +156,33 @@ class TestOracleBackends:
     def test_oracle_fast_matches_python(self, m, n):
         hb = HyperButterfly(m, n)
         fast = DistanceOracle(hb.group, hb.gens)
-        slow = DistanceOracle(hb.group, hb.gens, backend="python")
+        dist, _ = reference.oracle_fill(hb.group, hb.gens)
         # default backend splits HB into factor oracles (product fast path)
         assert fast._left is not None and fast._right is not None
-        assert slow._left is None and slow._dist_arr is None
         for v in hb.group.elements():
-            assert fast.distance_from_identity(v) == slow.distance_from_identity(v)
+            assert fast.distance_from_identity(v) == dist[v]
             word = fast.generator_word(v)
-            assert len(word) == fast.distance_from_identity(v)
+            assert len(word) == dist[v]
             cursor = hb.group.identity()
             for i in word:
                 cursor = hb.gens.apply(cursor, i)
             assert cursor == v
-        assert fast.eccentricity_of_identity() == slow.eccentricity_of_identity()
-        assert fast.distance_distribution() == slow.distance_distribution()
-        assert fast.average_distance() == pytest.approx(slow.average_distance())
+        histogram: dict[int, int] = {}
+        for d in dist.values():
+            histogram[d] = histogram.get(d, 0) + 1
+        assert fast.eccentricity_of_identity() == max(dist.values())
+        assert fast.distance_distribution() == dict(sorted(histogram.items()))
+        assert fast.average_distance() == pytest.approx(
+            sum(dist.values()) / len(dist)
+        )
 
     def test_oracle_shortest_path_lengths_match(self, hb23):
         fast = DistanceOracle(hb23.group, hb23.gens)
-        slow = DistanceOracle(hb23.group, hb23.gens, backend="python")
         nodes = _sample_nodes(hb23, 8, seed=5)
         for u in nodes[:4]:
             for v in nodes[4:]:
-                pf, ps = fast.shortest_path(u, v), slow.shortest_path(u, v)
+                pf = fast.shortest_path(u, v)
+                ps = reference.bfs_shortest_path(hb23, u, v)
                 assert len(pf) == len(ps) == fast.distance(u, v) + 1
                 assert pf[0] == u and pf[-1] == v
 
@@ -193,11 +193,39 @@ class TestOracleBackends:
         with pytest.raises(InvalidLabelError):
             oracle.distance_from_identity(("bogus", "label"))
 
+    def test_codecless_group_answers_from_the_dict_fill(self):
+        group = CyclicGroup(7)
+        gens = GeneratorSet(group=group, generators=(1, 6), names=("+1", "-1"))
+        oracle = DistanceOracle(group, gens)
+        dist, via = reference.oracle_fill(group, gens)
+        assert oracle._dist == dist and oracle._via == via
+        for delta in group.elements():
+            assert oracle.distance_from_identity(delta) == dist[delta]
+            cursor = group.identity()
+            for i in oracle.generator_word(delta):
+                cursor = gens.apply(cursor, i)
+            assert cursor == delta
+        assert oracle.eccentricity_of_identity() == 3
+        assert oracle.distance_distribution() == {0: 1, 1: 2, 2: 2, 3: 2}
+        with pytest.raises(InvalidParameterError, match="needs a group codec"):
+            DistanceOracle(group, gens, backend="implicit")
+        with pytest.raises(InvalidParameterError, match="rank-addressable"):
+            oracle.word_table()
+
 
 class TestMemoization:
     def test_backend_memoized_per_instance(self):
         h = Hypercube(3)
         assert get_fastgraph(h) is get_fastgraph(h)
+
+    def test_codecless_families_enumerate_once(self):
+        from repro.fastgraph.codecs import EnumerationCodec
+
+        mot = MeshOfTrees(2, 2)
+        fast = get_fastgraph(mot)
+        assert isinstance(fast.codec, EnumerationCodec)
+        assert get_fastgraph(mot, backend="csr") is fast
+        assert [fast.unrank(i) for i in range(mot.num_nodes)] == list(mot.nodes())
 
     def test_csr_built_once(self):
         h = Hypercube(3)
@@ -256,34 +284,33 @@ ENTRY_POINTS = {
     "DistanceOracle": _oracle_histogram,
 }
 
-#: entry points whose whole-graph sweeps enumerate codec-less topologies
-ENUMERATING = {"exact_diameter", "pair_distance_counts"}
-
-
 class TestBackendResolution:
     """Backend names resolve in one place, with one message per cause."""
 
-    @pytest.mark.parametrize("case", ["codec", "codecless", "disabled"])
+    @pytest.mark.parametrize("case", ["codec", "codecless", "python"])
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-    def test_every_entry_point(self, entry, case, monkeypatch):
-        if case == "disabled":
-            monkeypatch.setenv("REPRO_FASTGRAPH", "0")
+    def test_every_entry_point(self, entry, case):
         topology = MeshOfTrees(2, 2) if case == "codecless" else HyperButterfly(1, 3)
         call = ENTRY_POINTS[entry]
+        if case == "python":  # the label BFS is gone, and so is its name
+            with pytest.raises(InvalidParameterError, match="unknown .*'python'"):
+                call(topology, "python")
+            return
         with pytest.raises(InvalidParameterError, match="unknown .*'bogus'"):
             call(topology, "bogus")
-        reference = call(topology, "python")
-        if entry == "DistanceOracle":
-            pin, cause = "implicit", "needs a group codec and an enabled fast backend"
-        else:
-            pin, cause = "csr", {
-                "disabled": "fastgraph is disabled by REPRO_FASTGRAPH=0",
-                "codecless": r"MT\(2,2\) has no fastgraph codec",
-            }.get(case)
-            if case == "codecless" and entry in ENUMERATING:
-                cause = None
-        if case == "codec" or cause is None:
-            assert call(topology, pin) == reference
-        else:
-            with pytest.raises(InvalidParameterError, match=cause):
-                call(topology, pin)
+        expected = call(topology, "auto")
+        pins = ["implicit"] if entry == "DistanceOracle" else ["csr", "implicit"]
+        for pin in pins:
+            if case == "codec":
+                assert call(topology, pin) == expected
+            elif entry == "DistanceOracle":
+                with pytest.raises(InvalidParameterError, match="needs a group codec"):
+                    call(topology, pin)
+            elif pin == "csr":  # the enumeration codec's CSR
+                assert call(topology, pin) == expected
+            else:
+                with pytest.raises(
+                    InvalidParameterError,
+                    match=r"MT\(2,2\): codec EnumerationCodec has no vectorized",
+                ):
+                    call(topology, pin)

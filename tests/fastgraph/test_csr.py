@@ -103,19 +103,3 @@ class TestDiskCache:
         d = DeBruijn(4)
         build_csr(d, codec_for(d), use_disk_cache=False)
         assert not os.listdir(tmp_path)
-
-
-class TestDisabledBackend:
-    def test_env_switch_disables(self, monkeypatch):
-        from repro.fastgraph.backend import get_fastgraph
-
-        monkeypatch.setenv("REPRO_FASTGRAPH", "0")
-        assert get_fastgraph(Hypercube(3)) is None
-
-    def test_python_fallback_still_correct(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FASTGRAPH", "0")
-        h = Hypercube(3)
-        assert h.bfs_distances(0) == h._bfs_distances_python(0, frozenset())
-        assert h.eccentricity(0) == 3
-        path = h.bfs_shortest_path(0, 7)
-        assert path is not None and len(path) - 1 == 3

@@ -42,6 +42,7 @@ from repro.topologies.hyperdebruijn import HyperDeBruijn
 from repro.topologies.mesh import Mesh, Torus
 from repro.topologies.tree import CompleteBinaryTree
 from tests.fastgraph._reference_sweep import _reference_sweep_chunk
+from tests.topologies import _reference_bfs as reference_bfs
 
 #: every implicit-capable family, small enough for exhaustive comparison
 GRID = [
@@ -485,31 +486,29 @@ class TestBackendSelection:
 
 
 class TestTopologyBackendKwarg:
-    @pytest.mark.parametrize("backend", ["csr", "implicit", "python"])
+    @pytest.mark.parametrize("backend", ["csr", "implicit", "auto"])
     def test_bfs_distances_equal_across_backends(self, backend):
         topology = HyperButterfly(2, 3)
         source = next(iter(topology.nodes()))
-        reference = topology._bfs_distances_python(source, frozenset())
+        reference = reference_bfs.bfs_distances(topology, source)
         assert topology.bfs_distances(source, backend=backend) == reference
 
-    @pytest.mark.parametrize("backend", ["csr", "implicit", "python"])
+    @pytest.mark.parametrize("backend", ["csr", "implicit", "auto"])
     def test_eccentricity_equal_across_backends(self, backend):
         topology = HyperDeBruijn(2, 3)
         source = next(iter(topology.nodes()))
-        reference = max(
-            topology._bfs_distances_python(source, frozenset()).values()
-        )
+        reference = max(reference_bfs.bfs_distances(topology, source).values())
         assert topology.eccentricity(source, backend=backend) == reference
 
-    def test_codecless_topology_rejects_fast_backends(self):
+    def test_codecless_topology_rejects_implicit_backend(self):
         from repro.topologies.mesh_of_trees import MeshOfTrees
 
         topology = MeshOfTrees(2, 2)
         source = next(iter(topology.nodes()))
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="no vectorized implicit"):
             topology.bfs_distances(source, backend="implicit")
-        with pytest.raises(InvalidParameterError):
-            topology.eccentricity(source, backend="csr")
+        reference = max(reference_bfs.bfs_distances(topology, source).values())
+        assert topology.eccentricity(source, backend="csr") == reference
 
     @pytest.mark.parametrize("backend", ["csr", "implicit"])
     def test_blocked_source_rejected(self, backend):

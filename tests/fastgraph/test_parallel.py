@@ -70,7 +70,7 @@ class TestDeterminism:
         assert result.histogram == hist
 
     def test_irregular_topology(self):
-        csr = get_fastgraph(DeBruijn(3), allow_enumeration=True).csr
+        csr = get_fastgraph(DeBruijn(3)).csr
         serial = parallel_sweep(csr, jobs=1, check_connected=False)
         pooled = parallel_sweep(csr, jobs=2, batch=3, check_connected=False)
         assert np.array_equal(

@@ -47,7 +47,7 @@ SMALL_GATHER = 2048
 
 
 def _row_sources(topology):
-    fast = get_fastgraph(topology, allow_enumeration=True)
+    fast = get_fastgraph(topology)
     sources = [fast.csr]
     if fast.codec.supports_implicit():
         sources.append(fast.codec)
@@ -93,7 +93,7 @@ def test_graph_without_arcs():
     "topology", [DeBruijn(4), Mesh(4, 3), MeshOfTrees(2, 2)], ids=lambda t: t.name
 )
 def test_csr_rows_are_padded_adjacency_rows(topology):
-    csr = get_fastgraph(topology, allow_enumeration=True).csr
+    csr = get_fastgraph(topology).csr
     block = csr.neighbors_block(np.arange(csr.num_nodes))
     for rank, row in enumerate(block):
         valid = row[row >= 0]

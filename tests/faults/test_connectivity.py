@@ -20,6 +20,7 @@ from repro.topologies.hyperdebruijn import HyperDeBruijn
 from repro.topologies.mesh import Mesh
 from repro.topologies.mesh_of_trees import MeshOfTrees
 from repro.topologies.tree import CompleteBinaryTree
+from tests.topologies import _reference_bfs as reference
 
 
 class _GraphTopology(Topology):
@@ -159,7 +160,7 @@ class TestConnectedUnderFaults:
         assert connected_under_faults(h, FaultSet(h, [0, 1]))
 
     def test_backends_agree_on_verdicts(self, hb13):
-        """The fast reachability count is pinned to the python fallback."""
+        """The fast reachability count is pinned to the reference BFS."""
         import random
 
         from repro.faults.model import random_node_faults
@@ -172,12 +173,12 @@ class TestConnectedUnderFaults:
         cases.append(FaultSet(hb13, hb13.neighbors(victim)))  # disconnects
         verdicts = []
         for faults in cases:
-            per_backend = {
-                backend: connected_under_faults(hb13, faults, backend=backend)
-                for backend in ("python", "csr", "implicit")
-            }
-            assert len(set(per_backend.values())) == 1
-            verdicts.append(per_backend["python"])
+            start = next(v for v in hb13.nodes() if v not in faults.nodes)
+            reached = reference.bfs_distances(hb13, start, faults.nodes)
+            verdict = len(reached) == hb13.num_nodes - len(faults.nodes)
+            for backend in ("csr", "implicit"):
+                assert connected_under_faults(hb13, faults, backend=backend) == verdict
+            verdicts.append(verdict)
         assert verdicts[0] and verdicts[1]  # <= m+3 can never disconnect
         assert not verdicts[-1]
 

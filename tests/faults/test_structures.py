@@ -31,6 +31,7 @@ from repro.faults.structures import (
     union_link_fault_set,
 )
 from repro.topologies.hyperdebruijn import HyperDeBruijn
+from tests.topologies import _reference_bfs as reference
 
 
 @pytest.fixture(scope="module")
@@ -198,13 +199,17 @@ class TestStructureFaultDiameter:
     def test_backend_agreement(self, family, hb23, hd23, cube4):
         topology = {"hb": hb23, "hd": hd23, "cube": cube4}[family]
         s = star_structure(topology, _center(topology), radius=1)
-        results = {
-            backend: structure_fault_diameter(topology, s, backend=backend)
-            for backend in ("python", "csr", "implicit")
-        }
-        assert len({r.diameter for r in results.values()}) == 1
-        assert len({r.connected for r in results.values()}) == 1
-        assert len({r.survivors for r in results.values()}) == 1
+        blocked = frozenset(s.nodes)
+        dists = [
+            reference.bfs_distances(topology, v, blocked)
+            for v in topology.nodes()
+            if v not in blocked
+        ]
+        for backend in ("csr", "implicit"):
+            result = structure_fault_diameter(topology, s, backend=backend)
+            assert result.diameter == max(max(d.values()) for d in dists)
+            assert result.connected == all(len(d) == len(dists) for d in dists)
+            assert result.survivors == len(dists)
 
     def test_sampled_mode_is_a_lower_bound(self, hb23):
         s = star_structure(hb23, _center(hb23), radius=1)

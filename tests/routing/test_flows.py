@@ -220,16 +220,14 @@ def _rank_families():
 
 
 @pytest.mark.parametrize(("family", "params"), _rank_families())
-def test_codec_ranks_and_rows_match_reference(family, params, monkeypatch):
+def test_codec_ranks_and_rows_match_reference(family, params):
     build = all_invariant_specs()[family].build
     labels, _, reference_adj = _reference_menger._ranked(build(*params))
-    for switch in ("1", "0"):  # the BFS backend switch plays no part
-        monkeypatch.setenv("REPRO_FASTGRAPH", switch)
-        codec, adj = flows._ranked(build(*params))
-        assert [codec.unrank(i) for i in range(codec.num_nodes)] == labels
-        assert [codec.rank(v) for v in labels] == list(range(len(labels)))
-        assert [[x >> 1 for x in row] for row in adj] == reference_adj
-        assert all(x % 2 == 0 for row in adj for x in row)
+    codec, adj = flows._ranked(build(*params))
+    assert [codec.unrank(i) for i in range(codec.num_nodes)] == labels
+    assert [codec.rank(v) for v in labels] == list(range(len(labels)))
+    assert [[x >> 1 for x in row] for row in adj] == reference_adj
+    assert all(x % 2 == 0 for row in adj for x in row)
 
 
 def _outcome(solver, *args, **kwargs):

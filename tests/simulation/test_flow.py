@@ -846,11 +846,38 @@ class TestTickPaths:
         assert res.delivered_at.tolist() == [1, 2, 9, 12, 15, 6]
 
     def test_a_finish_tick_past_int64_is_refused(self):
+        """Refused at construction, before any tick could wrap."""
         hb = HyperButterfly(2, 3)
         tm = build_workload(hb, "uniform", count=4, seed=1)
         config = LinkConfig.uniform(latency=2**62)
-        with pytest.raises(SimulationError, match="int64"):
-            FlowEngine(hb, tm, link_config=config).run()
+        with pytest.raises(SimulationError, match="past int64"):
+            FlowEngine(hb, tm, link_config=config)
+
+    @pytest.mark.parametrize(
+        "patch", [None, ("_SMALL_TICK", 0), ("_WIDE_TICK", 0)],
+        ids=["scalar", "sort", "hash"],
+    )
+    def test_int64_bound_holds_on_every_tick_path(self, patch, monkeypatch):
+        """Flows of 4, 1, 1 and 3 hops injected at tick 0, at latency 2**62:
+        the numpy paths once reported ``delivered_at`` ``[0, 2**62, 2**62,
+        -2**62]``.  The bound is the sends times the largest latency past
+        the last injection, so the largest latency it admits runs, with
+        exact finish ticks."""
+        if patch is not None:
+            monkeypatch.setattr(flow_module, *patch)
+        hb = HyperButterfly(2, 3)
+        tm = build_workload(hb, "uniform", count=4, seed=1)
+        routes = routes_block(hb, tm.sources, tm.targets)
+        assert routes.lengths.tolist() == [4, 1, 1, 3]
+        assert tm.inject_at.tolist() == [0, 0, 0, 0]
+        with pytest.raises(SimulationError, match="past int64"):
+            FlowEngine(hb, tm, routes, link_config=LinkConfig.uniform(latency=2**62))
+        latency = (2**63 - 1) // 9
+        engine = FlowEngine(
+            hb, tm, routes, link_config=LinkConfig.uniform(latency=latency)
+        ).run()
+        finish = engine.result().delivered_at.tolist()
+        assert finish == [4 * latency, latency, latency, 3 * latency]
 
 
 class TestEngineSemantics(_NarrowTickPath):

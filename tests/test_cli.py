@@ -144,7 +144,7 @@ class TestCommands:
         import json
 
         payloads = {}
-        for backend in ("auto", "csr", "implicit", "python"):
+        for backend in ("auto", "csr", "implicit"):
             path = tmp_path / f"{backend}.json"
             assert (
                 main(
@@ -159,7 +159,7 @@ class TestCommands:
         capsys.readouterr()
         # auto keeps the BFS-free decomposition; pinning runs the engine
         assert payloads["auto"]["engine"] == "decomposition"
-        for backend in ("csr", "implicit", "python"):
+        for backend in ("csr", "implicit"):
             assert payloads[backend]["engine"] == "transitive-bfs"
             assert payloads[backend]["backend"] == backend
         reference = payloads["auto"]

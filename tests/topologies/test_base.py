@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from typing import Hashable, Iterator
 
 import pytest
@@ -10,6 +11,7 @@ from repro.errors import InvalidParameterError
 from repro.topologies.base import Topology
 from repro.topologies.hypercube import Hypercube
 from repro.topologies.mesh_of_trees import MeshOfTrees
+from tests.topologies import _reference_bfs as reference
 
 
 class TestHasEdge:
@@ -53,15 +55,55 @@ class TestHasEdge:
 
 
 class TestBackendKwargValidation:
-    def test_python_backend_is_always_available(self):
+    def test_python_backend_is_unknown(self):
         cube = Hypercube(3)
         source = next(iter(cube.nodes()))
-        dist = cube.bfs_distances(source, backend="python")
-        assert len(dist) == cube.num_nodes
+        with pytest.raises(InvalidParameterError, match="unknown backend 'python'"):
+            cube.bfs_distances(source, backend="python")
 
-    def test_codecless_families_reject_fast_backends(self):
+    def test_codecless_families_reject_implicit_backend(self):
         mot = MeshOfTrees(2, 2)
         source = next(iter(mot.nodes()))
-        for backend in ("csr", "implicit"):
-            with pytest.raises(InvalidParameterError):
-                mot.bfs_distances(source, backend=backend)
+        assert mot.bfs_distances(source, backend="csr") == reference.bfs_distances(
+            mot, source
+        )
+        with pytest.raises(InvalidParameterError, match="no vectorized implicit"):
+            mot.bfs_distances(source, backend="implicit")
+
+
+class TestCodeclessFamilies:
+    """``MeshOfTrees`` has no codec: an enumeration codec over ``nodes()``
+    and its CSR answer every BFS question the reference answers."""
+
+    @pytest.fixture(scope="class")
+    def mot(self):
+        return MeshOfTrees(4, 4)
+
+    def test_distances_and_eccentricity_equal_the_reference(self, mot):
+        for source in random.Random(0).sample(list(mot.nodes()), 8):
+            dist = reference.bfs_distances(mot, source)
+            assert mot.bfs_distances(source) == dist
+            assert mot.eccentricity(source) == max(dist.values())
+
+    def test_edges_equal_the_reference(self, mot):
+        expected = [frozenset(e) for e in reference.edges(mot)]
+        got = [frozenset(e) for e in mot.edges()]
+        assert len(got) == len(set(got)) == mot.num_edges
+        assert set(got) == set(expected)
+
+    def test_blocked_shortest_paths_are_valid_and_shortest(self, mot):
+        rng = random.Random(1)
+        nodes = list(mot.nodes())
+        for _ in range(60):
+            u, v, *cut = rng.sample(nodes, 8)
+            blocked = frozenset(cut)
+            expected = reference.bfs_shortest_path(mot, u, v, blocked)
+            path = mot.bfs_shortest_path(u, v, blocked=blocked)
+            if expected is None:
+                assert path is None
+                continue
+            assert path is not None and len(path) == len(expected)
+            assert path[0] == u and path[-1] == v
+            assert not blocked.intersection(path)
+            pairs = zip(path, path[1:], strict=False)
+            assert all(mot.has_edge(a, b) for a, b in pairs)

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import InvalidParameterError
 from repro.fastgraph.codecs import codec_for
 from repro.topologies.tree import CompleteBinaryTree
+from tests.topologies import _reference_bfs as reference
 
 
 class TestCounts:
@@ -63,5 +64,5 @@ class TestCodec:
     def test_fast_and_python_bfs_agree(self):
         t = CompleteBinaryTree(4)
         fast = t.bfs_distances(t.root)
-        slow = t._bfs_distances_python(t.root, frozenset())
+        slow = reference.bfs_distances(t, t.root)
         assert fast == slow
