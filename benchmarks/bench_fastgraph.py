@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
 from benchmarks.conftest import emit
 from repro.analysis.metrics import exact_diameter
 from repro.cayley.graph import DistanceOracle
@@ -43,27 +41,39 @@ def test_csr_build_hb38(benchmark, hb38):
 
 
 def test_fast_diameter_speedup_hb38(benchmark):
-    """Acceptance bar: ≥10× vs. the seed's dict BFS, build included."""
+    """Acceptance bar: ≥10× vs. the seed's dict BFS, build included.
+
+    Best of 3 rounds on each side, so one noisy round cannot sink the
+    ratio; each fast round gets a fresh ``HyperButterfly(3, 8)``, so it
+    pays the CSR build instead of hitting the per-instance memo.
+    """
     anchor_topology = HyperButterfly(3, 8)
     anchor = anchor_topology.identity_node()
 
-    start = time.perf_counter()
-    reference = max(reference_bfs.bfs_distances(anchor_topology, anchor).values())
-    python_s = time.perf_counter() - start
+    python_s = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        reference = max(
+            reference_bfs.bfs_distances(anchor_topology, anchor).values()
+        )
+        python_s = min(python_s, time.perf_counter() - start)
 
-    fresh = HyperButterfly(3, 8)
-
-    def fast_diameter():
+    def fast_diameter(fresh):
         return get_fastgraph(fresh).eccentricity(fresh.identity_node())
 
-    diameter = benchmark.pedantic(fast_diameter, rounds=1, iterations=1)
-    fast_s = benchmark.stats.stats.mean
+    diameter = benchmark.pedantic(
+        fast_diameter,
+        setup=lambda: ((HyperButterfly(3, 8),), {}),
+        rounds=3,
+        iterations=1,
+    )
+    fast_s = benchmark.stats.stats.min
     assert diameter == reference == 15
     speedup = python_s / fast_s
     emit(
         "E7: HB(3,8) single-BFS diameter — fast backend vs. dict BFS",
-        f"pure-Python dict BFS: {python_s:.3f} s\n"
-        f"CSR backend (build + BFS): {fast_s:.3f} s\n"
+        f"pure-Python dict BFS (best of 3): {python_s:.3f} s\n"
+        f"CSR backend (build + BFS, best of 3): {fast_s:.3f} s\n"
         f"speedup: {speedup:.1f}x (acceptance bar: 10x)",
     )
     assert speedup >= 10.0

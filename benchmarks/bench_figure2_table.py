@@ -10,8 +10,6 @@ instance).
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import emit
 from repro.analysis.compare import figure2_table, render_table
 from repro.analysis.metrics import exact_diameter

@@ -1,19 +1,23 @@
 """E4 — Section 3 optimal routing and Theorem 3 diameter.
 
 Reproduces the routing claims as a table (diameter formula vs exact BFS
-over the grid) and benchmarks the two butterfly backends head-to-head —
-the covering-walk router (O(1) memory) versus the BFS oracle (O(n·2^n)
-one-time table) — the trade-off called out in DESIGN.md section 5.
+over the grid) and benchmarks the two butterfly routers head-to-head —
+``HBRouter``'s covering walk (O(1) memory) versus the BFS oracle's
+``hb.butterfly.shortest_path`` (O(n·2^n) one-time table) — the trade-off
+called out in DESIGN.md section 5.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from benchmarks.conftest import emit
 from repro import HBRouter, HyperButterfly
+from repro.routing.hypercube import hypercube_route
+from repro.topologies.butterfly_cayley import CayleyButterfly
 
 GRID = [(0, 3), (1, 3), (2, 3), (1, 4), (2, 4)]
 
@@ -43,7 +47,7 @@ def test_theorem3_diameter_table(benchmark, diameter_rows):
 
 
 def test_routing_throughput_walk_backend(benchmark, hb24):
-    router = HBRouter(hb24, butterfly_backend="walk")
+    router = HBRouter(hb24)
     pairs = _random_pairs(hb24, 200, seed=1)
 
     def route_all():
@@ -54,23 +58,26 @@ def test_routing_throughput_walk_backend(benchmark, hb24):
 
 
 def test_routing_throughput_oracle_backend(benchmark, hb24):
-    router = HBRouter(hb24, butterfly_backend="oracle")
-    hb24.butterfly.oracle  # pay the table cost outside the timer
+    fly = hb24.butterfly
+    fly.oracle  # pay the table cost outside the timer
     pairs = _random_pairs(hb24, 200, seed=1)
 
     def route_all():
-        return sum(router.route(u, v).length for u, v in pairs)
+        # the walk router's cube-first concatenation, oracle butterfly part
+        total = 0
+        for (h1, b1), (h2, b2) in pairs:
+            path = [(h, b1) for h in hypercube_route(hb24.m, h1, h2)]
+            path += [(h2, b) for b in fly.shortest_path(b1, b2)[1:]]
+            total += len(path) - 1
+        return total
 
-    walk_total = sum(
-        HBRouter(hb24, butterfly_backend="walk").route(u, v).length
-        for u, v in pairs
-    )
+    router = HBRouter(hb24)
+    walk_total = sum(router.route(u, v).length for u, v in pairs)
     assert benchmark(route_all) == walk_total  # both exactly optimal
 
 
 def test_oracle_table_build_cost(benchmark):
     """The one-time O(n·2^n) BFS the walk router avoids (n = 8: 2048)."""
-    from repro.topologies.butterfly_cayley import CayleyButterfly
 
     def build():
         return CayleyButterfly(8).oracle.eccentricity_of_identity()
@@ -80,7 +87,7 @@ def test_oracle_table_build_cost(benchmark):
 
 def test_walk_router_at_oracle_free_scale(benchmark, hb38):
     """Routing on the 16384-node Figure 2 instance, no precomputation."""
-    router = HBRouter(hb38, butterfly_backend="walk")
+    router = HBRouter(hb38)
     pairs = _random_pairs(hb38, 100, seed=2)
 
     def route_all():
@@ -95,19 +102,24 @@ def test_walk_router_at_oracle_free_scale(benchmark, hb38):
 
 
 def test_routing_table_rom_sizes(benchmark, hb24):
-    """The VLSI angle: a shared full table vs the Remark-8 split table."""
-    from benchmarks.conftest import emit
-    from repro.routing.tables import build_full_table, build_split_table
+    """The VLSI angle: a shared full table vs the Remark-8 split table.
 
-    full = build_full_table(hb24)
-    split = benchmark.pedantic(
-        lambda: build_split_table(hb24), rounds=3, iterations=1
+    Both tables are first columns of the oracle's identity-rooted word
+    tables (``tests/routing/test_tables.py`` routes with them): the full
+    table has an entry per non-identity element of the whole group, the
+    split table one per non-identity butterfly element.
+    """
+    _, left_dist, _, right_dist = hb24.oracle.lifted_word_tables()
+    full_entries = int(np.count_nonzero(left_dist[:, None] + right_dist[None, :]))
+    _, fly_dist = benchmark.pedantic(
+        lambda: CayleyButterfly(hb24.n).oracle.word_table(), rounds=3, iterations=1
     )
+    split_entries = int(np.count_nonzero(fly_dist))
     emit(
         "E4b: routing-table ROM sizes (vertex transitivity at work)",
         f"{hb24.name}: naive per-node tables  {hb24.num_nodes * (hb24.num_nodes - 1)} entries\n"
-        f"          shared full table      {full.num_entries} entries\n"
-        f"          split (fly-only) table {split.num_entries} entries",
+        f"          shared full table      {full_entries} entries\n"
+        f"          split (fly-only) table {split_entries} entries",
     )
-    u, v = (0, (0, 0)), (3, (2, 0b1001))
-    assert len(full.route(u, v)) == len(split.route(u, v))
+    assert full_entries == hb24.num_nodes - 1
+    assert split_entries == hb24.n * 2**hb24.n - 1

@@ -14,15 +14,20 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro import HyperButterfly, HyperDeBruijn
+from repro.fastgraph import codec_for
 from repro.simulation import (
     HBObliviousProtocol,
     HDObliviousProtocol,
     NetworkSimulator,
+    build_workload,
     flood_max_election,
-    permutation_traffic,
     tree_based_election,
-    uniform_random_traffic,
 )
+
+
+def _pairs(topology, family, count, seed):
+    matrix = build_workload(topology, family, count=count, seed=seed)
+    return matrix.pairs(codec_for(topology))
 
 
 def _run(topology, protocol, pairs):
@@ -42,8 +47,8 @@ def traffic_rows() -> str:
         (hd.name, hd, HDObliviousProtocol(hd)),
     ]:
         for workload, pairs in [
-            ("uniform", uniform_random_traffic(topo, 400, seed=7)),
-            ("permutation", permutation_traffic(topo, seed=7)),
+            ("uniform", _pairs(topo, "uniform", 400, seed=7)),
+            ("permutation", _pairs(topo, "permutation", topo.num_nodes, seed=7)),
         ]:
             stats = _run(topo, proto, pairs)
             lines.append(
@@ -57,7 +62,7 @@ def traffic_rows() -> str:
 def test_traffic_comparison_table(benchmark, traffic_rows):
     emit("E9: dynamic HB vs HD comparison (matched 256-node budget)", traffic_rows)
     hb = HyperButterfly(2, 4)
-    pairs = uniform_random_traffic(hb, 200, seed=3)
+    pairs = _pairs(hb, "uniform", 200, seed=3)
 
     def run_sim():
         return _run(hb, HBObliviousProtocol(hb), pairs).delivered
@@ -88,7 +93,7 @@ def test_leader_election_comparison(benchmark):
 
 def test_hd_simulation_kernel(benchmark):
     hd = HyperDeBruijn(3, 5)
-    pairs = uniform_random_traffic(hd, 200, seed=3)
+    pairs = _pairs(hd, "uniform", 200, seed=3)
 
     def run_sim():
         return _run(hd, HDObliviousProtocol(hd), pairs).delivered

@@ -11,13 +11,19 @@ Run:  python examples/network_simulation.py
 """
 
 from repro import HyperButterfly, HyperDeBruijn
+from repro.fastgraph import codec_for
 from repro.simulation import (
     HBObliviousProtocol,
     HDObliviousProtocol,
     NetworkSimulator,
-    permutation_traffic,
-    uniform_random_traffic,
+    build_workload,
 )
+
+
+def traffic(topology, family: str, count: int, seed: int) -> list:
+    """A rank workload from the zoo, unranked to the simulator's labels."""
+    matrix = build_workload(topology, family, count=count, seed=seed)
+    return matrix.pairs(codec_for(topology))
 
 
 def run(topology, protocol, pairs, label: str) -> None:
@@ -37,14 +43,12 @@ def main() -> None:
           f"{hd.min_degree()}..{hd.max_degree()}\n")
 
     print("uniform random traffic (200 packets):")
-    run(hb, HBObliviousProtocol(hb),
-        uniform_random_traffic(hb, 200, seed=3), hb.name)
-    run(hd, HDObliviousProtocol(hd),
-        uniform_random_traffic(hd, 200, seed=3), hd.name)
+    run(hb, HBObliviousProtocol(hb), traffic(hb, "uniform", 200, 3), hb.name)
+    run(hd, HDObliviousProtocol(hd), traffic(hd, "uniform", 200, 3), hd.name)
 
     print("\npermutation traffic (every node sends once):")
-    run(hb, HBObliviousProtocol(hb), permutation_traffic(hb, seed=5), hb.name)
-    run(hd, HDObliviousProtocol(hd), permutation_traffic(hd, seed=5), hd.name)
+    for topo, proto in ((hb, HBObliviousProtocol(hb)), (hd, HDObliviousProtocol(hd))):
+        run(topo, proto, traffic(topo, "permutation", topo.num_nodes, 5), topo.name)
 
     print("\nReading: HD's shift-in routing yields slightly shorter paths")
     print("(diameter m + n vs m + 3n/2), while HB's routing is exactly")

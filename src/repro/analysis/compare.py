@@ -18,7 +18,7 @@ networks of 16384-ish nodes — computing every numeric entry exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.analysis.formulas import (
     FamilyFormulas,

@@ -38,9 +38,9 @@ Section 2.1 of the paper (verified in ``tests/cayley/test_group.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Hashable, Iterable, Iterator
 
-from repro._bits import mask, rotate_left
+from repro._bits import rotate_left
 from repro.errors import InvalidParameterError
 
 __all__ = [

@@ -9,7 +9,6 @@ module provides those translations and explicit (test-friendly) verifiers.
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Callable, Hashable
 

@@ -9,8 +9,6 @@ helpers produce and parse an equivalent textual form, e.g. ``(101;bcA)``.
 
 from __future__ import annotations
 
-import string
-
 from repro._bits import format_word
 from repro.errors import InvalidLabelError, InvalidParameterError
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro._bits import set_bits
 from repro.core.hyperbutterfly import HBNode, HyperButterfly
 from repro.embeddings.base import Embedding
 from repro.errors import InvalidParameterError

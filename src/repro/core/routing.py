@@ -9,9 +9,8 @@ The paper's algorithm is the concatenation
 
 and Remark 8 states the resulting length — Hamming distance plus butterfly
 distance — is the exact graph distance.  :class:`HBRouter` implements this
-(with either factor-segment order, and either butterfly backend), records
-the generator name of every hop, and can assert optimality against the
-exact distance.
+(with either factor-segment order), records the generator name of every
+hop, and can assert optimality against the exact distance.
 """
 
 from __future__ import annotations
@@ -51,25 +50,14 @@ class RouteResult:
 class HBRouter:
     """Shortest point-to-point router for a fixed ``HB(m, n)`` instance.
 
-    ``butterfly_backend`` selects how the butterfly segment is computed:
-
-    * ``"walk"`` (default) — the ``O(n)``-ish combinatorial covering-walk
-      router; no precomputation, works at any scale.
-    * ``"oracle"`` — the identity-rooted BFS oracle; ``O(n·2^n)`` one-time
-      cost, then ``O(1)`` distance lookups.  Used for cross-validation and
-      benchmarking the trade-off (DESIGN.md Section 5).
+    The butterfly segment is the combinatorial covering-walk router: no
+    precomputation, so it works at any scale.  The identity-rooted BFS
+    oracle (``hb.butterfly.shortest_path``) is the table-driven
+    alternative; DESIGN.md Section 5 times the two.
     """
 
-    def __init__(
-        self,
-        hb: HyperButterfly,
-        *,
-        butterfly_backend: Literal["walk", "oracle"] = "walk",
-    ) -> None:
-        if butterfly_backend not in ("walk", "oracle"):
-            raise RoutingError(f"unknown butterfly backend {butterfly_backend!r}")
+    def __init__(self, hb: HyperButterfly) -> None:
         self.hb = hb
-        self.butterfly_backend = butterfly_backend
 
     # Distances ----------------------------------------------------------
 
@@ -78,11 +66,7 @@ class HBRouter:
         self.hb.validate_node(u)
         self.hb.validate_node(v)
         cube = (u[0] ^ v[0]).bit_count()
-        if self.butterfly_backend == "oracle":
-            fly = self.hb.butterfly.distance(u[1], v[1])
-        else:
-            fly = butterfly_distance(self.hb.n, u[1], v[1])
-        return cube + fly
+        return cube + butterfly_distance(self.hb.n, u[1], v[1])
 
     # Routing --------------------------------------------------------------
 
@@ -104,10 +88,7 @@ class HBRouter:
             return [(w, b_fixed) for w in words]
 
         def fly_segment(h_fixed: int) -> list[HBNode]:
-            if self.butterfly_backend == "oracle":
-                fly_path = self.hb.butterfly.shortest_path(b1, b2)
-            else:
-                fly_path = butterfly_route_walk(self.hb.n, b1, b2)
+            fly_path = butterfly_route_walk(self.hb.n, b1, b2)
             return [(h_fixed, b) for b in fly_path]
 
         if order == "cube-first":

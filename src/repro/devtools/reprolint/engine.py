@@ -13,7 +13,6 @@ non-zero exit code.
 
 from __future__ import annotations
 
-import ast
 import os
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath

@@ -10,7 +10,7 @@ silently drift from the theorems they implement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 from repro.errors import EmbeddingError

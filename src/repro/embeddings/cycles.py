@@ -32,9 +32,9 @@ for every ``n``; :func:`hb_even_cycle_max_length` reports the range.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable
 
-from repro._bits import gray_code, set_bits
+from repro._bits import gray_code
 from repro.errors import EmbeddingError, InvalidParameterError
 from repro.topologies.butterfly_cayley import classic_to_cayley
 

@@ -252,11 +252,14 @@ def _replay(
     (seed ``seed + 2``) twice; returns ``{"no_retry": stats, "retry":
     stats}``.
     """
+    from repro.fastgraph.codecs import codec_for
     from repro.simulation.network import NetworkSimulator, TransportConfig
     from repro.simulation.protocols import HBObliviousProtocol
-    from repro.simulation.traffic import uniform_random_traffic
+    from repro.simulation.workloads import build_workload
 
-    traffic = uniform_random_traffic(hb, packets, seed=seed)
+    traffic = build_workload(hb, "uniform", count=packets, seed=seed).pairs(
+        codec_for(hb)
+    )
     inject_rng = random.Random(seed + 1)
     inject_times = [inject_rng.uniform(0.0, span) for _ in traffic]
     transport = TransportConfig(

@@ -25,11 +25,6 @@ from repro.routing.hypercube import (
     hypercube_distance,
     hypercube_disjoint_paths,
 )
-from repro.routing.tables import (
-    RoutingTable,
-    build_full_table,
-    build_split_table,
-)
 from repro.routing.butterfly import (
     butterfly_distance,
     butterfly_route,
@@ -50,7 +45,4 @@ __all__ = [
     "butterfly_route",
     "butterfly_route_walk",
     "covering_walk",
-    "RoutingTable",
-    "build_full_table",
-    "build_split_table",
 ]

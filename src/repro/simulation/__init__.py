@@ -23,13 +23,6 @@ from repro.simulation.protocols import (
     BFSProtocol,
     ResilientProtocol,
 )
-from repro.simulation.traffic import (
-    uniform_random_traffic,
-    permutation_traffic,
-    hotspot_traffic,
-    bit_reversal_traffic,
-    translation_traffic,
-)
 from repro.simulation.gossip import (
     single_port_gossip,
     all_port_gossip_rounds,
@@ -70,11 +63,6 @@ __all__ = [
     "HDObliviousProtocol",
     "BFSProtocol",
     "ResilientProtocol",
-    "uniform_random_traffic",
-    "permutation_traffic",
-    "hotspot_traffic",
-    "bit_reversal_traffic",
-    "translation_traffic",
     "TrafficMatrix",
     "WORKLOAD_FAMILIES",
     "build_workload",

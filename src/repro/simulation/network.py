@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
 from repro.errors import SimulationError

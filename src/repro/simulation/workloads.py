@@ -3,10 +3,11 @@
 Every generator here works on **packed integer ranks** (the
 :mod:`repro.fastgraph` codec space), so a workload over the 1.4M-node
 ``HB(6, 11)`` is a couple of int64 arrays — no Hashable node list is ever
-materialized.  The legacy label-level generators in
-:mod:`repro.simulation.traffic` are thin wrappers that unrank these cores,
-and the random cores draw *positions* with :class:`random.Random` exactly
-the way the legacy list-based code did, so seeds keep their meaning.
+materialized.  :meth:`TrafficMatrix.pairs` unranks a workload to labels
+for the event simulator; rank ``i`` is the ``i``-th node of
+``topology.nodes()``, and the random cores draw *positions* with
+:class:`random.Random` exactly the way the original list-based code did,
+so seeds keep their meaning.
 
 Two structured-permutation helpers need to know how a rank decomposes
 into a permutable binary *address* plus fixed auxiliary state (the
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Hashable
 
 import numpy as np
 
@@ -90,27 +91,11 @@ class TrafficMatrix:
             at = np.asarray(inject_at, dtype=np.int64)
         return cls(sources=src, targets=dst, inject_at=at)
 
-    @classmethod
-    def from_pairs(
-        cls,
-        pairs: Iterator[tuple[Hashable, Hashable]] | list[tuple[Hashable, Hashable]],
-        codec: NodeCodec,
-    ) -> "TrafficMatrix":
-        """Rank a legacy ``[(source, target), ...]`` pair list."""
-        listed = list(pairs)
-        src = np.fromiter(
-            (codec.rank(s) for s, _ in listed), dtype=np.int64, count=len(listed)
-        )
-        dst = np.fromiter(
-            (codec.rank(t) for _, t in listed), dtype=np.int64, count=len(listed)
-        )
-        return cls.from_ranks(src, dst)
-
     def with_arrivals(self, inject_at: np.ndarray) -> "TrafficMatrix":
         return TrafficMatrix.from_ranks(self.sources, self.targets, inject_at)
 
     def pairs(self, codec: NodeCodec) -> list[tuple[Hashable, Hashable]]:
-        """Unrank to a legacy pair list (event-simulator interop)."""
+        """Unrank to a label pair list (event-simulator interop)."""
         return [
             (codec.unrank(int(s)), codec.unrank(int(t)))
             for s, t in zip(self.sources, self.targets, strict=True)
@@ -235,8 +220,9 @@ def uniform_pairs(
     """``count`` independent ``source != target`` rank pairs.
 
     Draws positions with :meth:`random.Random.sample` over ``range(n)`` —
-    position-for-position the same draws the legacy list-based generator
-    made, so ranked output unranks to the legacy output for every seed.
+    position-for-position the same draws as ``rng.sample(nodes, 2)`` over
+    the node list, so ranked output unranks to those label draws for every
+    seed.
     """
     if count < 0:
         raise InvalidParameterError("count must be >= 0")
@@ -293,9 +279,9 @@ def hotspot_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform traffic with a fraction redirected at one hot rank.
 
-    Mirrors the legacy generator draw for draw (``choice`` picks positions,
-    then one ``random()`` gate per flow), so ranked output unranks to the
-    legacy output for every seed.
+    Mirrors a label-level generator draw for draw (``choice`` picks
+    positions, then one ``random()`` gate per flow), so ranked output
+    unranks to its label draws for every seed.
     """
     if not 0.0 <= hot_fraction <= 1.0:
         raise InvalidParameterError("hot_fraction must be in [0, 1]")
@@ -371,7 +357,7 @@ def bit_reversal_pairs(topology: Any) -> tuple[np.ndarray, np.ndarray]:
 
     For ``HB(m, n)`` this reverses the ``m + n``-bit ``cube ∥ CI`` address
     with levels preserved — the canonical worst case for level-structured
-    networks, identical pair set to the legacy label-level generator.
+    networks.
     """
     view = _require_view(topology)
     from repro.fastgraph.codecs import codec_for
@@ -429,7 +415,7 @@ def translation_pairs(
     """Cayley translation: every rank sends to its right-translate ``v·δ``.
 
     Needs a codec with vectorized group arithmetic.  ``δ`` defaults to the
-    legacy "half-way" element (antipodal cube word, half butterfly
+    "half-way" element (antipodal cube word, half butterfly
     rotation) on hyper-butterflies; elsewhere it must be given explicitly.
     """
     from repro.fastgraph.codecs import codec_for

@@ -17,7 +17,6 @@ from repro.core.disjoint_paths import (
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.errors import InvalidLabelError, InvalidParameterError, RoutingError
 from repro.fastgraph.backend import FastGraph
-from repro.routing.base import paths_internally_disjoint, validate_path
 from tests.routing import _reference_menger
 from tests.topologies import _reference_bfs
 

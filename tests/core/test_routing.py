@@ -19,26 +19,39 @@ class TestRouteResult:
         assert r.target == (1, (0, 0))
 
 
+def _oracle_route(hb, u, v):
+    """Cube-first e-cube hops, then the butterfly oracle's shortest path."""
+    cube = HBRouter(hb).route(u, (v[0], u[1])).path
+    fly = [(v[0], b) for b in hb.butterfly.shortest_path(u[1], v[1])]
+    return cube + fly[1:]
+
+
 class TestOptimality:
     @pytest.mark.parametrize("backend", ["walk", "oracle"])
     def test_routes_are_shortest_paths(self, hb23, rng, backend):
-        router = HBRouter(hb23, butterfly_backend=backend)
+        """The covering walk and the oracle's butterfly paths are both
+        shortest segments of an optimal HB route."""
+        router = HBRouter(hb23)
         g = hb23.to_networkx()
         nodes = list(hb23.nodes())
         for _ in range(60):
             u, v = rng.sample(nodes, 2)
-            result = router.route(u, v)
-            validate_path(hb23, result.path, source=u, target=v)
-            assert result.length == nx.shortest_path_length(g, u, v)
-            assert result.length == router.distance(u, v)
+            if backend == "walk":
+                path = router.route(u, v).path
+            else:
+                path = _oracle_route(hb23, u, v)
+            validate_path(hb23, path, source=u, target=v)
+            assert len(path) - 1 == nx.shortest_path_length(g, u, v)
+            assert len(path) - 1 == router.distance(u, v)
 
     def test_backends_agree_on_distance(self, hb24, rng):
-        walk = HBRouter(hb24, butterfly_backend="walk")
-        oracle = HBRouter(hb24, butterfly_backend="oracle")
+        router = HBRouter(hb24)
         nodes = list(hb24.nodes())
         for _ in range(80):
             u, v = rng.sample(nodes, 2)
-            assert walk.distance(u, v) == oracle.distance(u, v)
+            cube = (u[0] ^ v[0]).bit_count()
+            fly = len(hb24.butterfly.shortest_path(u[1], v[1])) - 1
+            assert router.distance(u, v) == cube + fly == hb24.distance(u, v)
 
     def test_trivial_route(self, hb23):
         router = HBRouter(hb23)
@@ -73,10 +86,6 @@ class TestSegmentOrders:
     def test_unknown_order_rejected(self, hb23):
         with pytest.raises(RoutingError):
             HBRouter(hb23).route(hb23.identity_node(), (1, (0, 0)), order="zigzag")
-
-    def test_unknown_backend_rejected(self, hb23):
-        with pytest.raises(RoutingError):
-            HBRouter(hb23, butterfly_backend="magic")
 
 
 class TestGeneratorTrace:

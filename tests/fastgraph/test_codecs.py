@@ -58,6 +58,14 @@ class TestRoundTrip:
         labels = {codec.unrank(i) for i in range(codec.num_nodes)}
         assert labels == set(topology.nodes())
 
+    def test_unrank_follows_node_enumeration(self, topology):
+        """Rank ``i`` is the ``i``-th node of ``topology.nodes()``, so rank
+        workloads unrank to the same labels a node list would index."""
+        codec = codec_for(topology)
+        assert [codec.unrank(i) for i in range(codec.num_nodes)] == list(
+            topology.nodes()
+        )
+
     def test_ranks_of_nodes_are_dense(self, topology):
         codec = codec_for(topology)
         ranks = sorted(codec.rank(v) for v in topology.nodes())

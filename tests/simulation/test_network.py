@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.hyperbutterfly import HyperButterfly
 from repro.simulation.network import NetworkSimulator
 from repro.simulation.protocols import BFSProtocol, HBObliviousProtocol
-from repro.simulation.traffic import uniform_random_traffic
+from tests.simulation._label_traffic import workload_labels
 
 
 class TestDelivery:
@@ -23,7 +20,7 @@ class TestDelivery:
 
     def test_all_uniform_traffic_delivered(self, hb13):
         sim = NetworkSimulator(hb13, HBObliviousProtocol(hb13))
-        pairs = uniform_random_traffic(hb13, 100, seed=4)
+        pairs = workload_labels(hb13, "uniform", 100, seed=4)
         sim.inject_all(pairs)
         sim.run()
         stats = sim.stats()
@@ -53,10 +50,10 @@ class TestContention:
 
     def test_makespan_grows_with_load(self, hb13):
         light = NetworkSimulator(hb13, HBObliviousProtocol(hb13))
-        light.inject_all(uniform_random_traffic(hb13, 10, seed=1))
+        light.inject_all(workload_labels(hb13, "uniform", 10, seed=1))
         light.run()
         heavy = NetworkSimulator(hb13, HBObliviousProtocol(hb13))
-        heavy.inject_all(uniform_random_traffic(hb13, 400, seed=1))
+        heavy.inject_all(workload_labels(hb13, "uniform", 400, seed=1))
         heavy.run()
         assert heavy.stats().makespan >= light.stats().makespan
 
@@ -93,7 +90,7 @@ class TestFaults:
 
     def test_stats_shape(self, hb13):
         sim = NetworkSimulator(hb13, HBObliviousProtocol(hb13))
-        sim.inject_all(uniform_random_traffic(hb13, 25, seed=2))
+        sim.inject_all(workload_labels(hb13, "uniform", 25, seed=2))
         sim.run()
         stats = sim.stats()
         assert stats.injected == 25

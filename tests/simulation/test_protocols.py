@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.hyperbutterfly import HyperButterfly
 from repro.core.routing import HBRouter
 from repro.simulation.network import NetworkSimulator
 from repro.simulation.protocols import (
@@ -14,8 +11,8 @@ from repro.simulation.protocols import (
     PrecomputedPathProtocol,
     _cached_debruijn_route,
 )
-from repro.simulation.traffic import uniform_random_traffic
 from repro.topologies.hyperdebruijn import HyperDeBruijn
+from tests.simulation._label_traffic import workload_labels
 
 
 class TestHBOblivious:
@@ -59,7 +56,7 @@ class TestHDOblivious:
     def test_all_pairs_deliver(self, rng):
         hd = HyperDeBruijn(2, 3)
         sim = NetworkSimulator(hd, HDObliviousProtocol(hd))
-        sim.inject_all(uniform_random_traffic(hd, 150, seed=8))
+        sim.inject_all(workload_labels(hd, "uniform", 150, seed=8))
         sim.run()
         stats = sim.stats()
         assert stats.delivered == 150 and stats.dropped == 0

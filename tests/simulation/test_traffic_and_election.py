@@ -4,38 +4,46 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.hyperbutterfly import HyperButterfly
 from repro.errors import InvalidParameterError, SimulationError
+from repro.fastgraph.codecs import codec_for
 from repro.simulation.leader_election import (
     flood_max_election,
     tree_based_election,
 )
-from repro.simulation.traffic import (
-    hotspot_traffic,
-    permutation_traffic,
-    uniform_random_traffic,
-)
+from repro.simulation.workloads import build_workload, hotspot_pairs
 from repro.topologies.hypercube import Hypercube
+from tests.simulation._label_traffic import labels, workload_labels
+
+
+def _permutation(topology, seed):
+    return workload_labels(topology, "permutation", topology.num_nodes, seed=seed)
+
+
+def _hotspot(topology, count, *, hotspot, hot_fraction, seed):
+    hot = codec_for(topology).rank(hotspot)
+    ranks = hotspot_pairs(
+        topology.num_nodes, count, hotspot=hot, hot_fraction=hot_fraction, seed=seed
+    )
+    return labels(topology, ranks)
 
 
 class TestTraffic:
     def test_uniform_pairs_distinct_endpoints(self, hb13):
-        pairs = uniform_random_traffic(hb13, 60, seed=1)
+        pairs = workload_labels(hb13, "uniform", 60, seed=1)
         assert len(pairs) == 60
         assert all(s != t for s, t in pairs)
         assert all(hb13.has_node(s) and hb13.has_node(t) for s, t in pairs)
 
     def test_uniform_deterministic(self, hb13):
-        assert uniform_random_traffic(hb13, 10, seed=5) == uniform_random_traffic(
-            hb13, 10, seed=5
-        )
+        first = workload_labels(hb13, "uniform", 10, seed=5)
+        assert first == workload_labels(hb13, "uniform", 10, seed=5)
 
     def test_uniform_rejects_negative(self, hb13):
         with pytest.raises(InvalidParameterError):
-            uniform_random_traffic(hb13, -1)
+            build_workload(hb13, "uniform", count=-1)
 
     def test_permutation_is_derangement(self, hb13):
-        pairs = permutation_traffic(hb13, seed=2)
+        pairs = _permutation(hb13, seed=2)
         sources = [s for s, _ in pairs]
         targets = [t for _, t in pairs]
         assert sorted(map(repr, sources)) == sorted(map(repr, targets))
@@ -44,19 +52,19 @@ class TestTraffic:
 
     def test_hotspot_concentration(self, hb13):
         hot = hb13.identity_node()
-        pairs = hotspot_traffic(hb13, 200, hotspot=hot, hot_fraction=0.8, seed=3)
+        pairs = _hotspot(hb13, 200, hotspot=hot, hot_fraction=0.8, seed=3)
         hot_count = sum(1 for _, t in pairs if t == hot)
         assert hot_count > 100  # well above uniform expectation
 
     def test_hotspot_fraction_validation(self, hb13):
         with pytest.raises(InvalidParameterError):
-            hotspot_traffic(hb13, 10, hot_fraction=1.5)
+            hotspot_pairs(hb13.num_nodes, 10, hot_fraction=1.5)
 
 
 class TestLegacyEquality:
-    """The Hashable wrappers now route through the rank-based zoo; the
-    uniform/hotspot draw sequences must stay exactly what the original
-    per-label implementations produced (same seed, same pairs)."""
+    """The rank workloads, unranked through the codec, draw exactly the
+    label pairs that seeded draws over ``list(topology.nodes())`` give
+    (same seed, same pairs)."""
 
     def test_uniform_matches_direct_label_draws(self, hb13):
         import random
@@ -64,7 +72,7 @@ class TestLegacyEquality:
         nodes = list(hb13.nodes())
         rng = random.Random(9)
         reference = [tuple(rng.sample(nodes, 2)) for _ in range(50)]
-        assert uniform_random_traffic(hb13, 50, seed=9) == reference
+        assert workload_labels(hb13, "uniform", 50, seed=9) == reference
 
     def test_hotspot_matches_direct_label_draws(self, hb13):
         import random
@@ -82,16 +90,16 @@ class TestLegacyEquality:
                 while target == source:
                     target = rng.choice(nodes)
                 reference.append((source, target))
-        got = hotspot_traffic(hb13, 50, hotspot=hot, hot_fraction=0.4, seed=2)
+        got = _hotspot(hb13, 50, hotspot=hot, hot_fraction=0.4, seed=2)
         assert got == reference
 
     def test_permutation_covers_all_nodes_in_order(self, hb13):
         # sources enumerate the node set in codec-rank order; targets are a
         # seeded derangement built in O(n), no rejection loop
-        pairs = permutation_traffic(hb13, seed=4)
+        pairs = _permutation(hb13, seed=4)
         assert [s for s, _ in pairs] == list(hb13.nodes())
-        assert pairs == permutation_traffic(hb13, seed=4)
-        assert pairs != permutation_traffic(hb13, seed=5)
+        assert pairs == _permutation(hb13, seed=4)
+        assert pairs != _permutation(hb13, seed=5)
 
 
 class TestFloodElection:

@@ -13,8 +13,8 @@ from repro.simulation.protocols import (
     ResilientProtocol,
 )
 from repro.core.resilient import ResilientRouter
-from repro.simulation.traffic import uniform_random_traffic
 from repro.topologies.cycle import Cycle
+from tests.simulation._label_traffic import workload_labels
 
 
 def _cycle_sim(k, *, schedule=None, transport=None, ttl=None, faults=(),
@@ -202,7 +202,7 @@ class TestReliableTransport:
                 cycle, BFSProtocol(cycle), schedule=schedule,
                 transport=TransportConfig(), seed=seed,
             )
-            sim.inject_all(uniform_random_traffic(cycle, 40, seed=9))
+            sim.inject_all(workload_labels(cycle, "uniform", 40, seed=9))
             sim.run()
             return sim.stats()
 
@@ -210,12 +210,12 @@ class TestReliableTransport:
 
     def test_no_faults_transport_matches_plain_delivery(self, hb13):
         plain = NetworkSimulator(hb13, HBObliviousProtocol(hb13))
-        plain.inject_all(uniform_random_traffic(hb13, 40, seed=2))
+        plain.inject_all(workload_labels(hb13, "uniform", 40, seed=2))
         plain.run()
         reliable = NetworkSimulator(
             hb13, HBObliviousProtocol(hb13), transport=TransportConfig()
         )
-        reliable.inject_all(uniform_random_traffic(hb13, 40, seed=2))
+        reliable.inject_all(workload_labels(hb13, "uniform", 40, seed=2))
         reliable.run()
         p, r = plain.stats(), reliable.stats()
         assert r.delivered == p.delivered == 40

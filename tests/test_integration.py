@@ -18,15 +18,13 @@ from repro import (
     parse_hb_node,
 )
 from repro.core.partition import partition_by_cube_bits
+from repro.fastgraph.codecs import codec_for
 from repro.io import dump_paths, load_paths
 from repro.routing.base import validate_path
-from repro.routing.tables import build_split_table
-from repro.simulation import (
-    HBObliviousProtocol,
-    NetworkSimulator,
-    translation_traffic,
-)
+from repro.simulation import NetworkSimulator, TrafficMatrix
+from repro.simulation.workloads import translation_pairs
 from repro.viz import path_family_to_dot
+from tests.routing.test_tables import NextHopTable
 
 
 class TestRouteSerializeRender:
@@ -91,14 +89,15 @@ class TestPartitionMeetsRouting:
 class TestTablesMeetSimulation:
     def test_table_driven_protocol(self, hb13):
         """Drive the simulator entirely from the split routing table."""
-        table = build_split_table(hb13)
+        table = NextHopTable.split(hb13)
 
         class TableProtocol:
             def next_hop(self, packet, node):
                 return table.next_hop(node, packet.target)
 
         sim = NetworkSimulator(hb13, TableProtocol())
-        sim.inject_all(translation_traffic(hb13))
+        traffic = TrafficMatrix.from_ranks(*translation_pairs(hb13))
+        sim.inject_all(traffic.pairs(codec_for(hb13)))
         sim.run()
         stats = sim.stats()
         assert stats.delivered == hb13.num_nodes

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import networkx as nx
-import pytest
 
 from repro.topologies.cycle import Cycle
 from repro.topologies.hypercube import Hypercube
