@@ -18,7 +18,7 @@ Run:  python examples/allreduce_emulation.py
 """
 
 from repro import HyperButterfly
-from repro.core.broadcast import broadcast_tree, broadcast_lower_bound
+from repro.core.broadcast import broadcast_lower_bound, broadcast_tree
 
 
 def hb_allreduce(hb: HyperButterfly, values: dict) -> tuple[dict, int]:

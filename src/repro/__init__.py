@@ -21,38 +21,38 @@ See README.md for the full tour and DESIGN.md for the system inventory.
 """
 
 from repro.core import (
-    HyperButterfly,
     HBRouter,
-    RouteResult,
+    HyperButterfly,
     ResilientRouter,
-    disjoint_paths,
-    verify_disjoint_paths,
-    broadcast_tree,
+    RouteResult,
     broadcast_rounds,
+    broadcast_tree,
+    disjoint_paths,
     format_hb_node,
     parse_hb_node,
+    verify_disjoint_paths,
 )
 from repro.errors import (
-    ReproError,
-    InvalidParameterError,
-    InvalidLabelError,
-    RoutingError,
     DisconnectedError,
     EmbeddingError,
+    InvalidLabelError,
+    InvalidParameterError,
+    ReproError,
+    RoutingError,
     SimulationError,
 )
 from repro.topologies import (
-    Hypercube,
-    WrappedButterfly,
-    CayleyButterfly,
-    DeBruijn,
-    HyperDeBruijn,
     CartesianProduct,
-    Cycle,
-    Torus,
-    Mesh,
+    CayleyButterfly,
     CompleteBinaryTree,
+    Cycle,
+    DeBruijn,
+    Hypercube,
+    HyperDeBruijn,
+    Mesh,
     MeshOfTrees,
+    Torus,
+    WrappedButterfly,
 )
 
 __version__ = "1.0.0"

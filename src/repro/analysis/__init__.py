@@ -12,6 +12,19 @@
   (experiments E1 and E2).
 """
 
+from repro.analysis.bisection import (
+    BisectionReport,
+    bisection_report,
+    cube_cut_width,
+    kernighan_lin_upper_bound,
+    spectral_lower_bound,
+)
+from repro.analysis.compare import (
+    Cell,
+    figure1_table,
+    figure2_table,
+    render_table,
+)
 from repro.analysis.decompose import (
     convolve_pair_histograms,
     factor_pair_histogram,
@@ -20,36 +33,23 @@ from repro.analysis.decompose import (
     product_diameter,
     product_pair_histogram,
 )
-from repro.analysis.metrics import (
-    exact_diameter,
-    average_distance,
-    degree_profile,
-)
-from repro.analysis.formulas import (
-    FamilyFormulas,
-    hypercube_formulas,
-    butterfly_formulas,
-    hyperdebruijn_formulas,
-    hyperbutterfly_formulas,
-)
-from repro.analysis.compare import (
-    Cell,
-    figure1_table,
-    figure2_table,
-    render_table,
-)
 from repro.analysis.distance_stats import (
     DistanceProfile,
     distance_profile,
     pair_distance_counts,
     profile_table,
 )
-from repro.analysis.bisection import (
-    BisectionReport,
-    bisection_report,
-    cube_cut_width,
-    spectral_lower_bound,
-    kernighan_lin_upper_bound,
+from repro.analysis.formulas import (
+    FamilyFormulas,
+    butterfly_formulas,
+    hyperbutterfly_formulas,
+    hypercube_formulas,
+    hyperdebruijn_formulas,
+)
+from repro.analysis.metrics import (
+    average_distance,
+    degree_profile,
+    exact_diameter,
 )
 
 __all__ = [

@@ -23,8 +23,8 @@ from typing import Callable
 from repro.analysis.formulas import (
     FamilyFormulas,
     butterfly_formulas,
-    hypercube_formulas,
     hyperbutterfly_formulas,
+    hypercube_formulas,
     hyperdebruijn_formulas,
 )
 from repro.analysis.metrics import degree_profile, exact_diameter

@@ -5,14 +5,14 @@ subpackage provides the finite groups involved, a generic Cayley-graph
 builder, and vertex-transitivity utilities used by the exact routers.
 """
 
+from repro.cayley.graph import CayleyGraph, build_cayley_graph
 from repro.cayley.group import (
-    Group,
-    HypercubeGroup,
     ButterflyGroup,
     DirectProductGroup,
     GeneratorSet,
+    Group,
+    HypercubeGroup,
 )
-from repro.cayley.graph import CayleyGraph, build_cayley_graph
 from repro.cayley.transitivity import (
     left_translation,
     verify_translation_automorphism,

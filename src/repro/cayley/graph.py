@@ -21,7 +21,7 @@ from typing import Hashable, Iterator
 import networkx as nx
 import numpy as np
 
-from repro.cayley.group import DirectProductGroup, Group, GeneratorSet
+from repro.cayley.group import DirectProductGroup, GeneratorSet, Group
 from repro.errors import InvalidLabelError, InvalidParameterError
 
 __all__ = ["CayleyGraph", "DistanceOracle", "build_cayley_graph"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Hashable
 
-from repro.cayley.group import Group, GeneratorSet
+from repro.cayley.group import GeneratorSet, Group
 
 __all__ = [
     "left_translation",

@@ -15,22 +15,22 @@ Modules:
   paper's conclusion.
 """
 
+from repro.core.broadcast import broadcast_rounds, broadcast_tree
+from repro.core.disjoint_paths import disjoint_paths, verify_disjoint_paths
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.core.labels import format_hb_node, parse_hb_node
-from repro.core.routing import HBRouter, RouteResult
-from repro.core.disjoint_paths import disjoint_paths, verify_disjoint_paths
-from repro.core.resilient import (
-    ResilientRouter,
-    RouteOutcome,
-    ReachabilityReport,
-    DegradedRouteError,
-)
-from repro.core.broadcast import broadcast_tree, broadcast_rounds
 from repro.core.partition import (
     SubHBPartition,
-    partition_by_cube_bits,
     expansion_embedding,
+    partition_by_cube_bits,
 )
+from repro.core.resilient import (
+    DegradedRouteError,
+    ReachabilityReport,
+    ResilientRouter,
+    RouteOutcome,
+)
+from repro.core.routing import HBRouter, RouteResult
 
 __all__ = [
     "HyperButterfly",

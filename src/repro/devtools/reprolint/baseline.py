@@ -15,9 +15,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.errors import ReproError
-
 from repro.devtools.reprolint.findings import Finding
+from repro.errors import ReproError
 
 __all__ = ["BaselineError", "load_baseline", "write_baseline", "DEFAULT_BASELINE"]
 

@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import Iterable, Mapping, Sequence
 
-from repro.errors import ReproError
-
 from repro.devtools.reprolint.baseline import load_baseline
 from repro.devtools.reprolint.context import FileContext, ProjectContext
 from repro.devtools.reprolint.findings import Finding, Severity
 from repro.devtools.reprolint.registry import all_rules
 from repro.devtools.reprolint.rules.base import FileRule, ProjectRule, Rule
+from repro.errors import ReproError
 
 __all__ = [
     "LintReport",

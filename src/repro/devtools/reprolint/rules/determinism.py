@@ -36,6 +36,7 @@ _SEEDABLE_CONSTRUCTORS = {
     "numpy.random.Generator",
     "numpy.random.RandomState",
     "numpy.random.SeedSequence",
+    "numpy.random.MT19937",
     "numpy.random.PCG64",
     "numpy.random.Philox",
 }
@@ -83,6 +84,7 @@ class UnseededRandomRule(FileRule):
         "import numpy as np\n"
         "rng = random.Random(7)\n"
         "gen = np.random.default_rng(7)\n"
+        "bits = np.random.MT19937(7)\n"
         "x = rng.random()\n"
         "y = gen.random(3)\n"
     )

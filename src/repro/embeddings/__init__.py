@@ -15,20 +15,20 @@ map from guest vertices to host vertices sending guest edges to host edges.
 
 from repro.embeddings.base import Embedding, verify_cycle_embedding
 from repro.embeddings.cycles import (
-    hypercube_cycle,
     butterfly_cycle,
     butterfly_cycle_lengths,
-    torus_cycle,
     hb_even_cycle,
     hb_even_cycle_max_length,
+    hypercube_cycle,
+    torus_cycle,
 )
 from repro.embeddings.mesh import hb_torus_embedding
+from repro.embeddings.mesh_of_trees import hb_mesh_of_trees_embedding
 from repro.embeddings.trees import (
     butterfly_tree_embedding,
-    hypercube_tree_embedding,
     hb_tree_embedding,
+    hypercube_tree_embedding,
 )
-from repro.embeddings.mesh_of_trees import hb_mesh_of_trees_embedding
 
 __all__ = [
     "Embedding",

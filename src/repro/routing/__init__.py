@@ -15,21 +15,21 @@ The hyper-butterfly-level routing that composes these lives in
 
 from repro.routing.base import (
     Path,
-    validate_path,
     path_length,
-    paths_vertex_disjoint,
     paths_internally_disjoint,
-)
-from repro.routing.hypercube import (
-    hypercube_route,
-    hypercube_distance,
-    hypercube_disjoint_paths,
+    paths_vertex_disjoint,
+    validate_path,
 )
 from repro.routing.butterfly import (
     butterfly_distance,
     butterfly_route,
     butterfly_route_walk,
     covering_walk,
+)
+from repro.routing.hypercube import (
+    hypercube_disjoint_paths,
+    hypercube_distance,
+    hypercube_route,
 )
 
 __all__ = [

@@ -13,42 +13,42 @@ whole traffic matrices per tick (pinned bit-identical to the event
 simulator under the unit-link model).
 """
 
+from repro.simulation.campaign import (
+    TrafficCampaignConfig,
+    run_traffic_campaign,
+)
 from repro.simulation.events import Event, EventQueue
-from repro.simulation.network import NetworkSimulator, Packet, TransportConfig
-from repro.simulation.protocols import (
-    RoutingProtocol,
-    PrecomputedPathProtocol,
-    HBObliviousProtocol,
-    HDObliviousProtocol,
-    BFSProtocol,
-    ResilientProtocol,
-)
-from repro.simulation.gossip import (
-    single_port_gossip,
-    all_port_gossip_rounds,
-    gossip_lower_bound,
-)
-from repro.simulation.workloads import (
-    TrafficMatrix,
-    WORKLOAD_FAMILIES,
-    build_workload,
-)
-from repro.simulation.linkconfig import LinkClass, LinkConfig
 from repro.simulation.flow import (
     FlowEngine,
     FlowResult,
     RouteBlock,
     routes_block,
 )
-from repro.simulation.campaign import (
-    TrafficCampaignConfig,
-    run_traffic_campaign,
+from repro.simulation.gossip import (
+    all_port_gossip_rounds,
+    gossip_lower_bound,
+    single_port_gossip,
 )
-from repro.simulation.stats import LatencyStats
 from repro.simulation.leader_election import (
+    ElectionResult,
     flood_max_election,
     tree_based_election,
-    ElectionResult,
+)
+from repro.simulation.linkconfig import LinkClass, LinkConfig
+from repro.simulation.network import NetworkSimulator, Packet, TransportConfig
+from repro.simulation.protocols import (
+    BFSProtocol,
+    HBObliviousProtocol,
+    HDObliviousProtocol,
+    PrecomputedPathProtocol,
+    ResilientProtocol,
+    RoutingProtocol,
+)
+from repro.simulation.stats import LatencyStats
+from repro.simulation.workloads import (
+    WORKLOAD_FAMILIES,
+    TrafficMatrix,
+    build_workload,
 )
 
 __all__ = [

@@ -88,8 +88,8 @@ from repro.simulation.stats import LatencyStats
 from repro.simulation.workloads import TrafficMatrix
 
 if TYPE_CHECKING:
-    from repro.faults.dynamic import FaultSchedule
     from repro.fastgraph.codecs import NodeCodec
+    from repro.faults.dynamic import FaultSchedule
 
 __all__ = [
     "DROP_REASONS",
@@ -626,14 +626,12 @@ class FlowEngine:
         self.drop_code = np.zeros(flows, dtype=np.int8)
         self.drop_at = np.full(flows, -1, dtype=np.int64)
         # fault state: depth-counted FaultState epochs, vectorized
-        self._node_depth = np.zeros(self._num_nodes, dtype=np.int32)
         self._link_depth: dict[int, int] = {}
         self._faulty_links = np.zeros(0, dtype=np.int64)
         self._links_dirty = False
         static_nodes = dict.fromkeys(faults)  # ordered de-duplication
         for v in static_nodes:
             topology.validate_node(v)
-            self._node_depth[codec.rank(v)] += 1
         for u, v in link_faults:
             if not topology.has_edge(u, v):
                 raise SimulationError(f"({u!r}, {v!r}) is not an edge")
@@ -656,10 +654,15 @@ class FlowEngine:
                 self._events.append(
                     (event.time, event.action, event.kind, packed)
                 )
-        # decided from the inputs, not by scanning the per-node depths
+        # decided from the inputs; the per-node depths exist only then
         self._node_faults_possible = bool(static_nodes) or any(
             kind == "node" for _, _, kind, _ in self._events
         )
+        self._node_depth = np.zeros(
+            self._num_nodes if self._node_faults_possible else 0, dtype=np.int32
+        )
+        for v in static_nodes:
+            self._node_depth[codec.rank(v)] += 1
         # with no fault inputs nothing can stop a flow sent onto its target
         # (delivery precedes the ttl check), so its delivery is recorded
         # when that last hop is scheduled, and it gets no arrival tick

@@ -5,9 +5,18 @@ Every generator here works on **packed integer ranks** (the
 ``HB(6, 11)`` is a couple of int64 arrays — no Hashable node list is ever
 materialized.  :meth:`TrafficMatrix.pairs` unranks a workload to labels
 for the event simulator; rank ``i`` is the ``i``-th node of
-``topology.nodes()``, and the random cores draw *positions* with
-:class:`random.Random` exactly the way the original list-based code did,
-so seeds keep their meaning.
+``topology.nodes()``.
+
+The random cores return exactly the positions that :class:`random.Random`
+draws over ``range(num_nodes)`` for the same seed, so seeds keep their
+meaning.  :func:`hotspot_pairs`, :func:`incast_pairs`, the derangements
+and the bursty arrivals call :class:`random.Random` directly.
+:func:`uniform_pairs` replays its Mersenne Twister stream in numpy
+instead: ``np.random.MT19937`` is handed the key and position of
+``random.Random(seed).getstate()``, so ``random_raw()`` yields the same
+32-bit words as ``getrandbits(32)``, and whole-array code then applies
+:meth:`random.Random.sample`'s rejection and redraw rules to those words
+(see :func:`uniform_pairs`).
 
 Two structured-permutation helpers need to know how a rank decomposes
 into a permutable binary *address* plus fixed auxiliary state (the
@@ -214,29 +223,126 @@ def address_view(topology: Any) -> AddressView | None:
 # Random pair cores ---------------------------------------------------------
 
 
+#: raw words drawn per block, so a large ``count`` never holds more than
+#: this many transient words
+_BLOCK_WORDS = 1 << 16
+#: ``random.Random.sample`` keeps a pool list instead of a seen-set for
+#: ``k = 2`` draws from at most this many items
+_SAMPLE_POOL_MAX = 21
+
+
+def _mt_stream(seed: int) -> np.random.MT19937:
+    """A numpy Mersenne Twister positioned where ``random.Random(seed)`` is.
+
+    Built from a fixed seed (no OS entropy is read), then overwritten with
+    the key and position of ``random.Random(seed).getstate()``; its
+    ``random_raw()`` words are the ``getrandbits(32)`` words in order.
+    """
+    state = random.Random(seed).getstate()[1]
+    bitgen = np.random.MT19937(0)
+    bitgen.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(state[:-1], dtype=np.uint32), "pos": state[-1]},
+    }
+    return bitgen
+
+
+def _pair_positions(
+    first_ok: np.ndarray, second_ok: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the accepted first and second draws of each pair.
+
+    Runs the two-state draw automaton over whole arrays: in state *first*
+    position ``i`` is taken as a flow's first draw when ``first_ok[i]``,
+    in state *second* as its second draw when ``second_ok[i]``; any other
+    position is a rejected draw and keeps the state.  Each position acts
+    on the state as a swap (both flags), a constant (one flag) or the
+    identity (none), so the state after ``i`` is the constant of the last
+    constant position ``j <= i`` flipped by the parity of the swaps in
+    ``(j, i]``.  A virtual constant "first" in front starts the scan.
+    Returns the first-draw and second-draw positions of the complete
+    pairs, in order.
+    """
+    ok1 = np.concatenate(([False], first_ok))
+    ok2 = np.concatenate(([True], second_ok))
+    flips = np.logical_xor.accumulate(ok1 & ok2)
+    index = np.arange(len(ok1), dtype=np.int64)
+    last = np.maximum.accumulate(np.where(ok1 != ok2, index, 0))
+    in_second = (flips ^ flips[last] ^ ok1[last])[:-1]
+    seconds = np.flatnonzero(second_ok & in_second)
+    firsts = np.flatnonzero(first_ok & ~in_second)
+    return firsts[: len(seconds)], seconds
+
+
 def uniform_pairs(
     num_nodes: int, count: int, *, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """``count`` independent ``source != target`` rank pairs.
 
-    Draws positions with :meth:`random.Random.sample` over ``range(n)`` —
-    position-for-position the same draws as ``rng.sample(nodes, 2)`` over
-    the node list, so ranked output unranks to those label draws for every
-    seed.
+    The pairs are exactly ``random.Random(seed)``'s successive
+    ``sample(range(num_nodes), 2)`` draws — position-for-position the
+    same draws as ``rng.sample(nodes, 2)`` over the node list — computed
+    with whole-array numpy code over the replayed 32-bit word stream
+    (:func:`_mt_stream`).  CPython's rules, applied to the words:
+
+    - ``_randbelow(n)`` is ``getrandbits(n.bit_length())``, i.e. one word
+      ``>> (32 - k)``, redrawn while ``>= n``;
+    - for ``num_nodes > 21`` the source is the first accepted draw and the
+      target the next accepted draw that differs from it;
+    - for ``num_nodes <= 21`` ``sample`` takes its pool branch: the source
+      is ``j1 = _randbelow(n)``, then ``j2 = _randbelow(n - 1)`` (possibly
+      another bit width) gives the target ``j2``, or ``n - 1`` when
+      ``j2 == j1``.
+
+    Words are drawn in blocks of at most ``_BLOCK_WORDS``, and the words
+    of a pair cut by a block end are carried into the next block.
+    ``num_nodes >= 2**32`` is refused: a draw would span two words.
     """
     if count < 0:
         raise InvalidParameterError("count must be >= 0")
     if num_nodes < 2:
         raise InvalidParameterError("need at least two nodes")
-    rng = random.Random(seed)
-    population = range(num_nodes)
-    sources = np.empty(count, dtype=np.int64)
-    targets = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        s, t = rng.sample(population, 2)
-        sources[i] = s
-        targets[i] = t
-    return sources, targets
+    if num_nodes >= 1 << 32:
+        raise InvalidParameterError("need fewer than 2**32 nodes")
+    n = num_nodes
+    pool = n <= _SAMPLE_POOL_MAX
+    width1 = n.bit_length()
+    width2 = (n - 1).bit_length() if pool else width1
+    shift1 = np.uint64(32 - width1)
+    shift2 = np.uint64(32 - width2)
+    # expected words per pair: a first draw below n, then a second draw
+    # below n - 1 (pool branch) or below n and unequal to the first
+    per_pair = 2**width1 / n + 2**width2 / (n - 1)
+    bitgen = _mt_stream(seed)
+    sources = [np.zeros(0, dtype=np.int64)]
+    targets = [np.zeros(0, dtype=np.int64)]
+    carried = np.zeros(0, dtype=np.uint64)
+    made = 0
+    while made < count:
+        fresh = min(_BLOCK_WORDS, int((count - made) * per_pair * 1.02) + 64)
+        words = np.concatenate((carried, bitgen.random_raw(fresh)))
+        draws = (words >> shift1).astype(np.int64)
+        if pool:
+            second = (words >> shift2).astype(np.int64)
+            at1, at2 = _pair_positions(draws < n, second < n - 1)
+            src = draws[at1]
+            dst = second[at2]
+            dst[dst == src] = n - 1
+            used = at2[-1] + 1 if len(at2) else 0
+        else:
+            kept = np.flatnonzero(draws < n)
+            accepted = draws[kept]
+            differs = np.ones(len(accepted), dtype=bool)
+            np.not_equal(accepted[1:], accepted[:-1], out=differs[1:])
+            at1, at2 = _pair_positions(np.ones(len(accepted), dtype=bool), differs)
+            src = accepted[at1]
+            dst = accepted[at2]
+            used = kept[at2[-1]] + 1 if len(at2) else 0
+        sources.append(src)
+        targets.append(dst)
+        made += len(src)
+        carried = words[used:]
+    return np.concatenate(sources)[:count], np.concatenate(targets)[:count]
 
 
 def derangement_pairs(
@@ -293,9 +399,9 @@ def hotspot_pairs(
         raise InvalidParameterError("need at least two nodes")
     rng = random.Random(seed)
     population = range(num_nodes)
-    sources = np.empty(count, dtype=np.int64)
-    targets = np.empty(count, dtype=np.int64)
-    for i in range(count):
+    sources = []
+    targets = []
+    for _ in range(count):
         source = rng.choice(population)
         if rng.random() < hot_fraction and source != hotspot:
             target = hotspot
@@ -303,9 +409,9 @@ def hotspot_pairs(
             target = rng.choice(population)
             while target == source:
                 target = rng.choice(population)
-        sources[i] = source
-        targets[i] = target
-    return sources, targets
+        sources.append(source)
+        targets.append(target)
+    return np.array(sources, dtype=np.int64), np.array(targets, dtype=np.int64)
 
 
 def incast_pairs(
@@ -327,16 +433,16 @@ def incast_pairs(
         raise InvalidParameterError("need 1 <= sinks < num_nodes")
     rng = random.Random(seed)
     sink_ranks = rng.sample(range(num_nodes), sinks)
-    sources = np.empty(count, dtype=np.int64)
-    targets = np.empty(count, dtype=np.int64)
+    sources = []
+    targets = []
     for i in range(count):
         sink = sink_ranks[i % sinks]
         source = rng.randrange(num_nodes)
         while source == sink:
             source = rng.randrange(num_nodes)
-        sources[i] = source
-        targets[i] = sink
-    return sources, targets
+        sources.append(source)
+        targets.append(sink)
+    return np.array(sources, dtype=np.int64), np.array(targets, dtype=np.int64)
 
 
 # Structured permutations ---------------------------------------------------

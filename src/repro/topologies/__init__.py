@@ -17,31 +17,31 @@ Guest graphs for Section 4 embeddings:
 """
 
 from repro.topologies.base import Topology
-from repro.topologies.invariants import (
-    InvariantSpec,
-    all_invariant_specs,
-    invariant_spec,
-    register_invariants,
-)
-from repro.topologies.hypercube import Hypercube
 from repro.topologies.butterfly import WrappedButterfly
 from repro.topologies.butterfly_cayley import (
     CayleyButterfly,
     cayley_to_classic,
     classic_to_cayley,
 )
-from repro.topologies.debruijn import DeBruijn
-from repro.topologies.hyperdebruijn import HyperDeBruijn
-from repro.topologies.product import CartesianProduct
 from repro.topologies.cycle import Cycle
-from repro.topologies.mesh import Torus, Mesh
-from repro.topologies.tree import CompleteBinaryTree
+from repro.topologies.debruijn import DeBruijn
+from repro.topologies.hypercube import Hypercube
+from repro.topologies.hyperdebruijn import HyperDeBruijn
+from repro.topologies.invariants import (
+    InvariantSpec,
+    all_invariant_specs,
+    invariant_spec,
+    register_invariants,
+)
+from repro.topologies.mesh import Mesh, Torus
 from repro.topologies.mesh_of_trees import MeshOfTrees
+from repro.topologies.product import CartesianProduct
 from repro.topologies.quotients import (
     butterfly_to_debruijn,
     debruijn_fiber,
     hb_to_hyperdebruijn,
 )
+from repro.topologies.tree import CompleteBinaryTree
 
 __all__ = [
     "Topology",

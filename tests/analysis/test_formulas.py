@@ -7,8 +7,8 @@ import pytest
 
 from repro.analysis.formulas import (
     butterfly_formulas,
-    hypercube_formulas,
     hyperbutterfly_formulas,
+    hypercube_formulas,
     hyperdebruijn_formulas,
 )
 from repro.core.hyperbutterfly import HyperButterfly

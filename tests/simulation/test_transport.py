@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.resilient import ResilientRouter
 from repro.errors import SimulationError
 from repro.faults.dynamic import FaultEvent, FaultSchedule
 from repro.simulation.network import NetworkSimulator, TransportConfig
@@ -12,7 +13,6 @@ from repro.simulation.protocols import (
     HBObliviousProtocol,
     ResilientProtocol,
 )
-from repro.core.resilient import ResilientRouter
 from repro.topologies.cycle import Cycle
 from tests.simulation._label_traffic import workload_labels
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.errors import InvalidParameterError
 from repro.fastgraph.codecs import codec_for
+from repro.simulation import workloads
 from repro.simulation.workloads import (
     WORKLOAD_FAMILIES,
     TrafficMatrix,
@@ -18,6 +22,7 @@ from repro.simulation.workloads import (
     build_workload,
     bursty_arrivals,
     derangement_pairs,
+    hotspot_pairs,
     incast_pairs,
     paced_arrivals,
     tornado_pairs,
@@ -29,6 +34,7 @@ from repro.topologies.butterfly_cayley import CayleyButterfly
 from repro.topologies.hypercube import Hypercube
 from repro.topologies.hyperdebruijn import HyperDeBruijn
 from repro.topologies.mesh import Torus
+from tests.simulation import _reference_workloads as reference
 
 TOPOLOGIES = [
     HyperButterfly(2, 3),
@@ -84,16 +90,111 @@ class TestAddressViews:
         assert address_view(Torus(3, 4)) is None
 
 
+UNIFORM_NODES = [2, 3, 4, 16, 17, 21, 22, 33, 96, 2**20, 2**20 + 1, 1_441_792]
+UNIFORM_COUNTS = [0, 1, 2, 1000, 20000]
+UNIFORM_SEEDS = [0, 1, -7, 12345, 2**40]
+
+
+@functools.cache
+def _reference_draws(num_nodes, seed):
+    # a shorter count draws a prefix of the same stream
+    return reference.uniform_pairs(num_nodes, max(UNIFORM_COUNTS), seed=seed)
+
+
+def _assert_pairs_equal(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == np.int64
+        assert np.array_equal(g, w)
+
+
+class TestUniformStreamReplay:
+    """``uniform_pairs`` replays ``random.Random.sample`` draw for draw."""
+
+    @pytest.mark.parametrize("seed", [0, 1, -7, 2**40, 987654321])
+    def test_transplanted_stream_equals_getrandbits(self, seed):
+        words = workloads._mt_stream(seed).random_raw(10_000)
+        rng = random.Random(seed)
+        assert words.tolist() == [rng.getrandbits(32) for _ in range(10_000)]
+
+    @pytest.mark.parametrize("seed", UNIFORM_SEEDS)
+    @pytest.mark.parametrize("count", UNIFORM_COUNTS)
+    @pytest.mark.parametrize("num_nodes", UNIFORM_NODES)
+    def test_matches_reference_loop(self, num_nodes, count, seed):
+        want = tuple(a[:count] for a in _reference_draws(num_nodes, seed))
+        _assert_pairs_equal(uniform_pairs(num_nodes, count, seed=seed), want)
+
+    @given(
+        st.integers(2, 2**22),
+        st.integers(0, 300),
+        st.integers(-(2**64), 2**64),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_property(self, num_nodes, count, seed):
+        _assert_pairs_equal(
+            uniform_pairs(num_nodes, count, seed=seed),
+            reference.uniform_pairs(num_nodes, count, seed=seed),
+        )
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 64])
+    @pytest.mark.parametrize("num_nodes", [2, 3, 17, 22, 96, 1_441_792])
+    def test_pairs_cut_by_block_ends_are_carried(self, monkeypatch, num_nodes, block):
+        monkeypatch.setattr(workloads, "_BLOCK_WORDS", block)
+        _assert_pairs_equal(
+            uniform_pairs(num_nodes, 400, seed=11),
+            reference.uniform_pairs(num_nodes, 400, seed=11),
+        )
+
+    def test_widest_one_word_draws(self):
+        n = 2**32 - 1
+        _assert_pairs_equal(
+            uniform_pairs(n, 50, seed=4), reference.uniform_pairs(n, 50, seed=4)
+        )
+
+    def test_validation(self):
+        with pytest.raises(InvalidParameterError):
+            uniform_pairs(1, 5)
+        with pytest.raises(InvalidParameterError):
+            uniform_pairs(10, -1)
+        with pytest.raises(InvalidParameterError, match="2\\*\\*32"):
+            uniform_pairs(2**32, 5)
+
+    @pytest.mark.parametrize(
+        "topology", [HyperButterfly(2, 3), HyperButterfly(3, 4)], ids=lambda t: t.name
+    )
+    @pytest.mark.parametrize("family", ["uniform", "bursty"])
+    @pytest.mark.parametrize("per_tick", [None, 7])
+    def test_build_workload_matches_reference(self, topology, family, per_tick):
+        count = 3000
+        got = build_workload(topology, family, count=count, seed=9, per_tick=per_tick)
+        src, dst = reference.uniform_pairs(topology.num_nodes, count, seed=9)
+        if per_tick is None:
+            arrivals = np.zeros(count, dtype=np.int64)
+        elif family == "bursty":
+            arrivals = bursty_arrivals(count, per_tick=per_tick, seed=9)
+        else:
+            arrivals = paced_arrivals(count, per_tick=per_tick)
+        assert np.array_equal(got.sources, src)
+        assert np.array_equal(got.targets, dst)
+        assert np.array_equal(got.inject_at, arrivals)
+
+
 class TestGenerators:
     def test_uniform_distinct_and_deterministic(self):
         s1, t1 = uniform_pairs(96, 50, seed=3)
         s2, t2 = uniform_pairs(96, 50, seed=3)
         assert np.array_equal(s1, s2) and np.array_equal(t1, t2)
         assert not np.any(s1 == t1)
-        with pytest.raises(InvalidParameterError):
-            uniform_pairs(1, 5)
-        with pytest.raises(InvalidParameterError):
-            uniform_pairs(10, -1)
+
+    def test_hotspot_and_incast_return_int64_arrays(self):
+        for src, dst in (
+            hotspot_pairs(40, 30, hotspot=3, seed=2),
+            incast_pairs(40, 30, sinks=2, seed=2),
+            hotspot_pairs(40, 0, seed=2),
+            incast_pairs(40, 0, seed=2),
+        ):
+            assert src.dtype == dst.dtype == np.int64
+            assert src.shape == dst.shape
+            assert not np.any(src == dst)
 
     @given(st.integers(2, 400), st.integers(0, 2**31))
     @settings(max_examples=120, deadline=None)
