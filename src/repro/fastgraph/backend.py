@@ -34,6 +34,7 @@ CSR) the same way.
 from __future__ import annotations
 
 import os
+from functools import cached_property
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
 
 import numpy as np
@@ -43,6 +44,7 @@ from repro.errors import DisconnectedError, InvalidLabelError, InvalidParameterE
 if TYPE_CHECKING:  # runtime imports stay lazy (cycle-free)
     from repro.fastgraph.codecs import NodeCodec
     from repro.fastgraph.csr import CSRAdjacency
+    from repro.fastgraph.implicit import RepairKernel
     from repro.fastgraph.parallel import SweepResult
     from repro.topologies.base import Topology
 
@@ -127,6 +129,28 @@ class FastGraph:
             f"unknown fastgraph backend {backend!r} "
             "(expected 'auto', 'csr' or 'implicit')"
         )
+
+    @cached_property
+    def repair_kernel(self) -> RepairKernel | None:
+        """The masked-statistics kernel of a product Cayley graph, or ``None``.
+
+        Set when the topology is a Cayley graph on a product codec whose
+        distance oracle splits by factor (``HB(m, n)``): the oracle's
+        factor distances then index the codec's factor ranks.
+        """
+        from repro.fastgraph.codecs import ProductCodec
+        from repro.fastgraph.implicit import RepairKernel
+
+        cayley = getattr(self.topology, "cayley", None)
+        # the codec test first: it spares other Cayley graphs an oracle fill
+        if (
+            isinstance(self.codec, ProductCodec)
+            and cayley is not None
+            and cayley.oracle.factor_split() is not None
+        ):
+            _, left, _, right = cayley.oracle.lifted_word_tables()
+            return RepairKernel(self.codec, left, right)
+        return None
 
     # -- label plumbing ----------------------------------------------------
 
@@ -233,16 +257,30 @@ class FastGraph:
         The workhorse of structure-fault diameter sweeps: the max distance
         among *reached survivors* and how many survivors were reached
         (source included), without materialising a label dict.  Blocked
-        nodes are never counted: a blocked ``source`` raises
-        :class:`~repro.errors.InvalidLabelError`, as
-        :meth:`~repro.topologies.base.Topology.bfs_distances` does.  On the
-        implicit substrate this runs in ``O(num_nodes)`` bytes, keeping
-        ``HB(9,11)``-class masked eccentricities in reach.
+        nodes are never counted (labels that are not nodes are ignored): a
+        blocked ``source`` raises :class:`~repro.errors.InvalidLabelError`,
+        as :meth:`~repro.topologies.base.Topology.bfs_distances` does.
+
+        On a product Cayley graph (``HB``: :attr:`repair_kernel` is set)
+        every backend but ``"csr"`` runs no BFS at all:
+        :class:`~repro.fastgraph.implicit.RepairKernel` translates
+        the identity's fault-free distances to the source and repairs only
+        the nodes the faults move.  The result is exact, because a node
+        keeps its fault-free distance precisely when one of its neighbours
+        one level closer survives with its own.  Other topologies run a
+        masked BFS; on the implicit substrate in ``O(num_nodes)`` bytes,
+        keeping ``HB(9,11)``-class masked eccentricities in reach.
         """
         blocked = frozenset(blocked or ())
         if source in blocked:
             raise InvalidLabelError("source node is blocked")
-        if self.select_backend(backend) == "implicit":
+        chosen = self.select_backend(backend)  # an unknown name raises here
+        repair = self.repair_kernel if backend != "csr" else None
+        if repair is not None:
+            return repair.source_stats(
+                self.rank(source), self._blocked_ranks(blocked)
+            )
+        if chosen == "implicit":
             from repro.fastgraph.implicit import implicit_source_stats
 
             ecc, _, reached = implicit_source_stats(

@@ -24,6 +24,15 @@ and discards it again.  Peak memory is
   (:func:`implicit_source_stats`) never allocates per-node output and
   runs in ``O(num_nodes)`` bytes.
 
+Masked per-source statistics on ``HB(m, n)`` do not need a BFS at all:
+:class:`RepairKernel` reads the product oracle's factor distances,
+translates the blocked ranks so the source is the identity, and repairs
+only the nodes whose distance the faults change (see its docstring for
+why the result is exact).  :meth:`FastGraph.masked_source_stats
+<repro.fastgraph.backend.FastGraph.masked_source_stats>` takes it for
+every backend but ``"csr"`` when the topology's oracle splits by factor;
+other topologies keep :func:`implicit_source_stats`.
+
 All-sources sweeps do not run here: the bit-parallel chunk kernel
 :func:`repro.fastgraph.kernels.sweep_chunk` reads the same
 ``neighbors_block`` rows, for a codec and a CSR alike.
@@ -74,6 +83,7 @@ __all__ = [
     "Bitset",
     "implicit_bfs_levels",
     "implicit_source_stats",
+    "RepairKernel",
 ]
 
 #: whether the optional jit is importable — the numpy path is the reference
@@ -373,3 +383,153 @@ def implicit_source_stats(
         depth_counts[len(depth_counts) + 1] = int(frontier.size)
         _check_depth(codec, len(depth_counts))
     return len(depth_counts), depth_counts, 1 + sum(depth_counts.values())
+
+
+# node states of the repair kernel's one-byte-per-node scratch
+_CLEAN, _BLOCKED, _AFFECTED, _SETTLED = 0, 1, 2, 3
+
+
+class RepairKernel:
+    """Masked ``(eccentricity, reached)`` on a product Cayley graph, no BFS.
+
+    For ``HB(m, n)`` (Theorem 1: a Cayley graph on cube × butterfly whose
+    generators each move one factor) the fault-free distance from the
+    identity to the product rank ``a·nr + b`` is ``left_dist[a] +
+    right_dist[b]`` (Remarks 6 and 8), the factor distances that
+    :meth:`~repro.cayley.graph.DistanceOracle.lifted_word_tables` holds.
+    ``codec`` is the topology's generator
+    :class:`~repro.fastgraph.codecs.ProductCodec`.
+
+    :meth:`source_stats` returns exactly the ``(eccentricity, reached)``
+    of :func:`implicit_source_stats`:
+
+    * Edges are ``x ~ x·g``, so ``x ↦ source⁻¹·x`` is an automorphism:
+      the blocked ranks are translated and the source becomes the
+      identity, at fault-free distance ``D0 = left + right``.
+    * Masking never shortens a path.  A survivor at level ``ℓ = D0``
+      keeps its distance exactly when some level ``ℓ−1`` neighbour is
+      unblocked and keeps its own; otherwise it is *affected*.  So the
+      affected nodes are found by walking outward from the blocked set
+      one ``D0`` level at a time: a level ``ℓ`` neighbour of the bad
+      (blocked or affected) level ``ℓ−1`` nodes is affected when all its
+      level ``ℓ−1`` neighbours are bad.  Distances add over the factors,
+      so the number of such neighbours is a sum of two factor tables.
+    * The affected nodes are settled by one bucketed sweep seeded from
+      their unaffected neighbours at ``D0 + 1``; those the sweep never
+      reaches are cut off from the source.
+
+    Work is ``O((|blocked| + |affected| + their neighbours) · degree)``;
+    memory is one byte of state per node plus arrays the size of the work.
+    """
+
+    def __init__(
+        self, codec: NodeCodec, left_dist: np.ndarray, right_dist: np.ndarray
+    ) -> None:
+        self.codec = codec
+        self.left_dist = left_dist
+        self.right_dist = right_dist
+        nr = codec.right.num_nodes
+        left_moves, right_moves = codec.move_tables()
+        # per factor: how many generators step one level closer to the
+        # identity (a generator moving the other factor never does)
+        self.left_pred = (left_dist[left_moves // nr] == left_dist[:, None] - 1).sum(1)
+        self.right_pred = (right_dist[right_moves] == right_dist[:, None] - 1).sum(1)
+        #: fault-free ``{level: node count}`` from any source, as an array
+        self.hist = np.convolve(np.bincount(left_dist), np.bincount(right_dist))
+
+    def level(self, ranks: np.ndarray) -> np.ndarray:
+        """Fault-free distance of ``ranks`` from the identity."""
+        a, b = np.divmod(ranks, self.codec.right.num_nodes)
+        return self.left_dist[a] + self.right_dist[b]
+
+    def source_stats(
+        self, source: int, forbidden: np.ndarray | None = None
+    ) -> tuple[int, int]:
+        """``(eccentricity, reached)`` of the BFS from ``source`` that never
+        enters ``forbidden`` (which must not hold ``source``)."""
+        codec = self.codec
+        num_nodes = codec.num_nodes
+        hist = self.hist
+        if forbidden is None or not len(forbidden):
+            return len(hist) - 1, num_nodes
+        forbidden = np.asarray(forbidden, dtype=np.int64)
+        inverse = codec.inverse_block(np.full(len(forbidden), source, dtype=np.int64))
+        blocked = np.unique(codec.multiply_block(inverse, forbidden))
+        state = np.zeros(num_nodes, dtype=np.uint8)
+        state[blocked] = _BLOCKED
+        affected = self._affected(blocked, state)
+
+        bad_counts = np.bincount(self.level(blocked), minlength=len(hist))
+        bad_counts += np.bincount(self.level(affected), minlength=len(hist))
+        # the farthest level that keeps a survivor with its fault-free distance
+        ecc = int(np.flatnonzero(hist > bad_counts)[-1])
+        if not affected.size:
+            return ecc, num_nodes - len(blocked)
+        settled, farthest = self._settle(affected, state)
+        return max(ecc, farthest), num_nodes - len(blocked) - len(affected) + settled
+
+    def _affected(self, blocked: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """Survivors whose distance the blocked ranks change, marked
+        ``_AFFECTED`` in ``state``; one pass per ``D0`` level."""
+        nr = self.codec.right.num_nodes
+        blocked_level = self.level(blocked)
+        order = np.argsort(blocked_level, kind="stable")
+        blocked, blocked_level = blocked[order], blocked_level[order]
+        levels, starts = np.unique(blocked_level, return_index=True)
+        ends = np.append(starts[1:], len(blocked))
+        spans = {int(d): (int(lo), int(hi)) for d, lo, hi in zip(levels, starts, ends)}
+        parts: list[np.ndarray] = []
+        bad = blocked[:0]  # blocked or affected at level ell - 1
+        ell = int(levels[0])
+        while True:
+            if not bad.size:
+                # nothing bad below: jump to the next blocked level
+                later = levels[levels >= ell]
+                if not later.size:
+                    break
+                ell = int(later[0])
+                lo, hi = spans[ell]
+                bad, ell = blocked[lo:hi], ell + 1
+                continue
+            around = self.codec.neighbors_block(bad).ravel()
+            up = around[(self.level(around) == ell) & (state[around] == _CLEAN)]
+            # each bad neighbour one level down lists a candidate once
+            cand, bad_below = np.unique(up, return_counts=True)
+            a, b = np.divmod(cand, nr)
+            hit = cand[bad_below == self.left_pred[a] + self.right_pred[b]]
+            state[hit] = _AFFECTED
+            parts.append(hit)
+            lo, hi = spans.get(ell, (0, 0))
+            bad = np.concatenate((blocked[lo:hi], hit))
+            ell += 1
+        return np.concatenate(parts) if parts else blocked[:0]
+
+    def _settle(self, affected: np.ndarray, state: np.ndarray) -> tuple[int, int]:
+        """``(settled, farthest)``: how many affected ranks the source still
+        reaches, and the largest distance among them."""
+        rows = self.codec.neighbors_block(affected)
+        never = np.iinfo(np.int64).max
+        seed = np.where(state[rows] == _CLEAN, self.level(rows) + 1, never).min(1)
+        order = np.argsort(seed, kind="stable")
+        seeds, seed_keys = affected[order], seed[order]
+        seeds_end = int(np.searchsorted(seed_keys, never))
+        next_seed = settled = farthest = dist = 0
+        frontier = affected[:0]
+        while True:
+            if not frontier.size:
+                if next_seed >= seeds_end:
+                    break
+                dist = int(seed_keys[next_seed])
+            hi = int(np.searchsorted(seed_keys, dist, side="right"))
+            frontier = np.concatenate((frontier, seeds[next_seed:hi]))
+            next_seed = hi
+            frontier = np.unique(frontier[state[frontier] == _AFFECTED])
+            if not frontier.size:
+                continue
+            state[frontier] = _SETTLED
+            settled += frontier.size
+            farthest = dist
+            around = self.codec.neighbors_block(frontier).ravel()
+            frontier = around[state[around] == _AFFECTED]
+            dist += 1
+        return settled, farthest

@@ -118,10 +118,14 @@ def connected_under_faults(
     a distance dict: the count comes from
     :meth:`~repro.fastgraph.backend.FastGraph.reachable_count` (CSR or
     implicit per ``backend``), so survivability queries stay in reach past
-    CSR-comfortable sizes.
+    CSR-comfortable sizes.  A raw iterable is validated as a
+    :class:`FaultSet` is: a label that is not a node raises
+    :class:`~repro.errors.InvalidLabelError`.
     """
     fast = get_fastgraph(topology, backend=backend)
-    fault_nodes = faults.nodes if isinstance(faults, FaultSet) else frozenset(faults)
+    if not isinstance(faults, FaultSet):
+        faults = FaultSet(topology, faults)
+    fault_nodes = faults.nodes
     start = next((v for v in topology.nodes() if v not in fault_nodes), None)
     if start is None:
         return True  # the empty graph is vacuously connected

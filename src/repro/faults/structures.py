@@ -32,9 +32,10 @@ On top of the abstraction:
 * :func:`structure_fault_diameter` — max masked eccentricity over
   survivors for a placement.  ``source_sample=None`` examines every
   survivor source (exact); an integer samples that many seeded sources
-  plus the (sorted, capped) structure boundary — the implicit backend
-  keeps ``HB(9,11)``-class instances in reach because each masked BFS is
-  ``O(num_nodes)`` bytes.
+  plus the (sorted, capped) structure boundary — each source costs
+  ``O(num_nodes)`` bytes off the CSR backend, which keeps
+  ``HB(9,11)``-class instances in reach; on ``HB`` it costs no BFS at
+  all (:meth:`~repro.fastgraph.backend.FastGraph.masked_source_stats`).
 * :func:`run_cascade` — a seeded cascading-failure engine: per epoch,
   every healthy boundary node of the failed region independently ignites
   a new structure with probability ``spread``; the trace lowers to a
@@ -432,7 +433,9 @@ def structure_fault_diameter(
     """Max masked eccentricity over survivors for one structure placement.
 
     ``source_sample=None`` examines every survivor source — exact, for
-    instances where ``survivors`` BFS runs are affordable.  An integer
+    instances where ``survivors`` masked eccentricities are affordable
+    (on ``HB`` each is a repair of the fault-free distances, not a BFS,
+    unless ``backend="csr"``).  An integer
     examines the structure boundary (sorted, first ``boundary_cap``
     nodes — eccentric survivors hug the fault) plus that many
     reservoir-sampled extra sources drawn with ``Random(seed)``; the

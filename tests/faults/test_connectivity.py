@@ -182,6 +182,20 @@ class TestConnectedUnderFaults:
         assert verdicts[0] and verdicts[1]  # <= m+3 can never disconnect
         assert not verdicts[-1]
 
+    def test_raw_labels_that_are_not_nodes_raise(self):
+        """A raw iterable is validated like a FaultSet: a label that is not
+        a node raises instead of being counted as a missing survivor."""
+        from repro.errors import InvalidLabelError
+
+        hb = HyperButterfly(2, 3)
+        for backend in (None, "csr", "implicit"):
+            with pytest.raises(InvalidLabelError):
+                connected_under_faults(hb, [(99, (0, 0))], backend=backend)
+            with pytest.raises(InvalidLabelError):
+                FaultSet(hb, [(99, (0, 0))])
+            node = next(iter(hb.nodes()))
+            assert connected_under_faults(hb, [node, node], backend=backend)
+
     def test_unknown_backend_rejected(self, hb13):
         from repro.errors import InvalidParameterError
 
