@@ -39,6 +39,7 @@ family is verified before being handed back.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Literal
 
 from repro._bits import set_bits
@@ -46,7 +47,12 @@ from repro.core.hyperbutterfly import HBNode, HyperButterfly
 from repro.errors import InvalidParameterError, RoutingError
 from repro.routing.base import paths_internally_disjoint
 from repro.routing.butterfly import butterfly_route_walk
-from repro.routing.flows import node_to_set_disjoint_paths, vertex_disjoint_paths
+from repro.routing.flows import (
+    distances_to,
+    node_to_set_disjoint_paths,
+    pruned_shortest_path,
+    vertex_disjoint_paths,
+)
 from repro.routing.hypercube import hypercube_disjoint_paths, hypercube_route
 
 __all__ = [
@@ -175,7 +181,7 @@ class _Case3Builder:
         # repair resources (chosen in _plan_repairs)
         self.h_fresh: int | None = None  # h'' for the dist-1 repair
         self.b_fresh: tuple[int, int] | None = None  # b''' for the adjacency repair
-        # cube-first fly segments, one BFS per distinct collision-block set
+        # cube-first fly segments, one search per distinct collision-block set
         self.segments_by_blocks: dict[frozenset, list | None] = {}
 
     # -- planning ---------------------------------------------------------
@@ -258,12 +264,28 @@ class _Case3Builder:
             copy for copy, segment in self.cube_segments if hi in segment
         )
 
+    @cached_property
+    def _to_b2(self) -> list[int]:
+        """Fault-free butterfly distance from every rank to ``b'``."""
+        return distances_to(self.hb.butterfly, self.b2)
+
     def _fly_segment(self, blocks: frozenset) -> list | None:
-        """Shortest ``b → b'`` butterfly route avoiding ``blocks``, one BFS
-        per distinct block set (most cube-first paths share the empty one)."""
+        """Shortest ``b → b'`` butterfly route avoiding ``blocks``, one
+        search per distinct block set (most cube-first paths share the
+        empty one).
+
+        The search is :func:`~repro.routing.flows.pruned_shortest_path`:
+        levels over rank-sorted rows, dropping every node whose level plus
+        fault-free distance to ``b'`` exceeds a bound that starts at
+        ``dist(b, b')``.  Its frontiers are in ascending rank order and no
+        node of a shortest masked path is dropped, so each node's parent is
+        its lowest-rank neighbour one level up and the route is exactly the
+        numpy kernels' ``bfs_shortest_path``, without their per-level numpy
+        overhead.
+        """
         if blocks not in self.segments_by_blocks:
-            self.segments_by_blocks[blocks] = self.hb.butterfly.bfs_shortest_path(
-                self.b, self.b2, blocked=blocks
+            self.segments_by_blocks[blocks] = pruned_shortest_path(
+                self.hb.butterfly, self.b, self.b2, blocked=blocks, to_target=self._to_b2
             )
         return self.segments_by_blocks[blocks]
 

@@ -85,6 +85,8 @@ class FastGraph:
         self.topology = topology
         self.codec = codec
         self._csr: CSRAdjacency | None = None
+        # the last blocked set masked_source_stats ranked, with its ranks
+        self._masked: tuple[frozenset, np.ndarray | None] = (frozenset(), None)
 
     @property
     def csr(self) -> CSRAdjacency:
@@ -183,6 +185,19 @@ class FastGraph:
         ranks = [self.codec.rank(v) for v in blocked if has_node(v)]
         return np.array(sorted(ranks), dtype=np.int64) if ranks else None
 
+    def _masked_ranks(self, blocked: frozenset) -> np.ndarray | None:
+        """:meth:`_blocked_ranks`, reused while the same frozenset comes
+        back: a sweep of many sources over one placement
+        (:func:`~repro.faults.structures.structure_fault_diameter`) ranks
+        its blocked set once.  The cached array is read-only."""
+        last, ranks = self._masked
+        if blocked is not last:
+            ranks = self._blocked_ranks(blocked)
+            if ranks is not None:
+                ranks.flags.writeable = False
+            self._masked = (blocked, ranks)
+        return ranks
+
     # -- BFS services ------------------------------------------------------
 
     def distances_array(
@@ -277,16 +292,14 @@ class FastGraph:
         chosen = self.select_backend(backend)  # an unknown name raises here
         repair = self.repair_kernel if backend != "csr" else None
         if repair is not None:
-            return repair.source_stats(
-                self.rank(source), self._blocked_ranks(blocked)
-            )
+            return repair.source_stats(self.rank(source), self._masked_ranks(blocked))
         if chosen == "implicit":
             from repro.fastgraph.implicit import implicit_source_stats
 
             ecc, _, reached = implicit_source_stats(
                 self.codec,
                 self.rank(source),
-                forbidden=self._blocked_ranks(blocked),
+                forbidden=self._masked_ranks(blocked),
             )
             return ecc, reached
         dist = self.distances_array(source, blocked=blocked, backend="csr")

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import random
 import sys
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.core.disjoint_paths import (
@@ -16,7 +19,9 @@ from repro.core.disjoint_paths import (
 )
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.errors import InvalidLabelError, InvalidParameterError, RoutingError
-from repro.fastgraph.backend import FastGraph
+from repro.routing.flows import distances_to
+from repro.fastgraph.backend import FastGraph, get_fastgraph
+from repro.fastgraph.kernels import bfs_levels, path_from_parents
 from tests.routing import _reference_menger
 from tests.topologies import _reference_bfs
 
@@ -139,29 +144,54 @@ def _reference_shortest_path(self, source, target, *, blocked=None, backend=None
     )
 
 
+def _reference_segment(topology, source, target, *, blocked=(), to_target=None):
+    return _reference_bfs.bfs_shortest_path(topology, source, target, frozenset(blocked))
+
+
+def _kernel_segment(topology, source, target, *, blocked=(), to_target=None):
+    return topology.bfs_shortest_path(source, target, blocked=frozenset(blocked))
+
+
+#: the module that builds the families (``repro.core`` re-exports its name)
+_MODULE = sys.modules[_Case3Builder.__module__]
+
+
 class _ReferenceTies:
     """Reruns a class's tests with every shortest path answered by the
     reference queue BFS, which breaks ties in discovery order (each row in
     generator order) where the kernels break them in rank order: Theorem 5
-    families must stay valid whichever shortest segments they are built on."""
+    families must stay valid whichever shortest segments they are built on.
+    ``_fly_segment`` runs its own search, so that is patched as well."""
 
     @pytest.fixture(autouse=True)
     def _reference_ties(self, monkeypatch):
         monkeypatch.setattr(FastGraph, "shortest_path", _reference_shortest_path)
+        monkeypatch.setattr(_MODULE, "pruned_shortest_path", _reference_segment)
 
 
 class TestFamiliesReferenceTies(_ReferenceTies, TestFamilies):
     def test_segments_follow_the_reference(self, monkeypatch):
-        """The patch is live and changes segments: the kernels pick another
-        tie on some ``B_4`` pairs."""
-        fly = HyperButterfly(2, 4).butterfly
+        """The patches are live and change segments: the kernels pick
+        another tie on some ``B_4`` pairs, and ``_fly_segment`` follows the
+        reference too."""
+        hb = HyperButterfly(2, 4)
+        fly = hb.butterfly
         nodes = list(fly.nodes())
         pairs = [(nodes[0], v) for v in nodes[1:]]
         patched = [fly.bfs_shortest_path(u, v) for u, v in pairs]
         expected = [_reference_bfs.bfs_shortest_path(fly, u, v) for u, v in pairs]
         assert patched == expected
+        segments = [
+            _Case3Builder(hb, (0, u), (3, v))._fly_segment(frozenset())
+            for u, v in pairs
+        ]
+        assert segments == expected
         monkeypatch.undo()
         assert patched != [fly.bfs_shortest_path(u, v) for u, v in pairs]
+        assert segments != [
+            _Case3Builder(hb, (0, u), (3, v))._fly_segment(frozenset())
+            for u, v in pairs
+        ]
 
 
 class TestCornerRepairsReferenceTies(_ReferenceTies, TestCornerRepairs):
@@ -283,13 +313,13 @@ class TestSolverAndSegmentReuse:
     def test_cube_first_segments_once_per_block_set(self, monkeypatch, u, v):
         hb = HyperButterfly(4, 4)
         calls = []
-        bfs = hb.butterfly.bfs_shortest_path
+        search = _MODULE.pruned_shortest_path
 
         def counting(*args, **kwargs):
             calls.append(kwargs["blocked"])
-            return bfs(*args, **kwargs)
+            return search(*args, **kwargs)
 
-        monkeypatch.setattr(hb.butterfly, "bfs_shortest_path", counting)
+        monkeypatch.setattr(_MODULE, "pruned_shortest_path", counting)
         builder = _Case3Builder(hb, u, v)
         family = builder.build()
         verify_disjoint_paths(hb, u, v, family)
@@ -301,7 +331,8 @@ class TestSolverAndSegmentReuse:
         assert sorted(map(sorted, calls)) == sorted(map(sorted, set(block_sets)))
         assert len(calls) < len(block_sets)  # cube words off every segment share one
 
-        # one BFS per cube-first path gives the same family
+        # one kernel BFS per cube-first path gives the same family
+        bfs = hb.butterfly.bfs_shortest_path
         per_path = _Case3Builder(hb, u, v)
         monkeypatch.setattr(
             per_path,
@@ -309,3 +340,84 @@ class TestSolverAndSegmentReuse:
             lambda blocks: bfs(per_path.b, per_path.b2, blocked=blocks),
         )
         assert per_path.build() == family
+
+
+def _stub_tails(topology, sources, target, *, blocked=()):
+    return [[s, target] for s in sources]
+
+
+def _segment_queries(monkeypatch, hb, pairs):
+    """Every ``(b, b', blocks)`` query ``_fly_segment`` makes while
+    building the case-3 pairs among ``pairs``.  The queries never depend on
+    the tails or on the segments' answers, so both are stubbed; a pair
+    whose real tails fail (a double corner) only adds queries."""
+    queries = set()
+
+    def record(topology, source, target, *, blocked=(), to_target=None):
+        queries.add((source, target, blocked))
+        return [source, target]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_MODULE, "pruned_shortest_path", record)
+        patch.setattr(_MODULE, "node_to_set_disjoint_paths", _stub_tails)
+        for u, v in pairs:
+            if u[0] != v[0] and u[1] != v[1]:  # case 3
+                with contextlib.suppress(RoutingError):  # no repair: no segments
+                    _Case3Builder(hb, u, v).build()
+    return queries
+
+
+class TestSegmentsEqualTheKernel:
+    """``_fly_segment``'s pruned search answers every query as the numpy
+    kernels' ``bfs_shortest_path`` would, so every family is the one that
+    kernel-built segments give."""
+
+    @pytest.mark.parametrize(("m", "n", "count"), [(2, 3, 200), (3, 4, 200), (4, 7, 300)])
+    def test_families_identical_with_kernel_segments(self, monkeypatch, m, n, count):
+        hb = HyperButterfly(m, n)
+        nodes = list(hb.nodes())
+        rng = random.Random(m * 100 + n)
+        pairs = [tuple(rng.sample(nodes, 2)) for _ in range(count)]
+        got = [disjoint_paths_with_info(hb, u, v) for u, v in pairs]
+        monkeypatch.setattr(_MODULE, "pruned_shortest_path", _kernel_segment)
+        assert got == [disjoint_paths_with_info(hb, u, v) for u, v in pairs]
+
+    @pytest.mark.parametrize(("m", "n"), [(2, 3), (3, 4)])
+    def test_every_pair_segment_equals_the_kernel(self, monkeypatch, m, n):
+        """Every segment of every pair's family, hence every family.
+
+        The block sets depend on the cube words only through ``h ⊕ h'``
+        (cube routes are XOR translates), so the sources ``(0, b)`` issue
+        every query that any pair issues; a sample of other sources checks
+        that here.
+        """
+        hb = HyperButterfly(m, n)
+        nodes = list(hb.nodes())
+        pairs = [(u, v) for u in nodes if u[0] == 0 for v in nodes]
+        queries = _segment_queries(monkeypatch, hb, pairs)
+        rng = random.Random(n)
+        sample = [tuple(rng.sample(nodes, 2)) for _ in range(200)]
+        assert _segment_queries(monkeypatch, hb, sample) <= queries
+        # one full kernel BFS per (b, blocks) answers every b': a target
+        # only stops the kernel after its level, so the parents agree
+        fly = hb.butterfly
+        fast = get_fastgraph(fly)
+        to_target = {b2: distances_to(fly, b2) for b2 in fly.nodes()}
+        targets: dict = {}
+        for b, b2, blocks in queries:
+            targets.setdefault((b, blocks), []).append(b2)
+        for (b, blocks), b2s in targets.items():
+            mask = np.zeros(fast.codec.num_nodes, dtype=bool)
+            mask[[fast.rank(x) for x in blocks]] = True
+            dist, parents = bfs_levels(fast.csr, fast.rank(b), forbidden=mask, want_parents=True)
+            kernel = {}
+            for b2 in b2s:
+                t = fast.rank(b2)
+                if dist[t] >= 0:
+                    kernel[b2] = [fast.unrank(r) for r in path_from_parents(parents, fast.rank(b), t)]
+                got = _MODULE.pruned_shortest_path(
+                    fly, b, b2, blocked=blocks, to_target=to_target[b2]
+                )
+                assert got == kernel.get(b2), (b, b2, blocks)
+            # the public call runs the same kernel
+            assert fly.bfs_shortest_path(b, b2s[0], blocked=blocks) == kernel.get(b2s[0])
