@@ -39,6 +39,7 @@ __all__ = [
 #: never the reverse (upward needs a deferred import or a redesign).
 LAYERS: dict[str, int] = {
     "_bits": 0,
+    "_mersenne": 0,
     "errors": 0,
     "topologies": 1,
     "cayley": 1,

@@ -12,9 +12,9 @@ draws over ``range(num_nodes)`` for the same seed, so seeds keep their
 meaning.  :func:`hotspot_pairs`, :func:`incast_pairs`, the derangements
 and the bursty arrivals call :class:`random.Random` directly.
 :func:`uniform_pairs` replays its Mersenne Twister stream in numpy
-instead: ``np.random.MT19937`` is handed the key and position of
-``random.Random(seed).getstate()``, so ``random_raw()`` yields the same
-32-bit words as ``getrandbits(32)``, and whole-array code then applies
+instead: it takes ``random.Random(seed)``'s ``getrandbits(32)`` words in
+bulk (:func:`repro._mersenne.mt_words`, shared with the seeded fault
+draws of :mod:`repro.faults.model`), and whole-array code then applies
 :meth:`random.Random.sample`'s rejection and redraw rules to those words
 (see :func:`uniform_pairs`).
 
@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable
 
 import numpy as np
 
+from repro._mersenne import mt_words
 from repro.errors import InvalidParameterError
 
 if TYPE_CHECKING:
@@ -231,22 +232,6 @@ _BLOCK_WORDS = 1 << 16
 _SAMPLE_POOL_MAX = 21
 
 
-def _mt_stream(seed: int) -> np.random.MT19937:
-    """A numpy Mersenne Twister positioned where ``random.Random(seed)`` is.
-
-    Built from a fixed seed (no OS entropy is read), then overwritten with
-    the key and position of ``random.Random(seed).getstate()``; its
-    ``random_raw()`` words are the ``getrandbits(32)`` words in order.
-    """
-    state = random.Random(seed).getstate()[1]
-    bitgen = np.random.MT19937(0)
-    bitgen.state = {
-        "bit_generator": "MT19937",
-        "state": {"key": np.array(state[:-1], dtype=np.uint32), "pos": state[-1]},
-    }
-    return bitgen
-
-
 def _pair_positions(
     first_ok: np.ndarray, second_ok: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -282,8 +267,9 @@ def uniform_pairs(
     The pairs are exactly ``random.Random(seed)``'s successive
     ``sample(range(num_nodes), 2)`` draws — position-for-position the
     same draws as ``rng.sample(nodes, 2)`` over the node list — computed
-    with whole-array numpy code over the replayed 32-bit word stream
-    (:func:`_mt_stream`).  CPython's rules, applied to the words:
+    with whole-array numpy code over that generator's 32-bit words,
+    taken in bulk (:func:`repro._mersenne.mt_words`).  CPython's rules,
+    applied to the words:
 
     - ``_randbelow(n)`` is ``getrandbits(n.bit_length())``, i.e. one word
       ``>> (32 - k)``, redrawn while ``>= n``;
@@ -313,14 +299,14 @@ def uniform_pairs(
     # expected words per pair: a first draw below n, then a second draw
     # below n - 1 (pool branch) or below n and unequal to the first
     per_pair = 2**width1 / n + 2**width2 / (n - 1)
-    bitgen = _mt_stream(seed)
+    rng = random.Random(seed)
     sources = [np.zeros(0, dtype=np.int64)]
     targets = [np.zeros(0, dtype=np.int64)]
     carried = np.zeros(0, dtype=np.uint64)
     made = 0
     while made < count:
         fresh = min(_BLOCK_WORDS, int((count - made) * per_pair * 1.02) + 64)
-        words = np.concatenate((carried, bitgen.random_raw(fresh)))
+        words = np.concatenate((carried, mt_words(rng, fresh)))
         draws = (words >> shift1).astype(np.int64)
         if pool:
             second = (words >> shift2).astype(np.int64)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._mersenne import mt_words
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.errors import InvalidParameterError
 from repro.fastgraph.codecs import codec_for
@@ -112,9 +113,12 @@ class TestUniformStreamReplay:
 
     @pytest.mark.parametrize("seed", [0, 1, -7, 2**40, 987654321])
     def test_transplanted_stream_equals_getrandbits(self, seed):
-        words = workloads._mt_stream(seed).random_raw(10_000)
+        bulk = random.Random(seed)
+        words = mt_words(bulk, 10_000)
         rng = random.Random(seed)
+        assert words.dtype == np.uint64
         assert words.tolist() == [rng.getrandbits(32) for _ in range(10_000)]
+        assert bulk.getstate() == rng.getstate()
 
     @pytest.mark.parametrize("seed", UNIFORM_SEEDS)
     @pytest.mark.parametrize("count", UNIFORM_COUNTS)
