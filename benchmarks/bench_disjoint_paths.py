@@ -81,8 +81,10 @@ def test_constructive_vs_flow_speed(benchmark, hb24):
 
 
 def test_construction_at_figure2_scale(benchmark, hb38):
-    """Constructive Theorem 5 on the 16384-node flagship; flow at this
-    scale is orders slower (and is exactly what the construction avoids)."""
+    """Constructive Theorem 5 on the 16384-node flagship.  The global flow
+    family for this pair is about 4x slower warm (~1.2 ms against ~4.7 ms
+    on a 2-vCPU VM; EXPERIMENTS.md E5), not orders: its augmentations read
+    only near-shortest states."""
     u = hb38.identity_node()
     v = (0b101, (4, 0b10110001))
 

@@ -42,10 +42,11 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Literal
 
+import numpy as np
+
 from repro._bits import set_bits
 from repro.core.hyperbutterfly import HBNode, HyperButterfly
 from repro.errors import InvalidParameterError, RoutingError
-from repro.routing.base import paths_internally_disjoint
 from repro.routing.butterfly import butterfly_route_walk
 from repro.routing.flows import (
     distances_to,
@@ -233,7 +234,7 @@ class _Case3Builder:
         if self.b_fresh is not None:
             blocked.add(self.b_fresh)  # (h', b''') is the repaired path's entry
         fly_tails = node_to_set_disjoint_paths(
-            hb.butterfly, tail_sources, self.b2, blocked=blocked
+            hb.butterfly, tail_sources, self.b2, blocked=blocked, to_target=self._to_b2
         )
         tail_by_source = dict(zip(tail_sources, fly_tails, strict=True))
 
@@ -266,7 +267,8 @@ class _Case3Builder:
 
     @cached_property
     def _to_b2(self) -> list[int]:
-        """Fault-free butterfly distance from every rank to ``b'``."""
+        """Fault-free butterfly distance from every rank to ``b'``, shared
+        by the cube-first segments and the fly tails, which all end there."""
         return distances_to(self.hb.butterfly, self.b2)
 
     def _fly_segment(self, blocks: frozenset) -> list | None:
@@ -359,31 +361,45 @@ def verify_disjoint_paths(
     """Raise :class:`RoutingError` unless ``paths`` is a valid Theorem 5
     family: ``m + 4`` simple ``u → v`` paths, internally disjoint.
 
-    The checks are :func:`~repro.routing.base.validate_path`'s, but each
-    distinct vertex is validated once and each hop is then an O(1)
-    :meth:`HyperButterfly.adjacent` test.
+    The checks are :func:`~repro.routing.base.validate_path`'s, at rank
+    level: each distinct vertex is validated (a non-node raises
+    :class:`InvalidLabelError`) and ranked once, every hop of the family
+    is tested against one ``neighbors_block`` gather over the path ranks,
+    and revisits and shared vertices are found among the ranks.  The
+    checks run as: the count; each path's emptiness, labels and endpoints;
+    then every hop, every revisit and the disjointness.
     """
+    from repro.fastgraph.backend import get_fastgraph  # fastgraph sits above core
+
     expected = hb.m + 4
     if len(paths) != expected:
         raise RoutingError(f"expected {expected} paths, got {len(paths)}")
-    seen: set = set()
+    codec = get_fastgraph(hb).codec
+    rank_of: dict[HBNode, int] = {}
     for path in paths:
         if not path:
             raise RoutingError("empty path")
         for x in path:
-            if x not in seen:
+            if x not in rank_of:
                 hb.validate_node(x)
-                seen.add(x)
+                rank_of[x] = codec.rank(x)
         if path[0] != u:
             raise RoutingError(f"path starts at {path[0]!r}, expected {u!r}")
         if path[-1] != v:
             raise RoutingError(f"path ends at {path[-1]!r}, expected {v!r}")
-        for a, b in zip(path, path[1:], strict=False):
-            if not hb.adjacent(a, b):
-                raise RoutingError(f"{a!r} -> {b!r} is not an edge of {hb.name}")
-        if len(set(path)) != len(path):
-            raise RoutingError("path revisits a vertex")
-    if not paths_internally_disjoint(paths):
+    ranks = [[rank_of[x] for x in path] for path in paths]
+    tails = np.array([r for rs in ranks for r in rs[:-1]], dtype=np.int64)
+    heads = np.array([r for rs in ranks for r in rs[1:]], dtype=np.int64)
+    is_edge = (codec.neighbors_block(tails) == heads[:, None]).any(axis=1)
+    if not is_edge.all():
+        hops = [hop for path in paths for hop in zip(path, path[1:], strict=False)]
+        a, b = hops[int(np.argmin(is_edge))]
+        raise RoutingError(f"{a!r} -> {b!r} is not an edge of {hb.name}")
+    if any(len(set(rs)) != len(rs) for rs in ranks):
+        raise RoutingError("path revisits a vertex")
+    # a path that passed u or v again would have revisited it
+    interior = [r for rs in ranks for r in rs[1:-1]]
+    if len(set(interior)) != len(interior):
         raise RoutingError("paths are not internally disjoint")
 
 

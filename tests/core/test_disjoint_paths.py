@@ -19,6 +19,7 @@ from repro.core.disjoint_paths import (
 )
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.errors import InvalidLabelError, InvalidParameterError, RoutingError
+from repro.routing.base import paths_internally_disjoint
 from repro.routing.flows import distances_to
 from repro.fastgraph.backend import FastGraph, get_fastgraph
 from repro.fastgraph.kernels import bfs_levels, path_from_parents
@@ -272,6 +273,100 @@ class TestVerifierChecks:
         verify_disjoint_paths(hb23, self.U, self.V, self._family(hb23))
 
 
+def _reference_verify(hb, u, v, paths):
+    """The label-level check the rank-level one replaced: ``validate_node``
+    per distinct vertex and ``HyperButterfly.adjacent`` per hop."""
+    expected = hb.m + 4
+    if len(paths) != expected:
+        raise RoutingError(f"expected {expected} paths, got {len(paths)}")
+    seen: set = set()
+    for path in paths:
+        if not path:
+            raise RoutingError("empty path")
+        for x in path:
+            if x not in seen:
+                hb.validate_node(x)
+                seen.add(x)
+        if path[0] != u:
+            raise RoutingError(f"path starts at {path[0]!r}, expected {u!r}")
+        if path[-1] != v:
+            raise RoutingError(f"path ends at {path[-1]!r}, expected {v!r}")
+        for a, b in zip(path, path[1:], strict=False):
+            if not hb.adjacent(a, b):
+                raise RoutingError(f"{a!r} -> {b!r} is not an edge of {hb.name}")
+        if len(set(path)) != len(path):
+            raise RoutingError("path revisits a vertex")
+    if not paths_internally_disjoint(paths):
+        raise RoutingError("paths are not internally disjoint")
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except (RoutingError, InvalidLabelError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_PATH_TAMPERS = {
+    "empty": lambda p, o: p.clear(),
+    "non-node": lambda p, o: p.insert(1, (9, (0, 0))),
+    "bad fly word": lambda p, o: p.insert(1, (0, (0, 0b1000))),
+    "bad level": lambda p, o: p.insert(1, (0, (3, 0))),
+    "not a pair": lambda p, o: p.insert(1, "x"),
+    "start": lambda p, o: p.insert(0, p[1]),
+    "end": lambda p, o: p.append(p[-2]),
+    "skipped hop": lambda p, o: p.pop(1),
+    "self loop": lambda p, o: p.insert(2, p[1]),
+    "revisit": lambda p, o: p.__setitem__(slice(3, 3), [p[1], p[2]]),
+    "shared": lambda p, o: p.__setitem__(slice(None), o),
+}
+
+
+_FAULT_KINDS = (
+    "paths, got",
+    "empty path",
+    "is not a node",
+    "path starts at",
+    "path ends at",
+    "is not an edge",
+    "revisits a vertex",
+    "not internally disjoint",
+)
+
+
+class TestRankLevelVerifier:
+    """The rank-level check raises what the label-level one raised, type
+    and message, for every single fault."""
+
+    PAIRS = [
+        ((0, (0, 0)), (3, (0, 0))),  # case 1
+        ((1, (0, 0)), (1, (2, 0b101))),  # case 2
+        ((0, (0, 0)), (3, (2, 0b010))),  # case 3
+        ((0, (0, 0)), (1, (1, 0b000))),  # double corner: global flow
+    ]
+
+    @pytest.mark.parametrize(("u", "v"), PAIRS)
+    def test_every_single_fault_matches_the_label_check(self, hb23, u, v):
+        family = disjoint_paths(hb23, u, v)
+        assert _verdict(verify_disjoint_paths, hb23, u, v, family) is None
+        bad = [family[:-1], family + [family[0]]]
+        for i in range(len(family)):
+            for name, tamper in _PATH_TAMPERS.items():
+                tampered = [list(p) for p in family]
+                if name != "empty" and len(tampered[i]) < 3:
+                    continue  # too short to hold the fault
+                tamper(tampered[i], family[i - 1])
+                bad.append(tampered)
+        kinds = set()
+        for tampered in bad:
+            want = _verdict(_reference_verify, hb23, u, v, tampered)
+            assert want is not None
+            assert _verdict(verify_disjoint_paths, hb23, u, v, tampered) == want
+            kinds.update(kind for kind in _FAULT_KINDS if kind in want[1])
+        assert kinds == set(_FAULT_KINDS)
+
+
 class TestSolverAndSegmentReuse:
     def test_families_identical_with_the_reference_solver(self, monkeypatch, rng):
         """The int-native Menger solver builds every family, corners and
@@ -342,7 +437,7 @@ class TestSolverAndSegmentReuse:
         assert per_path.build() == family
 
 
-def _stub_tails(topology, sources, target, *, blocked=()):
+def _stub_tails(topology, sources, target, *, blocked=(), to_target=None):
     return [[s, target] for s in sources]
 
 

@@ -5,7 +5,9 @@ codec and keeps the residual in flat arrays.  This module keeps the solver
 it replaced, unchanged: labels in ``nodes()`` order, a label→rank dict, a
 list-of-lists adjacency built through ``neighbors()``, and the residual as
 dicts and sets.  Same unit augmentations, same FIFO order and early exit,
-so both must return identical families.
+so both must return identical families.  Both solvers take the
+``to_target`` distances the production one prunes with; this one ignores
+them, as its plain BFS needs none.
 """
 
 from __future__ import annotations
@@ -134,6 +136,7 @@ def vertex_disjoint_paths(
     k: int | None = None,
     blocked: Iterable[Hashable] = (),
     cutoff: int | None = None,
+    to_target: object = None,
 ) -> list[list[Hashable]]:
     """A maximum family of internally disjoint ``source → target`` paths.
 
@@ -182,6 +185,7 @@ def node_to_set_disjoint_paths(
     target: Hashable,
     *,
     blocked: Iterable[Hashable] = (),
+    to_target: object = None,
 ) -> list[list[Hashable]]:
     """One path per source to ``target``, pairwise sharing only ``target``.
 

@@ -9,7 +9,7 @@ import networkx as nx
 import pytest
 
 from repro.core.hyperbutterfly import HyperButterfly
-from repro.errors import RoutingError
+from repro.errors import InvalidParameterError, RoutingError
 from repro.fastgraph.codecs import codec_for, registered_codec_families
 from repro.routing import flows
 from repro.routing.base import paths_internally_disjoint, validate_path
@@ -61,6 +61,13 @@ class TestVertexDisjointPaths:
     def test_missing_endpoint_rejected(self):
         with pytest.raises(RoutingError):
             vertex_disjoint_paths(Hypercube(3), 0, 8)
+
+    def test_cutoff_below_k_rejected(self):
+        """``H_4`` is 4-connected: a cutoff of 2 could only ever report that
+        the graph "supports only 2" of the 4 paths asked for."""
+        with pytest.raises(InvalidParameterError, match="cutoff 2 is below k = 4"):
+            vertex_disjoint_paths(Hypercube(4), 0, 15, k=4, cutoff=2)
+        assert len(vertex_disjoint_paths(Hypercube(4), 0, 15, k=4, cutoff=4)) == 4
 
     def test_cutoff_still_yields_requested_family(self):
         bf = CayleyButterfly(4)
