@@ -35,12 +35,21 @@ falls back to an exact global Menger family on ``hb`` whenever the
 constructive skeleton cannot be completed (``m = 1`` with ``dist(h, h') =
 1``, and every pair that meets both corners at once).  Every returned
 family is verified before being handed back.
+
+Families are built as ranks.  ``HB``'s codec ranks ``(h, b)`` as
+``h·|B_n| + rank(b)``, with ``rank(b)`` the butterfly codec's rank and a
+cube word its own rank, so a factor path (cube words, or butterfly ranks
+from the solvers) lifts into a copy by integer arithmetic.  The builders
+hand rank lists to one rank-level check (:func:`_check_family`), and
+:func:`disjoint_paths_with_info` makes the labels once, by one block
+unrank of the whole family.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Literal
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Hashable, Literal
 
 import numpy as np
 
@@ -52,9 +61,13 @@ from repro.routing.flows import (
     distances_to,
     node_to_set_disjoint_paths,
     pruned_shortest_path,
-    vertex_disjoint_paths,
+    rank_labels,
+    vertex_disjoint_ranks,
 )
 from repro.routing.hypercube import hypercube_disjoint_paths, hypercube_route
+
+if TYPE_CHECKING:  # fastgraph sits above core: imported where it is used
+    from repro.fastgraph.codecs import NodeCodec
 
 __all__ = [
     "construction_case",
@@ -64,6 +77,13 @@ __all__ = [
 ]
 
 _METHODS = ("auto", "constructive", "flow")
+
+
+def _fly_codec(hb: HyperButterfly) -> NodeCodec:
+    """The codec that ranks ``hb.butterfly`` for the solvers."""
+    from repro.fastgraph.backend import get_fastgraph  # fastgraph sits above core
+
+    return get_fastgraph(hb.butterfly).codec
 
 
 def construction_case(u: HBNode, v: HBNode) -> int:
@@ -79,29 +99,22 @@ def construction_case(u: HBNode, v: HBNode) -> int:
     return 3
 
 
-def _lift_cube(path_words: list[int], b: tuple[int, int]) -> list[HBNode]:
-    return [(x, b) for x in path_words]
-
-
-def _lift_fly(h: int, path_fly: list[tuple[int, int]]) -> list[HBNode]:
-    return [(h, y) for y in path_fly]
-
-
 # --------------------------------------------------------------------------
 # Case 1: same butterfly part
 # --------------------------------------------------------------------------
 
 
-def _case1(hb: HyperButterfly, u: HBNode, v: HBNode) -> list[list[HBNode]]:
-    h, b = u
-    h2, _ = v
-    paths = [
-        _lift_cube(p, b) for p in hypercube_disjoint_paths(hb.m, h, h2)
-    ]
+def _case1(hb: HyperButterfly, u: HBNode, v: HBNode) -> list[list[int]]:
+    (h, b), (h2, _) = u, v
+    fly = _fly_codec(hb)
+    size = fly.num_nodes
+    y = fly.rank(b)
+    paths = [[x * size + y for x in p] for p in hypercube_disjoint_paths(hb.m, h, h2)]
     cube_route = hypercube_route(hb.m, h, h2)
-    for s in hb.fly_group.butterfly_generators():
-        bj = hb.fly_group.multiply(b, s)
-        paths.append([u] + _lift_cube(cube_route, bj) + [v])
+    s, t = h * size + y, h2 * size + y
+    for g in hb.fly_group.butterfly_generators():
+        yj = fly.rank(hb.fly_group.multiply(b, g))
+        paths.append([s] + [x * size + yj for x in cube_route] + [t])
     return paths
 
 
@@ -110,15 +123,18 @@ def _case1(hb: HyperButterfly, u: HBNode, v: HBNode) -> list[list[HBNode]]:
 # --------------------------------------------------------------------------
 
 
-def _case2(hb: HyperButterfly, u: HBNode, v: HBNode) -> list[list[HBNode]]:
-    h, b = u
-    _, b2 = v
-    fly_paths = vertex_disjoint_paths(hb.butterfly, b, b2, k=4)
-    paths = [_lift_fly(h, p) for p in fly_paths]
-    fly_route = butterfly_route_walk(hb.n, b, b2)
+def _case2(hb: HyperButterfly, u: HBNode, v: HBNode) -> list[list[int]]:
+    (h, b), (_, b2) = u, v
+    fly = _fly_codec(hb)
+    size = fly.num_nodes
+    copy = h * size
+    fly_paths = vertex_disjoint_ranks(hb.butterfly, fly.rank(b), fly.rank(b2), k=4)
+    paths = [[copy + y for y in p] for p in fly_paths]
+    fly_route = [fly.rank(y) for y in butterfly_route_walk(hb.n, b, b2)]
+    s, t = copy + fly_route[0], copy + fly_route[-1]
     for i in range(hb.m):
-        hi = h ^ (1 << i)
-        paths.append([u] + _lift_fly(hi, fly_route) + [v])
+        hi = (h ^ (1 << i)) * size
+        paths.append([s] + [hi + y for y in fly_route] + [t])
     return paths
 
 
@@ -156,32 +172,43 @@ class _Case3Builder:
     preconditions fail (``m = 1``, or no fresh ``b'''``), raise
     :class:`RoutingError`, and the caller falls back to the exact global
     Menger family.
+
+    Butterfly words are held as ranks of ``hb.butterfly``'s codec (``y``,
+    ``y2``, ``y_neighbors``, ``y_fresh`` for ``b``, ``b'``, ``N(b)`` in
+    generator order and ``b'''``), cube words as themselves, and the
+    family as ranks of ``hb``.
     """
 
     def __init__(self, hb: HyperButterfly, u: HBNode, v: HBNode) -> None:
+        fly = _fly_codec(hb)
         self.hb = hb
         self.u, self.v = u, v
         self.h, self.b = u
         self.h2, self.b2 = v
         self.m, self.n = hb.m, hb.n
-        self.b_neighbors = [
-            hb.fly_group.multiply(self.b, s)
-            for s in hb.fly_group.butterfly_generators()
+        self.size = fly.num_nodes
+        self.y, self.y2 = fly.rank(self.b), fly.rank(self.b2)
+        self.s = self.h * self.size + self.y
+        self.t = self.h2 * self.size + self.y2
+        self.y_neighbors = [
+            fly.rank(hb.fly_group.multiply(self.b, g))
+            for g in hb.fly_group.butterfly_generators()
         ]
         self.h_neighbors = [self.h ^ (1 << i) for i in range(self.m)]
         self.diff = set_bits(self.h ^ self.h2)
+        self._fly_rank = fly.rank
 
         # corner detection
         self.i_star = (
             self.h_neighbors.index(self.h2) if self.h2 in self.h_neighbors else None
         )
         self.j_star = (
-            self.b_neighbors.index(self.b2) if self.b2 in self.b_neighbors else None
+            self.y_neighbors.index(self.y2) if self.y2 in self.y_neighbors else None
         )
 
         # repair resources (chosen in _plan_repairs)
         self.h_fresh: int | None = None  # h'' for the dist-1 repair
-        self.b_fresh: tuple[int, int] | None = None  # b''' for the adjacency repair
+        self.y_fresh: int | None = None  # b''' for the adjacency repair
         # cube-first fly segments, one search per distinct collision-block set
         self.segments_by_blocks: dict[frozenset, list | None] = {}
 
@@ -196,17 +223,16 @@ class _Case3Builder:
             k = next(i for i in range(self.m) if i != self.i_star)
             self.h_fresh = self.h2 ^ (1 << k)
         if self.j_star is not None:
-            fly = self.hb.butterfly
             candidates = [
                 y
-                for y in fly.neighbors(self.b2)
-                if y != self.b and y not in self.b_neighbors
+                for y in map(self._fly_rank, self.hb.butterfly.neighbors(self.b2))
+                if y != self.y and y not in self.y_neighbors
             ]
             if not candidates:
                 raise RoutingError(
                     "case-3 adjacency corner: no fresh butterfly word near b'"
                 )
-            self.b_fresh = candidates[0]
+            self.y_fresh = candidates[0]
 
     # -- fly-first paths ---------------------------------------------------
 
@@ -214,53 +240,47 @@ class _Case3Builder:
         d = len(self.diff)
         return self.diff[j % d :] + self.diff[: j % d]
 
-    def _build_fly_first(self) -> list[list[HBNode]]:
-        hb = self.hb
-        # cube segments, each in its own copy; record (copy word, segment)
-        self.cube_segments: list[tuple[tuple[int, int], list[int]]] = []
-        for j, bj in enumerate(self.b_neighbors):
-            copy = self.b_fresh if j == self.j_star else bj
+    def _build_fly_first(self) -> list[list[int]]:
+        size = self.size
+        # cube segments, each in its own copy; record (copy rank, segment)
+        self.cube_segments: list[tuple[int, list[int]]] = []
+        for j, yj in enumerate(self.y_neighbors):
+            copy = self.y_fresh if j == self.j_star else yj
             self.cube_segments.append(
                 (copy, hypercube_route(self.m, self.h, self.h2, order=self._cube_segment_order(j)))
             )
 
         # fly tails inside (h', B_n); the repaired j* supplies its own entry
         tail_sources = [
-            bj for j, bj in enumerate(self.b_neighbors) if j != self.j_star
+            yj for j, yj in enumerate(self.y_neighbors) if j != self.j_star
         ]
         blocked: set = set()
         if self.i_star is not None:
-            blocked.add(self.b)  # (h', b) is owned by the repaired cube-first path
-        if self.b_fresh is not None:
-            blocked.add(self.b_fresh)  # (h', b''') is the repaired path's entry
+            blocked.add(self.y)  # (h', b) is owned by the repaired cube-first path
+        if self.y_fresh is not None:
+            blocked.add(self.y_fresh)  # (h', b''') is the repaired path's entry
         fly_tails = node_to_set_disjoint_paths(
-            hb.butterfly, tail_sources, self.b2, blocked=blocked, to_target=self._to_b2
+            self.hb.butterfly, tail_sources, self.y2, blocked=blocked, to_target=self._to_b2
         )
         tail_by_source = dict(zip(tail_sources, fly_tails, strict=True))
 
-        paths: list[list[HBNode]] = []
-        for j, bj in enumerate(self.b_neighbors):
+        copy2 = self.h2 * size
+        paths: list[list[int]] = []
+        for j, yj in enumerate(self.y_neighbors):
             copy, segment = self.cube_segments[j]
+            lifted = [x * size + copy for x in segment]
             if j == self.j_star:
                 # u → (h, b') → (h, b''') → cube route in copy b''' → (h', b''') → v
-                path = (
-                    [self.u, (self.h, self.b2)]
-                    + _lift_cube(segment, copy)
-                    + [self.v]
-                )
+                path = [self.s, self.h * size + self.y2] + lifted + [self.t]
             else:
-                path = (
-                    [self.u]
-                    + _lift_cube(segment, copy)
-                    + _lift_fly(self.h2, tail_by_source[bj])[1:]
-                )
+                path = [self.s] + lifted + [copy2 + y for y in tail_by_source[yj][1:]]
             paths.append(path)
         return paths
 
     # -- cube-first paths ---------------------------------------------------
 
     def _fly_collision_blocks(self, hi: int) -> frozenset:
-        """Butterfly words owned by a fly-first cube segment passing ``hi``."""
+        """Butterfly ranks owned by a fly-first cube segment passing ``hi``."""
         return frozenset(
             copy for copy, segment in self.cube_segments if hi in segment
         )
@@ -271,10 +291,10 @@ class _Case3Builder:
         by the cube-first segments and the fly tails, which all end there."""
         return distances_to(self.hb.butterfly, self.b2)
 
-    def _fly_segment(self, blocks: frozenset) -> list | None:
-        """Shortest ``b → b'`` butterfly route avoiding ``blocks``, one
-        search per distinct block set (most cube-first paths share the
-        empty one).
+    def _fly_segment(self, blocks: frozenset) -> list[int] | None:
+        """Shortest ``b → b'`` butterfly route avoiding ``blocks``, as
+        ranks, one search per distinct block set (most cube-first paths
+        share the empty one).
 
         The search is :func:`~repro.routing.flows.pruned_shortest_path`:
         levels over rank-sorted rows, dropping every node whose level plus
@@ -287,13 +307,13 @@ class _Case3Builder:
         """
         if blocks not in self.segments_by_blocks:
             self.segments_by_blocks[blocks] = pruned_shortest_path(
-                self.hb.butterfly, self.b, self.b2, blocked=blocks, to_target=self._to_b2
+                self.hb.butterfly, self.y, self.y2, blocked=blocks, to_target=self._to_b2
             )
         return self.segments_by_blocks[blocks]
 
-    def _build_cube_first(self) -> list[list[HBNode]]:
-        hb = self.hb
-        fly_segments: dict[int, list] = {}
+    def _build_cube_first(self) -> list[list[int]]:
+        size = self.size
+        fly_segments: dict[int, list[int]] = {}
         for i, hi in enumerate(self.h_neighbors):
             if i == self.i_star:
                 continue
@@ -313,11 +333,11 @@ class _Case3Builder:
         if self.j_star is not None:
             blocked.add(self.h)  # (h, b') is owned by the repaired fly-first path
         cube_tails = node_to_set_disjoint_paths(
-            hb.hypercube, tail_sources, self.h2, blocked=blocked
+            self.hb.hypercube, tail_sources, self.h2, blocked=blocked
         )
         tail_by_source = dict(zip(tail_sources, cube_tails, strict=True))
 
-        paths: list[list[HBNode]] = []
+        paths: list[list[int]] = []
         for i, hi in enumerate(self.h_neighbors):
             if i == self.i_star:
                 # u → (h', b) → (h'', b) → fly route in copy h'' → (h'', b') → v
@@ -326,26 +346,24 @@ class _Case3Builder:
                     raise RoutingError(
                         "repair copy disconnected under collision avoidance"
                     )
-                path = (
-                    [self.u, (self.h2, self.b)]
-                    + _lift_fly(self.h_fresh, seg)
-                    + [self.v]
-                )
+                copy = self.h_fresh * size
+                path = [self.s, self.h2 * size + self.y] + [copy + y for y in seg] + [self.t]
             else:
+                copy = hi * size
                 path = (
-                    [self.u]
-                    + _lift_fly(hi, fly_segments[i])
-                    + _lift_cube(tail_by_source[hi], self.b2)[1:]
+                    [self.s]
+                    + [copy + y for y in fly_segments[i]]
+                    + [x * size + self.y2 for x in tail_by_source[hi][1:]]
                 )
             paths.append(path)
         return paths
 
-    def build(self) -> list[list[HBNode]]:
+    def build(self) -> list[list[int]]:
         self._plan_repairs()
         return self._build_fly_first() + self._build_cube_first()
 
 
-def _case3(hb: HyperButterfly, u: HBNode, v: HBNode) -> list[list[HBNode]]:
+def _case3(hb: HyperButterfly, u: HBNode, v: HBNode) -> list[list[int]]:
     """Theorem 5 case 3 (both parts differ), with corner repairs."""
     return _Case3Builder(hb, u, v).build()
 
@@ -355,52 +373,92 @@ def _case3(hb: HyperButterfly, u: HBNode, v: HBNode) -> list[list[HBNode]]:
 # --------------------------------------------------------------------------
 
 
+def _check_family(
+    hb: HyperButterfly,
+    codec: NodeCodec,
+    s: int,
+    t: int,
+    paths: list[list[int]],
+    label: Callable[[int], Hashable],
+) -> None:
+    """Raise unless the rank lists ``paths`` are a valid Theorem 5 family
+    from rank ``s`` to rank ``t``: ``m + 4`` simple paths, internally
+    disjoint.  ``label`` names a rank in a message.
+
+    The checks are :func:`~repro.routing.base.validate_path`'s, run in
+    this order: the count; each path's emptiness, codec range (a rank
+    outside it raises what ``hb.validate_node`` raises for its label) and
+    endpoints; every hop, tested against one ``neighbors_block`` gather
+    over the path ranks; every revisit; the disjointness.  A family that
+    passes costs a few whole-family operations; a per-path scan runs only
+    to find which check a bad family fails first.
+    """
+    expected = hb.m + 4
+    if len(paths) != expected:
+        raise RoutingError(f"expected {expected} paths, got {len(paths)}")
+    n = codec.num_nodes
+    flat = list(chain.from_iterable(paths))
+    if not all(p and p[0] == s and p[-1] == t for p in paths) or not (
+        0 <= min(flat) and max(flat) < n
+    ):
+        for p in paths:
+            if not p:
+                raise RoutingError("empty path")
+            for r in p:
+                if not 0 <= r < n:
+                    hb.validate_node(label(r))
+                    raise RoutingError(f"rank {r} is not a node of {hb.name}")
+            if p[0] != s:
+                raise RoutingError(f"path starts at {label(p[0])!r}, expected {label(s)!r}")
+            if p[-1] != t:
+                raise RoutingError(f"path ends at {label(p[-1])!r}, expected {label(t)!r}")
+    tails = [r for p in paths for r in p[:-1]]
+    heads = np.array([r for p in paths for r in p[1:]], dtype=np.int64)
+    is_edge = (codec.neighbors_block(np.array(tails, dtype=np.int64)) == heads[:, None]).any(axis=1)
+    if not is_edge.all():
+        bad = int(np.argmin(is_edge))
+        raise RoutingError(
+            f"{label(tails[bad])!r} -> {label(int(heads[bad]))!r} is not an edge of {hb.name}"
+        )
+    # when s ≠ t every path runs s → t, so the family is simple and
+    # internally disjoint exactly when no interior rank repeats or is s or t
+    if s == t or len(set(flat)) != len(flat) - 2 * (expected - 1):
+        if any(len(set(p)) != len(p) for p in paths):
+            raise RoutingError("path revisits a vertex")
+        # a path that passed u or v again would have revisited it
+        interior = [r for p in paths for r in p[1:-1]]
+        if len(set(interior)) != len(interior):
+            raise RoutingError("paths are not internally disjoint")
+
+
 def verify_disjoint_paths(
     hb: HyperButterfly, u: HBNode, v: HBNode, paths: list[list[HBNode]]
 ) -> None:
     """Raise :class:`RoutingError` unless ``paths`` is a valid Theorem 5
     family: ``m + 4`` simple ``u → v`` paths, internally disjoint.
 
-    The checks are :func:`~repro.routing.base.validate_path`'s, at rank
-    level: each distinct vertex is validated (a non-node raises
-    :class:`InvalidLabelError`) and ranked once, every hop of the family
-    is tested against one ``neighbors_block`` gather over the path ranks,
-    and revisits and shared vertices are found among the ranks.  The
-    checks run as: the count; each path's emptiness, labels and endpoints;
-    then every hop, every revisit and the disjointness.
+    Each distinct vertex is ranked once (:func:`~repro.routing.flows.rank_labels`;
+    a label that is not a node raises :class:`InvalidLabelError` when the
+    check reaches it) and the rank lists go through the one check the
+    builders use, so the family is checked as they check theirs.
     """
     from repro.fastgraph.backend import get_fastgraph  # fastgraph sits above core
 
-    expected = hb.m + 4
-    if len(paths) != expected:
-        raise RoutingError(f"expected {expected} paths, got {len(paths)}")
+    ranks = rank_labels(hb, chain((u, v), *paths))
+    names = {r: x for x, r in ranks.items()}
+    ranked = [[ranks[x] for x in path] for path in paths]
     codec = get_fastgraph(hb).codec
-    rank_of: dict[HBNode, int] = {}
-    for path in paths:
-        if not path:
-            raise RoutingError("empty path")
-        for x in path:
-            if x not in rank_of:
-                hb.validate_node(x)
-                rank_of[x] = codec.rank(x)
-        if path[0] != u:
-            raise RoutingError(f"path starts at {path[0]!r}, expected {u!r}")
-        if path[-1] != v:
-            raise RoutingError(f"path ends at {path[-1]!r}, expected {v!r}")
-    ranks = [[rank_of[x] for x in path] for path in paths]
-    tails = np.array([r for rs in ranks for r in rs[:-1]], dtype=np.int64)
-    heads = np.array([r for rs in ranks for r in rs[1:]], dtype=np.int64)
-    is_edge = (codec.neighbors_block(tails) == heads[:, None]).any(axis=1)
-    if not is_edge.all():
-        hops = [hop for path in paths for hop in zip(path, path[1:], strict=False)]
-        a, b = hops[int(np.argmin(is_edge))]
-        raise RoutingError(f"{a!r} -> {b!r} is not an edge of {hb.name}")
-    if any(len(set(rs)) != len(rs) for rs in ranks):
-        raise RoutingError("path revisits a vertex")
-    # a path that passed u or v again would have revisited it
-    interior = [r for rs in ranks for r in rs[1:-1]]
-    if len(set(interior)) != len(interior):
-        raise RoutingError("paths are not internally disjoint")
+    _check_family(hb, codec, ranks[u], ranks[v], ranked, names.__getitem__)
+
+
+def _labels(codec: NodeCodec, paths: list[list[int]]) -> list[list[HBNode]]:
+    """The family as labels: one block unrank of all its ranks."""
+    flat = codec.unrank_block(np.fromiter(chain.from_iterable(paths), dtype=np.int64))
+    out, start = [], 0
+    for p in paths:
+        out.append(flat[start : start + len(p)])
+        start += len(p)
+    return out
 
 
 def disjoint_paths_with_info(
@@ -418,6 +476,8 @@ def disjoint_paths_with_info(
     ``method`` outside ``"auto"``/``"constructive"``/``"flow"`` raises
     :class:`InvalidParameterError`.
     """
+    from repro.fastgraph.backend import get_fastgraph  # fastgraph sits above core
+
     if method not in _METHODS:
         raise InvalidParameterError(
             f"unknown disjoint-path method {method!r} "
@@ -427,23 +487,25 @@ def disjoint_paths_with_info(
     hb.validate_node(v)
     case = construction_case(u, v)
     info: dict = {"case": case}
+    codec = get_fastgraph(hb).codec
+    s, t = codec.rank(u), codec.rank(v)
 
     if method in ("auto", "constructive"):
         try:
             builder = {1: _case1, 2: _case2, 3: _case3}[case]
             paths = builder(hb, u, v)
-            verify_disjoint_paths(hb, u, v, paths)
+            _check_family(hb, codec, s, t, paths, codec.unrank)
             info["method"] = "constructive"
-            return paths, info
+            return _labels(codec, paths), info
         except RoutingError as exc:
             if method == "constructive":
                 raise
             info["fallback_reason"] = str(exc)
 
-    paths = vertex_disjoint_paths(hb, u, v, k=hb.m + 4)
-    verify_disjoint_paths(hb, u, v, paths)
+    paths = vertex_disjoint_ranks(hb, s, t, k=hb.m + 4)
+    _check_family(hb, codec, s, t, paths, codec.unrank)
     info["method"] = "flow"
-    return paths, info
+    return _labels(codec, paths), info
 
 
 def disjoint_paths(

@@ -75,6 +75,10 @@ class NodeCodec:
     def unrank(self, idx: int) -> Hashable:
         raise NotImplementedError
 
+    def unrank_block(self, idx: np.ndarray) -> list[Hashable]:
+        """The labels of a rank array, as a list: :meth:`unrank` of each."""
+        return [self.unrank(i) for i in idx.tolist()]
+
     # Optional vectorized services ----------------------------------------
 
     #: generator labels (Cayley families) used to build the neighbor table
@@ -186,6 +190,9 @@ class IntRangeCodec(NodeCodec):
     def unrank(self, idx: int) -> int:
         return idx + self.offset
 
+    def unrank_block(self, idx: np.ndarray) -> list[int]:
+        return (idx + self.offset).tolist()
+
 
 class HypercubeCodec(IntRangeCodec):
     """``H_m`` / ``(Z_2)^m`` — int labels, generators act by XOR."""
@@ -235,6 +242,10 @@ class ButterflyElementCodec(NodeCodec):
 
     def unrank(self, idx: int) -> tuple[int, int]:
         return (idx >> self.n, idx & ((1 << self.n) - 1))
+
+    def unrank_block(self, idx: np.ndarray) -> list[tuple[int, int]]:
+        words = (idx & ((1 << self.n) - 1)).tolist()
+        return list(zip((idx >> self.n).tolist(), words, strict=True))
 
     def apply_generator(self, idx: np.ndarray, gen: tuple[int, int]) -> np.ndarray:
         # (x, c) · (dx, dc) = ((x + dx) mod n, c ^ rot_left(dc, x))
@@ -315,6 +326,14 @@ class ProductCodec(NodeCodec):
     def unrank(self, idx: int) -> tuple:
         a, b = divmod(idx, self.right.num_nodes)
         return (self.left.unrank(a), self.right.unrank(b))
+
+    def unrank_block(self, idx: np.ndarray) -> list[tuple]:
+        # equal right labels share one object, so the labels of a path
+        # family cost little more than their pair tuples
+        a, b = np.divmod(idx, self.right.num_nodes)
+        shared: dict = {}
+        right = [shared.setdefault(y, y) for y in self.right.unrank_block(b)]
+        return list(zip(self.left.unrank_block(a), right, strict=True))
 
     def apply_generator(self, idx: np.ndarray, gen: tuple) -> np.ndarray:
         ga, gb = gen

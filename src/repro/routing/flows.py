@@ -5,14 +5,20 @@ node-to-set families that Theorem 5's construction consumes as black boxes,
 as the last-resort fallback for the full ``m + 4`` family, and for the
 exact connectivity computations behind Corollary 1.
 
+The solvers work on ranks: sources, target and blocked vertices come in
+as ranks of the topology's codec (an enumeration of ``nodes()`` when none
+is registered) and paths go out as rank lists, so a caller that already
+holds ranks converts nothing.  :func:`vertex_disjoint_paths` is the label
+form, for callers that hold labels: it ranks its input once
+(:func:`rank_labels`) and unranks the family once.
+
 The model is the textbook node-splitting reduction: every vertex ``v``
 becomes a unit arc ``v⁻ → v⁺``, every undirected edge ``{u, v}`` the unit
 arcs ``u⁺ → v⁻`` and ``v⁺ → u⁻``, and an integral flow decomposes into
-internally vertex-disjoint paths.  None of that network is built.  The
-vertices are ranked once per topology by its codec (an enumeration of
-``nodes()`` when none is registered), with each adjacency row read from
-the codec's ``neighbors_block`` (or its CSR) and sorted, cached on the
-instance.  Per call the flow is only two flat arrays over the ranks:
+internally vertex-disjoint paths.  None of that network is built.  Each
+adjacency row is read once per topology from the codec's
+``neighbors_block`` (or its CSR) and sorted, cached on the instance.  Per
+call the flow is only two flat arrays over the ranks:
 
 * ``pred`` — for every vertex that carries flow, the vertex feeding it,
   ``-1`` otherwise (the source's successors all point back at the
@@ -31,9 +37,12 @@ order of the queue, and so every parent and path, is the two-half BFS's.
 An exit half's *level* is the number of exit halves before it on its BFS
 path (the starts are level 0), and the *hit level* is the level of the
 exit half whose move enters the target.
-The BFS ``parent`` list starts as a copy of a per-call template in which
-the entry halves of closed vertices (blocked ones and the sources) read
-as reached, so no move enters them.  A node-to-set BFS starts from every
+A call keeps one BFS ``parent`` list over the residual states.  The entry
+halves of closed vertices (blocked ones and the sources) read as reached
+in it for the whole call, so no move enters them; every other state reads
+as unseen before each pass, and each pass returns the states it touched
+to unseen when it ends (:func:`_reset`), so a pass costs what it reads,
+not the number of ranks.  A node-to-set BFS starts from every
 source not yet served, which stands in for a super-source.  Families are
 bounded by the minimum degree, so an s–t family takes at most ``cutoff``
 augmentations and a node-to-set family ``len(sources)``.  Paths come out
@@ -104,7 +113,9 @@ if TYPE_CHECKING:  # fastgraph sits above routing: imported where it is used
 __all__ = [
     "distances_to",
     "pruned_shortest_path",
+    "rank_labels",
     "vertex_disjoint_paths",
+    "vertex_disjoint_ranks",
     "node_to_set_disjoint_paths",
 ]
 
@@ -112,6 +123,11 @@ __all__ = [
 _ATTR = "_menger_ranks"
 #: instance attribute caching ``(identity distances, inverse ranks)``
 _DIST_ATTR = "_menger_distances"
+#: instance attribute caching every target's distance row, on small topologies
+_TABLE_ATTR = "_menger_distance_table"
+#: topologies of at most this many ranks fill one all-targets distance table
+#: on first use; larger ones compute one row per call
+_TABLE_RANKS = 256
 #: ranks per ``neighbors_block`` call while the adjacency is built
 _BLOCK = 1 << 16
 #: ``parent`` entry of a residual state the BFS has not reached
@@ -207,6 +223,23 @@ def _distance_array(topology: Topology, target: Hashable) -> np.ndarray:
     return _far_if_unreached(get_fastgraph(topology).distances_array(target))
 
 
+def _distances(topology: Topology, target: int) -> list[int]:
+    """:func:`distances_to` by the target's rank.  A topology of at most
+    ``_TABLE_RANKS`` ranks answers from one all-targets table, filled on
+    first use; the rows are shared, so callers only read them."""
+    codec, _ = _ranked(topology)
+    if codec.num_nodes > _TABLE_RANKS:
+        return _distance_array(topology, codec.unrank(target)).tolist()
+    table = topology.__dict__.get(_TABLE_ATTR)
+    if table is None:
+        table = [
+            _distance_array(topology, codec.unrank(t)).tolist()
+            for t in range(codec.num_nodes)
+        ]
+        setattr(topology, _TABLE_ATTR, table)
+    return table[target]
+
+
 def distances_to(topology: Topology, target: Hashable) -> list[int]:
     """The fault-free distance from every rank to ``target``, by rank; a
     rank that cannot reach ``target`` reads ``_FAR``, which no search
@@ -220,21 +253,58 @@ def distances_to(topology: Topology, target: Hashable) -> list[int]:
       ``dist(x, t) = D0[x⁻¹·t]`` with ``D0`` the distances from the
       identity: one ``multiply_block`` per target.
     * Any other topology takes one fastgraph BFS from ``target``.
+
+    On a topology of at most ``_TABLE_RANKS`` (256) ranks every target's
+    row is computed once and the list returned is shared: read it only.
     """
-    return _distance_array(topology, target).tolist()
+    return _distances(topology, _ranked(topology)[0].rank(target))
+
+
+def rank_labels(topology: Topology, labels: Iterable[Hashable]) -> dict[Hashable, int]:
+    """Each distinct label of ``labels`` mapped to its rank.
+
+    A label that is not a node gets a rank of its own past the last one,
+    so equal labels keep equal ranks and the rank-level solvers read it
+    as missing (an endpoint) or ignore it (a blocked vertex), as the label
+    API always has.
+    """
+    from repro.fastgraph.backend import get_fastgraph
+
+    codec = get_fastgraph(topology).codec
+    has_node, rank = topology.has_node, codec.rank
+    ranks: dict[Hashable, int] = {}
+    for x in labels:
+        if x not in ranks:
+            ranks[x] = rank(x) if has_node(x) else codec.num_nodes + len(ranks)
+    return ranks
+
+
+def _parent(num_nodes: int, closed: Iterable[int]) -> list[int]:
+    """A call's ``parent`` list over residual states.
+
+    Every state is ``_UNSEEN`` except the entry halves of the ``closed``
+    ranks (blocked vertices and sources), which read as already reached,
+    so no move ever enters them.  A rank outside ``range(num_nodes)``
+    names no vertex and closes nothing.
+    """
+    parent = [_UNSEEN] * (2 * num_nodes)
+    for r in closed:
+        if 0 <= r < num_nodes:
+            parent[2 * r] = _CLOSED
+    return parent
 
 
 def pruned_shortest_path(
     topology: Topology,
-    source: Hashable,
-    target: Hashable,
+    source: int,
+    target: int,
     *,
-    blocked: Iterable[Hashable] = (),
+    blocked: Iterable[int] = (),
     to_target: list[int] | None = None,
-) -> list[Hashable] | None:
+) -> list[int] | None:
     """The numpy kernels' shortest ``source → target`` path around
-    ``blocked`` (``None`` when there is none), by a level search that reads
-    little more than the shortest paths themselves.
+    ``blocked``, as ranks (``None`` when there is none), by a level search
+    that reads little more than the shortest paths themselves.
 
     ``to_target`` is :func:`distances_to` ``(topology, target)``, computed
     when not given.  The search walks levels over the rank-sorted rows of
@@ -255,23 +325,24 @@ def pruned_shortest_path(
     candidate parents are therefore exactly the kernels' candidates, and
     a dropped node is never one of them.
     """
-    if not (topology.has_node(source) and topology.has_node(target)):
+    _, adj = _ranked(topology)
+    n = len(adj)
+    if not (0 <= source < n and 0 <= target < n):
         raise RoutingError("endpoint missing from graph")
-    codec, adj = _ranked(topology)
-    s, t = codec.rank(source), codec.rank(target)
-    # a node's parent sits at its entry half 2·rank, which its rows list
-    template = _template(topology, codec, blocked, ())
-    if template[2 * s] != _UNSEEN or template[2 * t] != _UNSEEN:
+    closed = set(blocked)
+    if source in closed or target in closed:
         return None
-    if s == t:
+    if source == target:
         return [source]
     if to_target is None:
-        to_target = distances_to(topology, target)
-    bound = to_target[s]
+        to_target = _distances(topology, target)
+    # a node's parent sits at its entry half 2·rank, which its rows list
+    parent = _parent(n, closed)
+    parent[2 * source] = -1
+    bound = to_target[source]
+    touched: list[int] = []
     while True:
-        parent = template.copy()
-        parent[2 * s] = -1
-        frontier = [s]
+        frontier = [source]
         level = 0
         dropped = _FAR  # the smallest level + distance left out
         while frontier:
@@ -287,54 +358,49 @@ def pruned_shortest_path(
                             dropped = over
                         continue
                     parent[x] = v
-                    if x == 2 * t:
-                        ranks = [t]
-                        while ranks[-1] != s:
+                    if x == 2 * target:
+                        ranks = [target]
+                        while ranks[-1] != source:
                             ranks.append(parent[2 * ranks[-1]])
-                        return [codec.unrank(r) for r in reversed(ranks)]
+                        ranks.reverse()
+                        return ranks
                     reached.append(x >> 1)
             reached.sort()
+            touched += reached
             frontier = reached
         if dropped == _FAR:
             return None
+        for r in touched:
+            parent[2 * r] = _UNSEEN
+        touched.clear()
         bound = dropped
 
 
-def _template(
-    topology: Topology,
-    codec: NodeCodec,
-    blocked: Iterable[Hashable],
-    sources: Iterable[int],
-) -> list[int]:
-    """The ``parent`` list, over residual states, that a search starts from.
-
-    Every state is ``_UNSEEN`` except the entry halves of the closed
-    vertices (the ``blocked`` labels that are nodes, and the ``sources``),
-    which read as already reached, so no move ever enters them.
-    """
-    template = [_UNSEEN] * (2 * codec.num_nodes)
-    for x in blocked:
-        if topology.has_node(x):
-            template[2 * codec.rank(x)] = _CLOSED
-    for s in sources:
-        template[2 * s] = _CLOSED
-    return template
-
-
 def _inflow_cap(
-    adj: list[list[int]], target: int, template: list[int], starts: list[int]
+    adj: list[list[int]], target: int, parent: list[int], starts: list[int]
 ) -> int:
     """How many units can enter ``target``: its neighbours that are not
-    blocked (a source is closed in ``template`` but still leaves).  A flow
+    blocked (a source is closed in ``parent`` but still leaves).  A flow
     of that value is maximal, with no search to prove it."""
-    return sum(1 for x in adj[target] if template[x] != _CLOSED or x >> 1 in starts)
+    return sum(1 for x in adj[target] if parent[x] != _CLOSED or x >> 1 in starts)
+
+
+def _reset(parent: list[int], queue: list[int]) -> None:
+    """Return the states one pass touched to ``_UNSEEN``: the exit halves
+    it queued and the entry half each of them was reached through, the
+    only entry halves a pass marks."""
+    for state in queue:
+        entry = parent[state]
+        if entry >= 0:  # the starts' parent is -1
+            parent[entry] = _UNSEEN
+        parent[state] = _UNSEEN
 
 
 def _augment(
     adj: list[list[int]],
     starts: Iterable[int],
     target: int,
-    template: list[int],
+    parent: list[int],
     pred: list[int],
     into_target: bytearray,
     to_target: list[int],
@@ -345,12 +411,17 @@ def _augment(
     used and the hit level, or ``None`` at max flow.
 
     States are ``2·rank`` (entry half) and ``2·rank + 1`` (exit half);
-    ``parent`` starts as a copy of :func:`_template` and maps each state
-    the BFS reached to the state it came from.  Every move flips halves, so
-    entry and exit levels alternate, and an entry half has exactly one
-    move out.  The queue therefore holds exit halves only: an entry half's
-    move is taken the moment the entry is reached, which keeps the order
-    in which exit halves are reached, their parents and the hit.
+    ``parent`` is the call's list (:func:`_parent`) and maps each state a
+    pass reached to the state it came from; every pass hands it back with
+    only the closed entry halves set (:func:`_reset`).  Every move flips
+    halves, so entry and exit levels alternate, and an entry half has
+    exactly one move out.  The queue therefore holds exit halves only: an
+    entry half's move is taken the moment the entry is reached, which
+    keeps the order in which exit halves are reached, their parents and
+    the hit.  An entry half whose move ends at an exit half already
+    reached is left unmarked: it leads nowhere new and no path runs
+    through it, so a pass marks only the entry halves of the exit halves
+    it queues.
 
     ``bound`` is the ``U`` of the module docstring: an exit half ``y⁺``
     reached from a state at ``level`` sits at ``level + 1`` and is queued
@@ -359,7 +430,6 @@ def _augment(
     entry_target = 2 * target
     budget, spent = len(adj) // _RERUN_SHARE, 0
     while True:
-        parent = template.copy()
         queue = []
         for s in starts:
             parent[2 * s + 1] = -1
@@ -376,7 +446,9 @@ def _augment(
             for x in adj[v]:  # x = 2·w, the entry half of neighbour w
                 if x == entry_target:
                     if not into_target[v]:
-                        return _apply(parent, state, target, pred, into_target), level
+                        used = _apply(parent, state, target, pred, into_target)
+                        _reset(parent, queue)
+                        return used, level
                 elif parent[x] == _UNSEEN:
                     p = pred[x >> 1]
                     if p == v:
@@ -384,8 +456,8 @@ def _augment(
                     # w⁻ moves on to w⁺ when w is free, else back to pred[w]⁺
                     y = x >> 1 if p < 0 else p
                     if parent[2 * y + 1] != _UNSEEN:
-                        parent[x] = state
-                    elif to_target[y] > limit:
+                        continue
+                    if to_target[y] > limit:
                         if level + to_target[y] < dropped:
                             dropped = level + to_target[y]
                     else:
@@ -393,17 +465,16 @@ def _augment(
                         parent[2 * y + 1] = x
                         append(2 * y + 1)
             p = pred[v]
-            if p >= 0 and parent[state - 1] == _UNSEEN:
-                # v carries flow: back to v⁻, whose move is back to pred[v]⁺
-                if parent[2 * p + 1] != _UNSEEN:
-                    parent[state - 1] = state
-                elif to_target[p] > limit:
+            # v carries flow: back to v⁻, whose move is back to pred[v]⁺
+            if p >= 0 and parent[state - 1] == _UNSEEN and parent[2 * p + 1] == _UNSEEN:
+                if to_target[p] > limit:
                     if level + to_target[p] < dropped:
                         dropped = level + to_target[p]
                 else:
                     parent[state - 1] = state
                     parent[2 * p + 1] = state - 1
                     append(2 * p + 1)
+        _reset(parent, queue)
         if dropped == _FAR:
             return None
         spent += len(queue)
@@ -466,17 +537,18 @@ def _flow_paths(
     return paths
 
 
-def vertex_disjoint_paths(
+def vertex_disjoint_ranks(
     topology: Topology,
-    source: Hashable,
-    target: Hashable,
+    source: int,
+    target: int,
     *,
     k: int | None = None,
-    blocked: Iterable[Hashable] = (),
+    blocked: Iterable[int] = (),
     cutoff: int | None = None,
     to_target: list[int] | None = None,
-) -> list[list[Hashable]]:
-    """A maximum family of internally disjoint ``source → target`` paths.
+) -> list[list[int]]:
+    """A maximum family of internally disjoint ``source → target`` paths,
+    on ranks.
 
     ``k`` truncates the family (and raises :class:`RoutingError` when the
     graph cannot supply ``k`` paths).  ``blocked`` vertices are removed
@@ -488,7 +560,7 @@ def vertex_disjoint_paths(
     below ``k`` raises :class:`InvalidParameterError`.  ``to_target`` is
     :func:`distances_to` ``(topology, target)``, computed when not given;
     it prunes the search and changes no path.  Paths are ordered by their
-    first hop, in ``nodes()`` order.
+    first hop, in rank (``nodes()``) order.
     """
     if k is not None and cutoff is not None and cutoff < k:
         raise InvalidParameterError(
@@ -499,29 +571,26 @@ def vertex_disjoint_paths(
         raise RoutingError("endpoints may not be blocked")
     if source == target:
         raise RoutingError("disjoint paths require distinct endpoints")
-    if not (topology.has_node(source) and topology.has_node(target)):
+    _, adj = _ranked(topology)
+    n = len(adj)
+    if not (0 <= source < n and 0 <= target < n):
         raise RoutingError("endpoint missing from graph")
-    codec, adj = _ranked(topology)
-    s, t = codec.rank(source), codec.rank(target)
+    s, t = source, target
     if cutoff is None:
         cutoff = k if k is not None else min(len(adj[s]), len(adj[t]))
     if to_target is None:
-        to_target = distances_to(topology, target)
-    template = _template(topology, codec, blocked, (s,))
-    pred = [-1] * len(adj)
-    into_target = bytearray(len(adj))
+        to_target = _distances(topology, t)
+    parent = _parent(n, [*blocked, s])
+    pred = [-1] * n
+    into_target = bytearray(n)
     bound = to_target[s] - 1
-    for _ in range(min(cutoff, _inflow_cap(adj, t, template, [s]))):
-        hit = _augment(adj, (s,), t, template, pred, into_target, to_target, bound)
+    for _ in range(min(cutoff, _inflow_cap(adj, t, parent, [s]))):
+        hit = _augment(adj, (s,), t, parent, pred, into_target, to_target, bound)
         if hit is None:
             break
         bound = hit[1]
     # every path leaves the source, so order them by their first hop
-    unrank = codec.unrank
-    paths = [
-        [unrank(r) for r in ranks]
-        for ranks in sorted(_flow_paths(adj, pred, into_target, t), key=lambda p: p[1])
-    ]
+    paths = sorted(_flow_paths(adj, pred, into_target, t), key=lambda p: p[1])
     if k is not None:
         if len(paths) < k:
             raise RoutingError(
@@ -531,58 +600,83 @@ def vertex_disjoint_paths(
     return paths
 
 
-def node_to_set_disjoint_paths(
+def vertex_disjoint_paths(
     topology: Topology,
-    sources: Sequence[Hashable],
+    source: Hashable,
     target: Hashable,
     *,
+    k: int | None = None,
     blocked: Iterable[Hashable] = (),
+    cutoff: int | None = None,
     to_target: list[int] | None = None,
 ) -> list[list[Hashable]]:
-    """One path per source to ``target``, pairwise sharing only ``target``.
+    """:func:`vertex_disjoint_ranks` on labels: the endpoints and
+    ``blocked`` are ranked once (a blocked label that is not a node is
+    ignored, an endpoint that is not one raises :class:`RoutingError`)
+    and the family is unranked once."""
+    blocked = list(blocked)
+    ranks = rank_labels(topology, [source, target, *blocked])
+    family = vertex_disjoint_ranks(
+        topology,
+        ranks[source],
+        ranks[target],
+        k=k,
+        blocked=[ranks[x] for x in blocked],
+        cutoff=cutoff,
+        to_target=to_target,
+    )
+    unrank = _ranked(topology)[0].unrank
+    return [[unrank(r) for r in path] for path in family]
+
+
+def node_to_set_disjoint_paths(
+    topology: Topology,
+    sources: Sequence[int],
+    target: int,
+    *,
+    blocked: Iterable[int] = (),
+    to_target: list[int] | None = None,
+) -> list[list[int]]:
+    """One path per source rank to ``target``, pairwise sharing only
+    ``target``, as rank lists in the order of ``sources``.
 
     This is the node-to-set disjoint path problem (cf. Latifi, Ko &
     Srimani for hypercubes); Theorem 5's tails need exactly this.  A source
     equal to ``target`` gets the trivial path ``[target]``.  Sources must be
     distinct, and no path passes through another source.  Raises
     :class:`RoutingError` if no such family exists under ``blocked``.
-    ``to_target`` is as in :func:`vertex_disjoint_paths`.
+    ``to_target`` is as in :func:`vertex_disjoint_ranks`.
     """
     if len(set(sources)) != len(sources):
         raise RoutingError("sources must be distinct")
     blocked = set(blocked)
     if target in blocked or any(s in blocked for s in sources):
         raise RoutingError("endpoints may not be blocked")
-    real_sources = [s for s in sources if s != target]
-    result_by_source: dict[Hashable, list[Hashable]] = {
-        s: [target] for s in sources if s == target
-    }
-    if real_sources:
-        has_node = topology.has_node
-        if not (has_node(target) and all(has_node(s) for s in real_sources)):
+    starts = [s for s in sources if s != target]
+    paths: dict[int, list[int]] = {target: [target]}
+    if starts:
+        _, adj = _ranked(topology)
+        n = len(adj)
+        if not (0 <= target < n and all(0 <= s < n for s in starts)):
             raise RoutingError("endpoint missing from graph")
-        codec, adj = _ranked(topology)
-        t = codec.rank(target)
-        starts = [codec.rank(s) for s in real_sources]
         if to_target is None:
-            to_target = distances_to(topology, target)
-        template = _template(topology, codec, blocked, starts)
-        pred = [-1] * len(adj)
-        into_target = bytearray(len(adj))
+            to_target = _distances(topology, target)
+        parent = _parent(n, [*blocked, *starts])
+        pred = [-1] * n
+        into_target = bytearray(n)
         free = list(starts)
         bound = min(to_target[s] for s in starts) - 1
-        cap = _inflow_cap(adj, t, template, starts)
+        cap = _inflow_cap(adj, target, parent, starts)
         for served in range(len(starts)):
             hit = None
             if served < cap:
-                hit = _augment(adj, free, t, template, pred, into_target, to_target, bound)
+                hit = _augment(adj, free, target, parent, pred, into_target, to_target, bound)
             if hit is None:
                 raise RoutingError(
                     f"only {served} of {len(starts)} node-to-set paths exist"
                 )
             used, bound = hit
             free.remove(used)
-        unrank = codec.unrank
-        for ranks in _flow_paths(adj, pred, into_target, t):
-            result_by_source[unrank(ranks[0])] = [unrank(r) for r in ranks]
-    return [result_by_source[s] for s in sources]
+        for ranks in _flow_paths(adj, pred, into_target, target):
+            paths[ranks[0]] = ranks
+    return [paths[s] for s in sources]

@@ -23,7 +23,7 @@ from repro.routing.base import paths_internally_disjoint
 from repro.routing.flows import distances_to
 from repro.fastgraph.backend import FastGraph, get_fastgraph
 from repro.fastgraph.kernels import bfs_levels, path_from_parents
-from tests.routing import _reference_menger
+from tests.routing import _label_edge, _reference_menger
 from tests.topologies import _reference_bfs
 
 
@@ -145,12 +145,14 @@ def _reference_shortest_path(self, source, target, *, blocked=None, backend=None
     )
 
 
-def _reference_segment(topology, source, target, *, blocked=(), to_target=None):
-    return _reference_bfs.bfs_shortest_path(topology, source, target, frozenset(blocked))
-
-
-def _kernel_segment(topology, source, target, *, blocked=(), to_target=None):
-    return topology.bfs_shortest_path(source, target, blocked=frozenset(blocked))
+# the segment search takes and returns ranks: these put a rank edge on the
+# label-level reference BFS and kernel
+_reference_segment = _label_edge.shortest_path_on_ranks(_reference_bfs.bfs_shortest_path)
+_kernel_segment = _label_edge.shortest_path_on_ranks(
+    lambda topology, source, target, blocked: topology.bfs_shortest_path(
+        source, target, blocked=blocked
+    )
+)
 
 
 #: the module that builds the families (``repro.core`` re-exports its name)
@@ -182,17 +184,18 @@ class TestFamiliesReferenceTies(_ReferenceTies, TestFamilies):
         patched = [fly.bfs_shortest_path(u, v) for u, v in pairs]
         expected = [_reference_bfs.bfs_shortest_path(fly, u, v) for u, v in pairs]
         assert patched == expected
-        segments = [
-            _Case3Builder(hb, (0, u), (3, v))._fly_segment(frozenset())
-            for u, v in pairs
-        ]
-        assert segments == expected
+        unrank = get_fastgraph(fly).codec.unrank
+
+        def segments():  # _fly_segment answers in ranks
+            return [
+                [unrank(r) for r in _Case3Builder(hb, (0, u), (3, v))._fly_segment(frozenset())]
+                for u, v in pairs
+            ]
+
+        assert segments() == expected
         monkeypatch.undo()
         assert patched != [fly.bfs_shortest_path(u, v) for u, v in pairs]
-        assert segments != [
-            _Case3Builder(hb, (0, u), (3, v))._fly_segment(frozenset())
-            for u, v in pairs
-        ]
+        assert segments() != expected
 
 
 class TestCornerRepairsReferenceTies(_ReferenceTies, TestCornerRepairs):
@@ -366,6 +369,16 @@ class TestRankLevelVerifier:
             kinds.update(kind for kind in _FAULT_KINDS if kind in want[1])
         assert kinds == set(_FAULT_KINDS)
 
+    def test_equal_endpoints_match_the_label_check(self, hb23):
+        """With ``u = v`` a path need not have two distinct ends, so the
+        whole-family shortcut for simple, disjoint families does not hold;
+        the per-path checks decide, as the label check did."""
+        u = (0, (0, 0))
+        loops = [[u, a, u] for a in hb23.neighbors(u)[:5]]
+        for family in ([[u]] * 6, [[u]] + loops):
+            want = _verdict(_reference_verify, hb23, u, u, family)
+            assert _verdict(verify_disjoint_paths, hb23, u, u, family) == want
+
 
 class TestSolverAndSegmentReuse:
     def test_families_identical_with_the_reference_solver(self, monkeypatch, rng):
@@ -386,12 +399,14 @@ class TestSolverAndSegmentReuse:
         got = [disjoint_paths_with_info(hb, u, v) for hb, u, v in pairs]
         module = sys.modules[_Case3Builder.__module__]
         monkeypatch.setattr(
-            module, "vertex_disjoint_paths", _reference_menger.vertex_disjoint_paths
+            module,
+            "vertex_disjoint_ranks",
+            _label_edge.vertex_disjoint_on_ranks(_reference_menger.vertex_disjoint_paths),
         )
         monkeypatch.setattr(
             module,
             "node_to_set_disjoint_paths",
-            _reference_menger.node_to_set_disjoint_paths,
+            _label_edge.node_to_set_on_ranks(_reference_menger.node_to_set_disjoint_paths),
         )
         want = [disjoint_paths_with_info(hb, u, v) for hb, u, v in pairs]
         assert got == want
@@ -416,8 +431,9 @@ class TestSolverAndSegmentReuse:
 
         monkeypatch.setattr(_MODULE, "pruned_shortest_path", counting)
         builder = _Case3Builder(hb, u, v)
-        family = builder.build()
-        verify_disjoint_paths(hb, u, v, family)
+        family = builder.build()  # ranks of hb
+        unrank = get_fastgraph(hb).codec.unrank
+        verify_disjoint_paths(hb, u, v, [[unrank(r) for r in p] for p in family])
         words = [
             builder.h_fresh if i == builder.i_star else hi
             for i, hi in enumerate(builder.h_neighbors)
@@ -427,12 +443,11 @@ class TestSolverAndSegmentReuse:
         assert len(calls) < len(block_sets)  # cube words off every segment share one
 
         # one kernel BFS per cube-first path gives the same family
-        bfs = hb.butterfly.bfs_shortest_path
         per_path = _Case3Builder(hb, u, v)
         monkeypatch.setattr(
             per_path,
             "_fly_segment",
-            lambda blocks: bfs(per_path.b, per_path.b2, blocked=blocks),
+            lambda blocks: _kernel_segment(hb.butterfly, per_path.y, per_path.y2, blocked=blocks),
         )
         assert per_path.build() == family
 
@@ -495,24 +510,28 @@ class TestSegmentsEqualTheKernel:
         assert _segment_queries(monkeypatch, hb, sample) <= queries
         # one full kernel BFS per (b, blocks) answers every b': a target
         # only stops the kernel after its level, so the parents agree
+        # the queries are butterfly ranks
         fly = hb.butterfly
         fast = get_fastgraph(fly)
-        to_target = {b2: distances_to(fly, b2) for b2 in fly.nodes()}
+        to_target = {fast.rank(b2): distances_to(fly, b2) for b2 in fly.nodes()}
         targets: dict = {}
         for b, b2, blocks in queries:
             targets.setdefault((b, blocks), []).append(b2)
         for (b, blocks), b2s in targets.items():
             mask = np.zeros(fast.codec.num_nodes, dtype=bool)
-            mask[[fast.rank(x) for x in blocks]] = True
-            dist, parents = bfs_levels(fast.csr, fast.rank(b), forbidden=mask, want_parents=True)
+            mask[list(blocks)] = True
+            dist, parents = bfs_levels(fast.csr, b, forbidden=mask, want_parents=True)
             kernel = {}
             for b2 in b2s:
-                t = fast.rank(b2)
-                if dist[t] >= 0:
-                    kernel[b2] = [fast.unrank(r) for r in path_from_parents(parents, fast.rank(b), t)]
+                if dist[b2] >= 0:
+                    kernel[b2] = [int(r) for r in path_from_parents(parents, b, b2)]
                 got = _MODULE.pruned_shortest_path(
                     fly, b, b2, blocked=blocks, to_target=to_target[b2]
                 )
                 assert got == kernel.get(b2), (b, b2, blocks)
             # the public call runs the same kernel
-            assert fly.bfs_shortest_path(b, b2s[0], blocked=blocks) == kernel.get(b2s[0])
+            public = fly.bfs_shortest_path(
+                fast.unrank(b), fast.unrank(b2s[0]), blocked={fast.unrank(x) for x in blocks}
+            )
+            want = kernel.get(b2s[0])
+            assert public == (None if want is None else [fast.unrank(r) for r in want])

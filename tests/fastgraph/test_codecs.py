@@ -66,6 +66,11 @@ class TestRoundTrip:
             topology.nodes()
         )
 
+    def test_unrank_block_is_unrank_of_each(self, topology):
+        codec = codec_for(topology)
+        ranks = np.arange(codec.num_nodes, dtype=np.int64)[::-1]
+        assert codec.unrank_block(ranks) == [codec.unrank(int(i)) for i in ranks]
+
     def test_ranks_of_nodes_are_dense(self, topology):
         codec = codec_for(topology)
         ranks = sorted(codec.rank(v) for v in topology.nodes())

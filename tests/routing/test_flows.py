@@ -21,6 +21,7 @@ from repro.topologies.invariants import all_invariant_specs
 from repro.topologies.mesh import Mesh
 from repro.topologies.mesh_of_trees import MeshOfTrees
 from tests.routing import _nx_menger, _reference_menger
+from tests.routing._label_edge import node_to_set_on_labels
 
 
 class TestVertexDisjointPaths:
@@ -114,7 +115,7 @@ class TestNodeToSet:
             sources = bf4.neighbors(anchor)
             if target in sources or target == anchor:
                 continue
-            family = node_to_set_disjoint_paths(bf4, sources, target)
+            family = node_to_set_on_labels(bf4, sources, target)
             assert len(family) == 4
             seen = set()
             for p in family:
@@ -138,7 +139,7 @@ class TestNodeToSet:
         # a path graph cannot route 2 disjoint paths into its end vertex
         path5 = Mesh(1, 5)
         with pytest.raises(RoutingError, match="only 1 of 2"):
-            node_to_set_disjoint_paths(path5, [(0, 0), (0, 2)], (0, 4))
+            node_to_set_on_labels(path5, [(0, 0), (0, 2)], (0, 4))
 
     def test_blocked_respected(self):
         family = node_to_set_disjoint_paths(Hypercube(3), [1, 2], 7, blocked={5})
@@ -203,9 +204,9 @@ class TestAgainstReference:
             outcomes.add(feasible)
             if not feasible:
                 with pytest.raises(RoutingError):
-                    node_to_set_disjoint_paths(topology, sources, target, blocked=blocked)
+                    node_to_set_on_labels(topology, sources, target, blocked=blocked)
                 continue
-            family = node_to_set_disjoint_paths(topology, sources, target, blocked=blocked)
+            family = node_to_set_on_labels(topology, sources, target, blocked=blocked)
             _check_family(topology, family, sources, target, blocked)
         assert outcomes == {True, False}  # the grid reaches both verdicts
 
@@ -289,7 +290,7 @@ def test_node_to_set_identical_to_reference(topology):
         blocked = set(rng.sample(topology.neighbors(target), rng.randint(0, 2)))
         blocked -= {target, *sources}
         args = (topology, sources, target)
-        got = _outcome(flows.node_to_set_disjoint_paths, *args, blocked=blocked)
+        got = _outcome(node_to_set_on_labels, *args, blocked=blocked)
         want = _outcome(
             _reference_menger.node_to_set_disjoint_paths, *args, blocked=blocked
         )

@@ -30,6 +30,7 @@ from repro.topologies.hyperdebruijn import HyperDeBruijn
 from repro.topologies.mesh import Mesh
 from repro.topologies.mesh_of_trees import MeshOfTrees
 from tests.routing import _reference_menger
+from tests.routing._label_edge import node_to_set_on_labels
 
 CAYLEY = [CayleyButterfly(3), Hypercube(4)]
 NON_CAYLEY = [HyperDeBruijn(2, 3), Mesh(3, 4), MeshOfTrees(2, 4)]
@@ -42,9 +43,16 @@ def _outcome(solver, *args, **kwargs):
         return ("RoutingError", str(exc))
 
 
+#: the pruned solvers on labels (the node-to-set search takes ranks)
+_ON_LABELS = {
+    "node_to_set_disjoint_paths": node_to_set_on_labels,
+    "vertex_disjoint_paths": flows.vertex_disjoint_paths,
+}
+
+
 def _both(name, *args, **kwargs):
     """The pruned and the reference solver's outcome of one instance."""
-    got = _outcome(getattr(flows, name), *args, **kwargs)
+    got = _outcome(_ON_LABELS[name], *args, **kwargs)
     want = _outcome(getattr(_reference_menger, name), *args, **kwargs)
     return got, want
 
@@ -164,16 +172,17 @@ def test_a_saturated_target_needs_no_search(monkeypatch):
     augment = flows._augment
     monkeypatch.setattr(flows, "_augment", lambda *a: searches.append(1) or augment(*a))
     with pytest.raises(RoutingError, match="only 2 of 3"):
-        flows.node_to_set_disjoint_paths(fly, sources, target, blocked=set(entries[:2]))
+        node_to_set_on_labels(fly, sources, target, blocked=set(entries[:2]))
     assert len(searches) == 2  # the third unit has no open entry left
 
 
 def _state(topology, sources, target, blocked):
     codec, adj = flows._ranked(topology)
     starts = [codec.rank(s) for s in sources]
-    template = flows._template(topology, codec, blocked, starts)
+    closed = [codec.rank(x) for x in blocked] + starts
+    parent = flows._parent(codec.num_nodes, closed)
     pred, into_target = [-1] * len(adj), bytearray(len(adj))
-    return adj, starts, codec.rank(target), template, pred, into_target
+    return adj, starts, codec.rank(target), parent, pred, into_target
 
 
 @pytest.mark.parametrize(
@@ -181,7 +190,9 @@ def _state(topology, sources, target, blocked):
 )
 def test_a_start_bound_too_low_still_returns_the_hit(topology):
     """Any ``U`` below the hit level only adds reruns: every augmentation
-    of the family, started from ``U = -1``, makes the unchanged hit."""
+    of the family, started from ``U = -1``, makes the unchanged hit.  Each
+    hands the call's ``parent`` list back as it found it, however many
+    passes it ran."""
     rng = random.Random(53)
     nodes = list(topology.nodes())
     for _ in range(10):
@@ -192,10 +203,12 @@ def test_a_start_bound_too_low_still_returns_the_hit(topology):
         fit = _state(topology, sources, target, blocked)
         bound = min(to_target[s] for s in fit[1]) - 1
         free = list(fit[1])
+        closed_only = list(fit[3])
         while free:
             hit = flows._augment(*fit[:1], free, *fit[2:], to_target, bound)
             assert flows._augment(*low[:1], free, *low[2:], to_target, -1) == hit
             assert low[4:] == fit[4:]  # same pred and target feeders
+            assert low[3] == fit[3] == closed_only
             if hit is None:
                 break
             free.remove(hit[0])
@@ -220,23 +233,10 @@ def test_weaker_distance_bounds_give_the_same_families(topology):
         )
         for weak in ([d // 2 for d in exact], [0] * len(exact)):
             got = _outcome(
-                flows.node_to_set_disjoint_paths, topology, sources, target,
+                node_to_set_on_labels, topology, sources, target,
                 blocked=blocked, to_target=weak,
             )
             assert got == want
-
-
-class _KeptTemplate(list):
-    """A ``parent`` template that keeps every copy a pass makes of it."""
-
-    def __init__(self, items):
-        super().__init__(items)
-        self.copies = []
-
-    def copy(self):
-        parent = list(self)
-        self.copies.append(parent)
-        return parent
 
 
 def _exit_levels(parent):
@@ -261,14 +261,20 @@ def test_passes_queue_only_states_within_the_hit_level(monkeypatch):
     exit half ``x⁺`` past the starts with ``level + to_target[x] − 1 > L``,
     and the first augmentation of an unblocked family needs one pass."""
     calls = []
-    augment = flows._augment
+    augment, reset = flows._augment, flows._reset
 
-    def watched(adj, starts, target, template, pred, into, to_target, bound):
-        kept = _KeptTemplate(template)
-        hit = augment(adj, starts, target, kept, pred, into, to_target, bound)
-        calls.append((kept.copies, hit, to_target))
+    def kept(parent, queue):
+        calls[-1][0].append(list(parent))  # the pass's states, before its reset
+        reset(parent, queue)
+
+    def watched(adj, starts, target, parent, pred, into, to_target, bound):
+        passes = []
+        calls.append((passes, None, to_target))
+        hit = augment(adj, starts, target, parent, pred, into, to_target, bound)
+        calls[-1] = (passes, hit, to_target)
         return hit
 
+    monkeypatch.setattr(flows, "_reset", kept)
     monkeypatch.setattr(flows, "_augment", watched)
     fly = CayleyButterfly(6)
     nodes = list(fly.nodes())
@@ -279,9 +285,7 @@ def test_passes_queue_only_states_within_the_hit_level(monkeypatch):
         if draw % 2:
             blocked = ()
         calls.clear()
-        _outcome(
-            flows.node_to_set_disjoint_paths, fly, sources, target, blocked=blocked
-        )
+        _outcome(node_to_set_on_labels, fly, sources, target, blocked=blocked)
         _outcome(flows.vertex_disjoint_paths, fly, sources[0], target, blocked=blocked)
         for copies, hit, to_target in calls:
             if hit is not None:

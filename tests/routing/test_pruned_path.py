@@ -20,8 +20,12 @@ from repro.core.disjoint_paths import _Case3Builder
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.errors import RoutingError
 from repro.routing import flows
-from repro.routing.flows import distances_to, pruned_shortest_path
+from repro.routing.flows import distances_to
 from repro.topologies.butterfly_cayley import CayleyButterfly
+from tests.routing._label_edge import shortest_path_on_labels
+
+#: the search takes and returns ranks; these tests draw labels
+pruned_shortest_path = shortest_path_on_labels
 
 FLIES = {n: CayleyButterfly(n) for n in (3, 4, 7)}
 
@@ -37,6 +41,22 @@ def test_distances_to_are_the_bfs_distances(n):
     for target in nodes:
         dist = fly.bfs_distances(target)
         assert distances_to(fly, target) == [dist[x] for x in nodes]
+
+
+def test_only_small_topologies_keep_a_distance_table():
+    """Up to ``_TABLE_RANKS`` ranks every target's row comes from one
+    table filled on first use; past it each call computes its row."""
+    small, large = CayleyButterfly(5), CayleyButterfly(6)  # 160 and 384 ranks
+    assert small.num_nodes <= flows._TABLE_RANKS < large.num_nodes
+    for fly in (small, large):
+        nodes = list(fly.nodes())
+        for target in nodes[::37]:
+            dist = fly.bfs_distances(target)
+            assert distances_to(fly, target) == [dist[x] for x in nodes]
+    assert len(small.__dict__[flows._TABLE_ATTR]) == small.num_nodes
+    assert flows._TABLE_ATTR not in large.__dict__
+    target = (1, 0b10110)
+    assert distances_to(small, target) is distances_to(small, target)
 
 
 @pytest.mark.parametrize("n", [3, 4])
